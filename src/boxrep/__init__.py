@@ -35,7 +35,6 @@ from .graph import (
 )
 from .intervals import (
     BoxRepresentation,
-    IntervalAssignment,
     VerifyReport,
     concat,
     extend_universal,

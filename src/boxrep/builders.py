@@ -11,22 +11,24 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .coloring import Coloring, validate_acyclic
-from .errors import InvalidColoring, InvalidOrder, InvalidParams, NotAForest
+from .errors import InvalidOrder, InvalidParams, NotAForest
 from .graph import Graph, is_forest
 from .intervals import (
+    RECOGNITION_LIMIT,
     BoxRepresentation,
-    IntervalAssignment,
     consecutive_clique_order,
     extend_universal,
 )
 from .rng import ALGORITHM, SplitMix64
 
-RECOGNITION_LIMIT = 12
 
-
-def _universal_dim(n: int) -> IntervalAssignment:
-    return IntervalAssignment({v: (0, 1) for v in range(n)})
+def _universal(n: int, metadata: dict) -> BoxRepresentation:
+    """One dimension giving every vertex [0, 1]: a representation of K_n."""
+    return BoxRepresentation(n, np.zeros((1, n), dtype=np.int64),
+                             np.ones((1, n), dtype=np.int64), metadata)
 
 
 def roberts_rep(g: Graph) -> BoxRepresentation:
@@ -53,30 +55,25 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
         pairs.append(found)
         pool.difference_update(found)
 
-    dims = []
-    for a, b in pairs:
-        na, nb = g.neighbors(a), g.neighbors(b)
-        intervals = {a: (0, 2), b: (4, 6)}
-        for v in range(g.n):
-            if v in (a, b):
-                continue
-            if v in na and v in nb:
-                intervals[v] = (2, 4)
-            elif v in na:
-                intervals[v] = (2, 3)
-            elif v in nb:
-                intervals[v] = (3, 4)
-            else:
-                intervals[v] = (3, 3)
-        dims.append(IntervalAssignment(intervals))
-    if not dims:
-        dims.append(_universal_dim(g.n))
     bound = max(1, g.n // 2)
-    assert len(dims) <= bound
-    return BoxRepresentation(
-        g.n, tuple(dims),
-        {"builder": "roberts", "bound_formula": "max(1, floor(n/2))",
-         "bound_value": bound})
+    meta = {"builder": "roberts", "bound_formula": "max(1, floor(n/2))",
+            "bound_value": bound}
+    if not pairs:
+        return _universal(g.n, meta)
+    assert len(pairs) <= bound
+    lo_rows, hi_rows = [], []
+    for a, b in pairs:
+        # neighbors of a start at 2, neighbors of b end at 4, the rest sit at 3
+        lo, hi = [3] * g.n, [3] * g.n
+        for v in g.neighbors(a):
+            lo[v] = 2
+        for v in g.neighbors(b):
+            hi[v] = 4
+        lo[a], hi[a], lo[b], hi[b] = 0, 2, 4, 6
+        lo_rows.append(lo)
+        hi_rows.append(hi)
+    return BoxRepresentation(g.n, np.array(lo_rows, dtype=np.int64),
+                             np.array(hi_rows, dtype=np.int64), meta)
 
 
 def forest_rep(forest: Graph) -> BoxRepresentation:
@@ -90,9 +87,9 @@ def forest_rep(forest: Graph) -> BoxRepresentation:
     """
     if not is_forest(forest):
         raise NotAForest("input graph contains a cycle")
-    depth = {}
-    pre = {}
-    post = {}
+    depth = [0] * forest.n
+    pre = [0] * forest.n
+    post = [0] * forest.n
     counter = 0
     seen = [False] * forest.n
     for root in range(forest.n):
@@ -114,9 +111,8 @@ def forest_rep(forest: Graph) -> BoxRepresentation:
                 if not seen[w]:
                     seen[w] = True
                     stack.append((w, d + 1, False))
-    dim1 = IntervalAssignment({v: (depth[v], depth[v] + 1) for v in range(forest.n)})
-    dim2 = IntervalAssignment({v: (pre[v], post[v]) for v in range(forest.n)})
-    return BoxRepresentation(forest.n, (dim1, dim2),
+    ends = np.array([depth, pre, [d + 1 for d in depth], post], dtype=np.int64)
+    return BoxRepresentation(forest.n, ends[:2], ends[2:],
                              {"builder": "forest", "bound_formula": "2",
                               "bound_value": 2})
 
@@ -129,28 +125,25 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     with full-span intervals. A 1-coloring means the graph is edgeless and a
     single dimension of pairwise-disjoint points suffices.
     """
-    try:
-        validate_acyclic(g, coloring)
-    except InvalidColoring:
-        raise
+    validate_acyclic(g, coloring)
     k = coloring.k
     if k <= 1:
-        dim = IntervalAssignment({v: (v, v) for v in range(g.n)})
-        return BoxRepresentation(g.n, (dim,),
+        points = np.arange(g.n, dtype=np.int64)[None, :]
+        return BoxRepresentation(g.n, points, points,
                                  {"builder": "acyclic", "colors": k,
                                   "bound_formula": "k*(k-1)", "bound_value": 1})
     classes = {}
     for v, c in coloring.color.items():
         classes.setdefault(c, []).append(v)
-    dims = []
+    lifted = []
     for ci, cj in combinations(sorted(classes), 2):
         verts = sorted(set(classes[ci]) | set(classes[cj]))
         sub, members = g.induced(verts)
-        fr = forest_rep(sub)
-        lifted = extend_universal(fr, members, g.n)
-        dims.extend(lifted.dims)
-    assert len(dims) == k * (k - 1)
-    return BoxRepresentation(g.n, tuple(dims),
+        lifted.append(extend_universal(forest_rep(sub), members, g.n))
+    lo = np.concatenate([r.lo for r in lifted])
+    hi = np.concatenate([r.hi for r in lifted])
+    assert len(lo) == k * (k - 1)
+    return BoxRepresentation(g.n, lo, hi,
                              {"builder": "acyclic", "colors": k,
                               "bound_formula": "k*(k-1)",
                               "bound_value": k * (k - 1)})
@@ -214,12 +207,12 @@ def degenerate_rep(g: Graph, order, k: int,
     if not uncovered:
         meta.update(rounds_used=0, round_dims=0, fallback_dims=0, size_bound=1,
                     size_bound_formula="1 (no non-edges)")
-        return BoxRepresentation(g.n, (_universal_dim(g.n),), meta)
+        return _universal(g.n, meta)
     if g.m == 0:
-        dim = IntervalAssignment({v: (pos[v] + 1, pos[v] + 1) for v in range(g.n)})
+        points = np.array([[pos[v] + 1 for v in range(g.n)]], dtype=np.int64)
         meta.update(rounds_used=0, round_dims=1, fallback_dims=0, size_bound=1,
                     size_bound_formula="1 (edgeless)")
-        return BoxRepresentation(g.n, (dim,), meta)
+        return BoxRepresentation(g.n, points, points, meta)
 
     budget = strategy.round_budget
     if budget is None:
@@ -228,7 +221,7 @@ def degenerate_rep(g: Graph, order, k: int,
         raise InvalidParams("round budget must be at least 1")
     colors_count = k + 2
     rng = SplitMix64(strategy.seed)
-    dims = []
+    lo_rows, hi_rows = [], []
     rounds_used = 0
     done = False
     for _ in range(budget - 1):
@@ -245,26 +238,29 @@ def degenerate_rep(g: Graph, order, k: int,
             for x, y in combinations(members, 2):
                 assert not g.has_edge(x, y), "good same-color set must be independent"
                 uncovered.discard((x, y) if x < y else (y, x))
-            intervals = {v: (0, g.n + 1) for v in range(g.n)}
+            lo, hi = [0] * g.n, [g.n + 1] * g.n
             for v in members:
-                intervals[v] = (pos[v] + 1, pos[v] + 1)
-            dims.append(IntervalAssignment(intervals))
+                lo[v] = hi[v] = pos[v] + 1
+            lo_rows.append(lo)
+            hi_rows.append(hi)
             if not uncovered:
                 done = True
                 break
     fallback = 0
     for u, v in sorted(uncovered):
-        intervals = {w: (0, 3) for w in range(g.n)}
-        intervals[u] = (0, 1)
-        intervals[v] = (2, 3)
-        dims.append(IntervalAssignment(intervals))
+        lo, hi = [0] * g.n, [3] * g.n
+        hi[u] = 1
+        lo[v] = 2
+        lo_rows.append(lo)
+        hi_rows.append(hi)
         fallback += 1
     size_bound = colors_count * (budget - 1) + fallback
-    assert len(dims) <= size_bound
-    meta.update(rounds_used=rounds_used, round_dims=len(dims) - fallback,
+    assert len(lo_rows) <= size_bound
+    meta.update(rounds_used=rounds_used, round_dims=len(lo_rows) - fallback,
                 fallback_dims=fallback, size_bound=size_bound,
                 size_bound_formula="(k+2)*ceil(6*e^2*(k+2)*ln(n)) + fallbacks")
-    return BoxRepresentation(g.n, tuple(dims), meta)
+    return BoxRepresentation(g.n, np.array(lo_rows, dtype=np.int64),
+                             np.array(hi_rows, dtype=np.int64), meta)
 
 
 def trivial_rep(g: Graph, limit: int = RECOGNITION_LIMIT) -> BoxRepresentation | None:
@@ -278,17 +274,17 @@ def trivial_rep(g: Graph, limit: int = RECOGNITION_LIMIT) -> BoxRepresentation |
         return None
     if not order:
         order = [0]
-    first = {}
-    last = {}
+    first = [-1] * g.n
+    last = [-1] * g.n
     for idx, mask in enumerate(order):
         w = mask
         while w:
             v = (w & -w).bit_length() - 1
             w &= w - 1
-            first.setdefault(v, idx)
+            if first[v] < 0:
+                first[v] = idx
             last[v] = idx
-    intervals = {v: (first[v], last[v]) for v in range(g.n)}
-    dim = IntervalAssignment(intervals)
-    return BoxRepresentation(g.n, (dim,),
+    ends = np.array([first, last], dtype=np.int64)
+    return BoxRepresentation(g.n, ends[:1], ends[1:],
                              {"builder": "trivial", "bound_formula": "1",
                               "bound_value": 1})

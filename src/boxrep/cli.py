@@ -3,7 +3,7 @@
 Results and serialized artifacts go to stdout (or --out); diagnostics and
 pipeline traces go to stderr, so seeded invocations are byte-identical on
 stdout and in files. Exit codes: 0 success/valid, 1 invalid verification,
-2 usage error, 3 size-limit error.
+2 usage, format or file error, 3 size-limit error.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (InvalidParams, FormatError, FileNotFoundError) as exc:
+    except (InvalidParams, FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BoxrepError as exc:

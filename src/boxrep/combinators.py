@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     ClassMapIncomplete,
     InvalidInputRep,
@@ -16,12 +18,7 @@ from .errors import (
     UncoveredNonedge,
 )
 from .graph import Graph, QuotientResult
-from .intervals import (
-    BoxRepresentation,
-    IntervalAssignment,
-    extend_universal,
-    verify_representation,
-)
+from .intervals import BoxRepresentation, extend_universal, verify_representation
 
 
 def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
@@ -49,7 +46,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
             f"(missing_edge={report.missing_edge}, "
             f"uncovered_nonedge={report.uncovered_nonedge})")
     if not s_sorted:
-        return BoxRepresentation(g.n, rep_h.dims,
+        return BoxRepresentation(g.n, rep_h.lo, rep_h.hi,
                                  {"builder": "split_compose", "s_size": 0,
                                   "parts": (rep_h.d, 0)})
     gs, members = g.induced(s_sorted)
@@ -62,28 +59,17 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
             f"(missing_edge={report_s.missing_edge}, "
             f"uncovered_nonedge={report_s.uncovered_nonedge})")
 
-    s_set = set(s_sorted)
-    dims = []
-    for dim in rep_h.dims:
-        top = 1 + max(iv[1] for iv in dim.intervals.values())
-        bottom = min(iv[0] for iv in dim.intervals.values()) - 1
-        right = {}
-        left = {}
-        for v in range(g.n):
-            lo, hi = dim.intervals[v]
-            if v in s_set:
-                right[v] = (lo, top)
-                left[v] = (bottom, hi)
-            else:
-                right[v] = (lo, hi)
-                left[v] = (lo, hi)
-        dims.append(IntervalAssignment(right))
-        dims.append(IntervalAssignment(left))
+    # rows 2j and 2j+1 copy dimension j; S reaches past its top, then its bottom
+    lo = np.repeat(rep_h.lo, 2, axis=0)
+    hi = np.repeat(rep_h.hi, 2, axis=0)
+    hi[0::2, s_sorted] = rep_h.hi.max(axis=1, keepdims=True) + 1
+    lo[1::2, s_sorted] = rep_h.lo.min(axis=1, keepdims=True) - 1
     lifted = extend_universal(rep_s, members, g.n)
-    dims.extend(lifted.dims)
-    assert len(dims) == 2 * rep_h.d + rep_s.d
+    lo = np.concatenate((lo, lifted.lo))
+    hi = np.concatenate((hi, lifted.hi))
+    assert len(lo) == 2 * rep_h.d + rep_s.d
 
-    out = BoxRepresentation(g.n, tuple(dims),
+    out = BoxRepresentation(g.n, lo, hi,
                             {"builder": "split_compose",
                              "s_size": len(s_sorted),
                              "parts": (rep_h.d, rep_s.d)})
@@ -116,16 +102,13 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
             f"uncovered_nonedge={report.uncovered_nonedge})")
     if target.n != len(q.rep_of):
         raise ClassMapIncomplete("quotient does not cover the target vertex set")
-    dims = []
-    for dim in rep_q.dims:
-        intervals = {}
-        for v in range(target.n):
-            rep_vertex = q.rep_of.get(v)
-            if rep_vertex is None or rep_vertex not in q.local_id:
-                raise ClassMapIncomplete(f"no representative box for vertex {v}")
-            intervals[v] = dim.intervals[q.local_id[rep_vertex]]
-        dims.append(IntervalAssignment(intervals))
-    out = BoxRepresentation(target.n, tuple(dims),
+    cols = []
+    for v in range(target.n):
+        rep_vertex = q.rep_of.get(v)
+        if rep_vertex is None or rep_vertex not in q.local_id:
+            raise ClassMapIncomplete(f"no representative box for vertex {v}")
+        cols.append(q.local_id[rep_vertex])
+    out = BoxRepresentation(target.n, rep_q.lo[:, cols], rep_q.hi[:, cols],
                             {"builder": "quotient_lift", "parts": (rep_q.d,)})
     final = verify_representation(target, out)
     if final.missing_edge is not None:

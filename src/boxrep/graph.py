@@ -11,12 +11,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import FormatError, InvalidParams
 from .rng import SplitMix64
+
+
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple:
+    u, v = np.triu_indices(n, 1)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,18 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """Read-only arrays (u, v, is_edge) over all pairs u < v, in
+        lexicographic order; the oracle reads its witnesses from them."""
+        n = self.n
+        u, v = _upper_pairs(n)
+        is_edge = np.zeros(len(u), dtype=bool)
+        # (a, b) is pair number a*(2n-a-1)/2 + b-a-1 in lexicographic order
+        is_edge[[a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in self.edges]] = True
+        is_edge.setflags(write=False)
+        return u, v, is_edge
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges if u < v else (v, u) in self.edges

@@ -3,13 +3,16 @@
 A box representation is an ordered list of interval assignments over the same
 vertex set; its meaning is the intersection of the corresponding interval
 graphs. Intervals are closed with integer endpoints, so touching intervals
-intersect, and every combinator below keeps endpoints integral.
+intersect. A representation stores its endpoints as two int64 arrays `lo`
+and `hi` of shape (d, n): row j is dimension j+1 and column v is vertex v.
+The arrays are read-only, so representations and the combinators below share
+rows without copying them. Endpoints must lie in the int64 range, and every
+combinator below keeps them integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -27,40 +30,56 @@ from .graph import Graph
 
 RECOGNITION_LIMIT = 12
 
-# below this many pair*dimension checks the plain loops beat array setup
-_VECTORIZE_THRESHOLD = 120_000
+# bytes of the oracle's per-chunk temporary; bounds its memory for any d
+ORACLE_CHUNK_BYTES = 1 << 24
+
+_INT64 = np.iinfo(np.int64)
 
 
-@dataclass
-class IntervalAssignment:
-    intervals: dict
-
-    def validate(self, n: int) -> None:
-        if set(self.intervals) != set(range(n)):
-            raise InvalidInputRep("assignment must cover vertices 0..n-1")
-        for v, (lo, hi) in self.intervals.items():
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                raise InvalidInputRep(f"non-integer endpoints at vertex {v}")
-            if lo > hi:
-                raise InvalidInputRep(f"empty interval at vertex {v}")
+def _endpoints(values, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.dtype != np.int64:
+        if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+            raise InvalidInputRep(f"{what} endpoints must be integers within int64")
+        arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass
 class BoxRepresentation:
+    """`d` interval assignments over the vertices 0..n-1.
+
+    `lo[j, v]` and `hi[j, v]` are the endpoints of vertex v's interval in
+    dimension j+1; both arrays have shape (d, n) with d >= 1 and hold int64
+    values with lo <= hi. Integer arrays of another dtype are converted when
+    every value fits in int64; anything else raises InvalidInputRep. The
+    constructor takes int64 arrays over without copying and marks them
+    read-only, so a representation may share its arrays with the one it was
+    derived from.
+    """
+
     n: int
-    dims: tuple
+    lo: np.ndarray
+    hi: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = tuple(self.dims)
-        if not self.dims:
+        self.lo = _endpoints(self.lo, "lower")
+        self.hi = _endpoints(self.hi, "upper")
+        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
+            raise InvalidInputRep("lo and hi must be arrays of one shape (d, n)")
+        if self.lo.shape[1] != self.n:
+            raise InvalidInputRep("assignment must cover vertices 0..n-1")
+        if self.lo.shape[0] == 0:
             raise InvalidInputRep("a representation needs at least one dimension")
-        for dim in self.dims:
-            dim.validate(self.n)
+        if np.count_nonzero(self.lo > self.hi):
+            j, v = np.argwhere(self.lo > self.hi)[0]
+            raise InvalidInputRep(f"empty interval at vertex {v} in dimension {j + 1}")
 
     @property
     def d(self) -> int:
-        return len(self.dims)
+        return self.lo.shape[0]
 
 
 @dataclass
@@ -70,73 +89,38 @@ class VerifyReport:
     uncovered_nonedge: tuple | None
 
 
-def _intersects(a, b) -> bool:
-    return max(a[0], b[0]) <= min(a[1], b[1])
-
-
-def _verify_plain(g: Graph, rep: BoxRepresentation) -> VerifyReport:
-    missing = None
-    uncovered = None
-    for u, v in combinations(range(g.n), 2):
-        if g.has_edge(u, v):
-            if missing is not None:
-                continue
-            for dim in rep.dims:
-                if not _intersects(dim.intervals[u], dim.intervals[v]):
-                    missing = (u, v)
-                    break
-        else:
-            if uncovered is not None:
-                continue
-            if all(_intersects(dim.intervals[u], dim.intervals[v])
-                   for dim in rep.dims):
-                uncovered = (u, v)
-        if missing is not None and uncovered is not None:
-            break
-    return VerifyReport(missing is None and uncovered is None, missing, uncovered)
-
-
-def _verify_vectorized(g: Graph, rep: BoxRepresentation) -> VerifyReport:
-    n = g.n
-    meet = np.ones((n, n), dtype=bool)
-    chunk = 256
-    dims = rep.dims
-    for start in range(0, len(dims), chunk):
-        block = dims[start:start + chunk]
-        lo = np.array([[dim.intervals[v][0] for v in range(n)] for dim in block],
-                      dtype=np.int64)
-        hi = np.array([[dim.intervals[v][1] for v in range(n)] for dim in block],
-                      dtype=np.int64)
-        inter = (np.maximum(lo[:, :, None], lo[:, None, :])
-                 <= np.minimum(hi[:, :, None], hi[:, None, :]))
-        meet &= inter.all(axis=0)
-    adjm = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        adjm[u, v] = True
-        adjm[v, u] = True
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    missing_idx = np.argwhere(adjm & ~meet & upper)
-    uncovered_idx = np.argwhere(~adjm & meet & upper)
-    missing = tuple(int(x) for x in missing_idx[0]) if len(missing_idx) else None
-    uncovered = tuple(int(x) for x in uncovered_idx[0]) if len(uncovered_idx) else None
-    return VerifyReport(missing is None and uncovered is None, missing, uncovered)
-
-
 def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
     """Certify a representation against a graph.
 
     Valid iff every edge's intervals intersect in every dimension and every
     non-edge is separated in at least one dimension. Witnesses are the
     lexicographically smallest violating pairs of each kind.
+
+    Intervals u and v meet in every dimension iff lo[j, u] <= hi[j, v] for
+    all j and lo[j, v] <= hi[j, u] for all j, so one (n, n) matrix of the
+    first condition, read against its transpose, decides every pair. It is
+    accumulated over chunks of dimensions whose (chunk, n, n) comparison
+    stays within ORACLE_CHUNK_BYTES.
     """
     if rep.n != g.n:
         raise DimensionMismatch(f"representation over {rep.n} vertices, graph has {g.n}")
-    if rep.d * g.n * g.n <= _VECTORIZE_THRESHOLD:
-        return _verify_plain(g, rep)
-    try:
-        return _verify_vectorized(g, rep)
-    except OverflowError:
-        return _verify_plain(g, rep)
+    if g.n < 2:
+        return VerifyReport(True, None, None)  # no pair to check
+    lo, hi = rep.lo[:, :, None], rep.hi[:, None, :]
+    step = max(1, ORACLE_CHUNK_BYTES // (g.n * g.n))
+    below = np.ones((g.n, g.n), dtype=bool)
+    for start in range(0, rep.d, step):
+        below &= (lo[start:start + step] <= hi[start:start + step]).all(axis=0)
+    u, v, edge = g.pairs
+    wrong = np.flatnonzero((below & below.T)[u, v] != edge)
+    if not len(wrong):
+        return VerifyReport(True, None, None)
+    is_edge = edge[wrong]
+    missing, uncovered = wrong[is_edge], wrong[~is_edge]
+    return VerifyReport(
+        False,
+        (int(u[missing[0]]), int(v[missing[0]])) if len(missing) else None,
+        (int(u[uncovered[0]]), int(v[uncovered[0]])) if len(uncovered) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +293,8 @@ def concat(r1: BoxRepresentation, r2: BoxRepresentation, g: Graph) -> BoxReprese
     """
     if r1.n != r2.n or r1.n != g.n:
         raise DimensionMismatch("representations must share the vertex set of g")
-    out = BoxRepresentation(g.n, r1.dims + r2.dims,
+    out = BoxRepresentation(g.n, np.concatenate((r1.lo, r2.lo)),
+                            np.concatenate((r1.hi, r2.hi)),
                             {"builder": "concat", "parts": (r1.d, r2.d)})
     report = verify_representation(g, out)
     if report.missing_edge is not None:
@@ -328,29 +313,23 @@ def extend_universal(rep: BoxRepresentation, members: Iterable[int],
     in `members` receives, per dimension, the interval spanning all existing
     endpoints of that dimension, making it adjacent to everything.
     """
-    members = tuple(members)
+    members = list(members)
     if len(members) != rep.n:
         raise InvalidInputRep("members must enumerate the representation's vertices")
-    if len(set(members)) != len(members) or any(
-            not (0 <= v < n_total) for v in members):
-        raise InvalidInputRep("members must be distinct ids below n_total")
     if rep.n == 0:
         raise InvalidInputRep("cannot extend an empty representation")
-    dims = []
-    member_set = set(members)
-    for dim in rep.dims:
-        lo = min(iv[0] for iv in dim.intervals.values())
-        hi = max(iv[1] for iv in dim.intervals.values())
-        intervals = {}
-        for i, orig in enumerate(members):
-            intervals[orig] = dim.intervals[i]
-        for v in range(n_total):
-            if v not in member_set:
-                intervals[v] = (lo, hi)
-        dims.append(IntervalAssignment(intervals))
+    if (len(set(members)) != len(members) or min(members) < 0
+            or max(members) >= n_total):
+        raise InvalidInputRep("members must be distinct ids below n_total")
+    lo = np.empty((rep.d, n_total), dtype=np.int64)
+    hi = np.empty((rep.d, n_total), dtype=np.int64)
+    lo[:] = rep.lo.min(axis=1, keepdims=True)
+    hi[:] = rep.hi.max(axis=1, keepdims=True)
+    lo[:, members] = rep.lo
+    hi[:, members] = rep.hi
     meta = dict(rep.metadata)
     meta["extended_from"] = rep.n
-    return BoxRepresentation(n_total, tuple(dims), meta)
+    return BoxRepresentation(n_total, lo, hi, meta)
 
 
 def merge_components(reps: list[BoxRepresentation],
@@ -366,6 +345,8 @@ def merge_components(reps: list[BoxRepresentation],
         raise EmptyInput("no component representations")
     if len(reps) != len(maps):
         raise InvalidInputRep("one vertex map per representation required")
+    if any(rep.n != len(mp) for rep, mp in zip(reps, maps)):
+        raise InvalidInputRep("each vertex map must list its representation's vertices")
     n_total = sum(len(m) for m in maps)
     seen = set()
     for mp in maps:
@@ -373,37 +354,28 @@ def merge_components(reps: list[BoxRepresentation],
     if seen != set(range(n_total)):
         raise InvalidInputRep("component maps must partition the vertex set")
     depth = max(r.d for r in reps)
+    span_lo = np.full(depth, _INT64.max)
+    span_hi = np.full(depth, _INT64.min)
+    for rep in reps:
+        span_lo[:rep.d] = np.minimum(span_lo[:rep.d], rep.lo.min(axis=1))
+        span_hi[:rep.d] = np.maximum(span_hi[:rep.d], rep.hi.max(axis=1))
 
-    dims = []
-    # dimension 1: disjoint ranges, first component kept in place
-    intervals = {}
+    lo = np.empty((depth, n_total), dtype=np.int64)
+    hi = np.empty((depth, n_total), dtype=np.int64)
     cursor = None
     for rep, mp in zip(reps, maps):
-        dim = rep.dims[0]
-        lo = min(iv[0] for iv in dim.intervals.values())
-        hi = max(iv[1] for iv in dim.intervals.values())
-        shift = 0 if cursor is None else cursor - lo
-        for i, orig in enumerate(mp):
-            a, b = dim.intervals[i]
-            intervals[orig] = (a + shift, b + shift)
-        cursor = hi + shift + 1
-    dims.append(IntervalAssignment(intervals))
+        cols = list(mp)
+        lo[:rep.d, cols] = rep.lo
+        hi[:rep.d, cols] = rep.hi
+        lo[rep.d:, cols] = span_lo[rep.d:, None]
+        hi[rep.d:, cols] = span_hi[rep.d:, None]
+        # dimension 1: disjoint ranges, first component kept in place
+        shift = 0 if cursor is None else cursor - int(rep.lo[0].min())
+        lo[0, cols] += shift
+        hi[0, cols] += shift
+        cursor = int(rep.hi[0].max()) + shift + 1
 
-    for j in range(1, depth):
-        have = [r for r in reps if r.d > j]
-        span_lo = min(min(iv[0] for iv in r.dims[j].intervals.values()) for r in have)
-        span_hi = max(max(iv[1] for iv in r.dims[j].intervals.values()) for r in have)
-        intervals = {}
-        for rep, mp in zip(reps, maps):
-            if rep.d > j:
-                for i, orig in enumerate(mp):
-                    intervals[orig] = rep.dims[j].intervals[i]
-            else:
-                for orig in mp:
-                    intervals[orig] = (span_lo, span_hi)
-        dims.append(IntervalAssignment(intervals))
-
-    return BoxRepresentation(n_total, tuple(dims),
+    return BoxRepresentation(n_total, lo, hi,
                              {"builder": "merge_components",
                               "parts": tuple(r.d for r in reps)})
 
@@ -414,11 +386,10 @@ def merge_components(reps: list[BoxRepresentation],
 
 def write_representation(rep: BoxRepresentation) -> str:
     lines = [f"boxrep {rep.n} {rep.d}"]
-    for j, dim in enumerate(rep.dims, start=1):
+    for j, (lo, hi) in enumerate(zip(rep.lo.tolist(), rep.hi.tolist()), start=1):
         lines.append(f"dim {j}")
         for v in range(rep.n):
-            lo, hi = dim.intervals[v]
-            lines.append(f"{v} {lo} {hi}")
+            lines.append(f"{v} {lo[v]} {hi[v]}")
     return "\n".join(lines) + "\n"
 
 
@@ -433,13 +404,14 @@ def parse_representation(text: str) -> BoxRepresentation:
         n, d = int(head[1]), int(head[2])
     except ValueError as exc:
         raise FormatError(f"bad header {lines[0]!r}") from exc
+    if n < 0 or d < 1:
+        raise FormatError(f"bad header {lines[0]!r}")
     pos = 1
-    dims = []
+    lo, hi = [], []
     for j in range(1, d + 1):
         if pos >= len(lines) or lines[pos].strip() != f"dim {j}":
             raise FormatError(f"expected 'dim {j}' at line {pos + 1}")
         pos += 1
-        intervals = {}
         for v in range(n):
             if pos >= len(lines):
                 raise FormatError("truncated representation file")
@@ -447,12 +419,18 @@ def parse_representation(text: str) -> BoxRepresentation:
             if len(parts) != 3:
                 raise FormatError(f"bad interval line {lines[pos]!r}")
             try:
-                vid, lo, hi = int(parts[0]), int(parts[1]), int(parts[2])
+                vid, a, b = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise FormatError(f"bad interval line {lines[pos]!r}") from exc
             if vid != v:
                 raise FormatError(f"expected vertex {v} at line {pos + 1}")
-            intervals[v] = (lo, hi)
+            if b < a:
+                raise FormatError(f"empty interval at line {pos + 1}")
+            lo.append(a)
+            hi.append(b)
             pos += 1
-        dims.append(IntervalAssignment(intervals))
-    return BoxRepresentation(n, tuple(dims))
+    if lo and (min(lo) < _INT64.min or max(hi) > _INT64.max):
+        raise FormatError("interval endpoint outside the int64 range")
+    shape = (d, n)
+    return BoxRepresentation(n, np.array(lo, dtype=np.int64).reshape(shape),
+                             np.array(hi, dtype=np.int64).reshape(shape))

@@ -9,7 +9,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .builders import DegenerateStrategy, degenerate_rep, roberts_rep, acyclic_rep
+import numpy as np
+
+from .builders import (
+    DegenerateStrategy,
+    _universal,
+    acyclic_rep,
+    degenerate_rep,
+    roberts_rep,
+)
 from .coloring import Coloring, validate_acyclic
 from .combinators import quotient_lift, split_compose
 from .errors import (
@@ -30,7 +38,6 @@ from .graph import (
 )
 from .intervals import (
     BoxRepresentation,
-    IntervalAssignment,
     concat,
     extend_universal,
     merge_components,
@@ -71,8 +78,8 @@ EDGE_BOUND_FORMULA = "(15e+1)*sqrt(m*ln(n))"
 
 
 def _points_rep(n: int) -> BoxRepresentation:
-    dim = IntervalAssignment({v: (v, v) for v in range(n)})
-    return BoxRepresentation(n, (dim,), {"builder": "points"})
+    points = np.arange(n, dtype=np.int64)[None, :]
+    return BoxRepresentation(n, points, points, {"builder": "points"})
 
 
 def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
@@ -153,7 +160,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
     trace.wall_time = time.perf_counter() - started
     meta = dict(merged.metadata)
     meta.update(pipeline="edge", mode=mode, seed=seed)
-    out = BoxRepresentation(g.n, merged.dims, meta)
+    out = BoxRepresentation(g.n, merged.lo, merged.hi, meta)
     return out, trace
 
 
@@ -193,9 +200,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
         r_inner = acyclic_rep(sub, local_coloring)
         r_g2 = extend_universal(r_inner, members, g.n)
     else:
-        r_g2 = BoxRepresentation(
-            g.n, (IntervalAssignment({v: (0, 1) for v in range(g.n)}),),
-            {"builder": "universal"})
+        r_g2 = _universal(g.n, {"builder": "universal"})
     trace.record("g2_dims", r_g2.d)
 
     # structural checks for the quotient stage
@@ -238,10 +243,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     reps_local = sorted(q.local_id[cls[0]] for cls in q.classes)
     h1 = q.quotient_graph.add_clique(reps_local)
     if reps_local:
-        clique_rep = BoxRepresentation(
-            len(reps_local),
-            (IntervalAssignment({i: (0, 1) for i in range(len(reps_local))}),),
-            {"builder": "clique"})
+        clique_rep = _universal(len(reps_local), {"builder": "clique"})
         r_h1 = split_compose(r_q, clique_rep, reps_local, h1)
     else:
         r_h1 = r_q
@@ -261,7 +263,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     trace.wall_time = time.perf_counter() - started
     meta = dict(result.metadata)
     meta.update(pipeline="surface", genus=genus, seed=seed)
-    return BoxRepresentation(g.n, result.dims, meta), trace
+    return BoxRepresentation(g.n, result.lo, result.hi, meta), trace
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +280,7 @@ class ExperimentReport:
     edge_counts: list
     boxicity_distribution: Counter
     over_limit: int
+    per_trial: list  # (trial, edges, within_cap, boxicity) rows of to_csv
 
     def fraction_within_cap(self) -> float:
         return self.within_cap / self.trials if self.trials else 0.0
@@ -301,10 +304,7 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         rows = ["trial,edges,within_cap,boxicity"]
-        per_trial = getattr(self, "_per_trial", None)
-        if per_trial is None:
-            per_trial = [(i, m, "", "") for i, m in enumerate(self.edge_counts)]
-        for row in per_trial:
+        for row in self.per_trial:
             rows.append(",".join(str(x) for x in row))
         return "\n".join(rows) + "\n"
 
@@ -344,10 +344,8 @@ def bipartite_experiment(n: int, trials: int, seed: int = 0,
                 over_limit += 1
                 box = "over_limit"
         per_trial.append((i, m, int(ok), box))
-    report = ExperimentReport(n, trials, seed, cap, within, edge_counts,
-                              dist, over_limit)
-    report._per_trial = per_trial
-    return report
+    return ExperimentReport(n, trials, seed, cap, within, edge_counts,
+                            dist, over_limit, per_trial)
 
 
 def bound_report(n: int, m: int, genus: int | None = None,

@@ -1,9 +1,11 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from boxrep.graph import Graph
+from boxrep.intervals import BoxRepresentation
 from boxrep.rng import SplitMix64
 
 settings.register_profile(
@@ -57,6 +59,12 @@ def random_graph(n, p_percent, seed):
     edges = [e for e in combinations(range(n), 2)
              if rng.below(100) < p_percent]
     return Graph.from_edges(n, edges)
+
+
+def rep_from(*dims):
+    """A representation from one list of (lo, hi) per vertex per dimension."""
+    ends = np.array(dims, dtype=np.int64).reshape(len(dims), -1, 2)
+    return BoxRepresentation(ends.shape[1], ends[:, :, 0], ends[:, :, 1])
 
 
 @pytest.fixture

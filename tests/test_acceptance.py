@@ -262,8 +262,9 @@ def test_criterion_08_degenerate_builder_statistics():
         if rep.metadata["fallback_dims"] == 0:
             no_fallback += 1
         full = (0, g.n + 1)
-        for dim in rep.dims[:rep.metadata["round_dims"]]:
-            members = [v for v in range(g.n) if dim.intervals[v] != full]
+        round_dims = rep.metadata["round_dims"]
+        for lo, hi in zip(rep.lo[:round_dims].tolist(), rep.hi[:round_dims].tolist()):
+            members = [v for v in range(g.n) if (lo[v], hi[v]) != full]
             for i, u in enumerate(members):
                 for v in members[i + 1:]:
                     ok &= not g.has_edge(u, v)

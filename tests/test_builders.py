@@ -175,8 +175,8 @@ class TestDegenerate:
         full = (0, g.n + 1)
         round_dims = rep.metadata["round_dims"]
         assert round_dims >= 1
-        for dim in rep.dims[:round_dims]:
-            members = [v for v in range(g.n) if dim.intervals[v] != full]
+        for lo, hi in zip(rep.lo[:round_dims].tolist(), rep.hi[:round_dims].tolist()):
+            members = [v for v in range(g.n) if (lo[v], hi[v]) != full]
             assert len(members) >= 2
             for i, u in enumerate(members):
                 for v in members[i + 1:]:

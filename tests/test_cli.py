@@ -107,16 +107,32 @@ class TestBuildVerify:
         run_cli("build", "--graph", str(gfile), "--pipeline", "edge",
                 "--seed", "1", "--out", str(rfile))
         rep = parse_representation(rfile.read_text())
-        tampered = rep.dims[0].intervals.copy()
-        lo, hi = tampered[0]
-        tampered[0] = (lo, hi + 50)  # re-cover a killed non-edge everywhere
+        lo, hi = rep.lo[0].tolist(), rep.hi[0].tolist()
+        hi[0] += 50  # re-cover a killed non-edge everywhere
         lines = [f"boxrep 4 1", "dim 1"]
-        lines += [f"{v} {tampered[v][0]} {tampered[v][1]}" for v in range(4)]
+        lines += [f"{v} {lo[v]} {hi[v]}" for v in range(4)]
         rfile.write_text("\n".join(lines) + "\n")
         res = run_cli("verify", "--graph", str(gfile), "--rep", str(rfile))
         assert res.returncode == 1
         assert res.stdout == "invalid\n"
         assert "edge" in res.stderr
+
+    @pytest.mark.parametrize("line", ["0 0 1\n1 3 2\n", f"0 0 1\n1 0 {10**23}\n"],
+                             ids=["empty_interval", "outside_int64"])
+    def test_malformed_rep_exit_2(self, tmp_path, line):
+        gfile = tmp_path / "g.g"
+        rfile = tmp_path / "r.br"
+        run_cli("gen", "--model", "copm", "--k", "1", "--out", str(gfile))
+        rfile.write_text("boxrep 2 1\ndim 1\n" + line)
+        res = run_cli("verify", "--graph", str(gfile), "--rep", str(rfile))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
+    def test_directory_as_graph_exit_2(self, tmp_path):
+        res = run_cli("verify", "--graph", str(tmp_path), "--rep", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 class TestPosetReportExperiment:

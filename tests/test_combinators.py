@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,13 +6,9 @@ from boxrep.builders import degenerate_rep, roberts_rep, trivial_rep
 from boxrep.combinators import quotient_lift, split_compose
 from boxrep.errors import InvalidInputRep, PreconditionViolation
 from boxrep.graph import Graph, degeneracy_order, quotient_by_a_neighborhood
-from boxrep.intervals import (
-    BoxRepresentation,
-    IntervalAssignment,
-    verify_representation,
-)
+from boxrep.intervals import verify_representation
 
-from conftest import complete_bipartite, cycle_graph, random_graph, star_graph
+from conftest import complete_bipartite, cycle_graph, random_graph, rep_from, star_graph
 from test_graph_core import graphs_strategy
 
 
@@ -36,7 +33,7 @@ class TestSplitCompose:
     def test_empty_s_returns_rep_unchanged(self, c4):
         r_h = roberts_rep(c4)
         out = split_compose(r_h, r_h, [], c4)
-        assert out.dims == r_h.dims
+        assert out.lo is r_h.lo and out.hi is r_h.hi
 
     def test_singleton_s_still_pays_full_size(self):
         g = cycle_graph(5)
@@ -70,8 +67,7 @@ class TestSplitCompose:
         s = [0, 2]  # non-adjacent, so g[S] is edgeless
         h = c4.remove_edges_inside(s)
         r_h = _rep_for(h)
-        bad = BoxRepresentation(
-            2, (IntervalAssignment({0: (0, 1), 1: (0, 1)}),))  # claims an edge
+        bad = rep_from([(0, 1), (0, 1)])  # claims an edge
         with pytest.raises(InvalidInputRep):
             split_compose(r_h, bad, s, c4)
 
@@ -106,17 +102,15 @@ class TestSplitCompose:
         r_s = _rep_for(gs)
         out = split_compose(r_h, r_s, s, g)
 
-        def disjoint(dim, a, b):
-            ia, ib = dim.intervals[a], dim.intervals[b]
-            return max(ia[0], ib[0]) > min(ia[1], ib[1])
+        def disjoint(rep, j, a, b):
+            return max(rep.lo[j, a], rep.lo[j, b]) > min(rep.hi[j, a], rep.hi[j, b])
 
         for u, v in g.nonedges():
             if u in s_set and v in s_set:
                 continue
-            for j, dim in enumerate(r_h.dims):
-                if disjoint(dim, u, v):
-                    right, left = out.dims[2 * j], out.dims[2 * j + 1]
-                    assert disjoint(right, u, v) or disjoint(left, u, v)
+            for j in range(r_h.d):
+                if disjoint(r_h, j, u, v):
+                    assert disjoint(out, 2 * j, u, v) or disjoint(out, 2 * j + 1, u, v)
 
 
 class TestQuotientLift:
@@ -129,15 +123,15 @@ class TestQuotientLift:
         target = g.add_clique([1, 2, 3, 4])
         out = quotient_lift(r_q, q, target)
         assert verify_representation(target, out).valid
-        for dim in out.dims:
-            boxes = {dim.intervals[v] for v in (1, 2, 3, 4)}
+        for j in range(out.d):
+            boxes = {(out.lo[j, v], out.hi[j, v]) for v in (1, 2, 3, 4)}
             assert len(boxes) == 1
 
     def test_a_equals_v_identity(self, c4):
         q = quotient_by_a_neighborhood(c4, range(4))
         r_q = _rep_for(q.quotient_graph)
         out = quotient_lift(r_q, q, c4)
-        assert [d.intervals for d in out.dims] == [d.intervals for d in r_q.dims]
+        assert np.array_equal(out.lo, r_q.lo) and np.array_equal(out.hi, r_q.hi)
 
     def test_k23_two_side(self):
         g = complete_bipartite(2, 3)
@@ -172,5 +166,5 @@ class TestQuotientLift:
         assert verify_representation(target, out).valid
         # equal A-neighborhoods mean bit-identical boxes
         for cls in q.classes:
-            for dim in out.dims:
-                assert len({dim.intervals[v] for v in cls}) == 1
+            for j in range(out.d):
+                assert len({(out.lo[j, v], out.hi[j, v]) for v in cls}) == 1

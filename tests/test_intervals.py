@@ -1,8 +1,10 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from boxrep import intervals
 from boxrep.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -14,9 +16,6 @@ from boxrep.errors import (
 from boxrep.graph import Graph
 from boxrep.intervals import (
     BoxRepresentation,
-    IntervalAssignment,
-    _verify_plain,
-    _verify_vectorized,
     concat,
     extend_universal,
     is_interval_graph,
@@ -27,63 +26,92 @@ from boxrep.intervals import (
 )
 from boxrep.builders import roberts_rep, trivial_rep
 
-from conftest import all_graphs, complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (
+    all_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    rep_from,
+)
 from test_graph_core import graphs_strategy
 
 
 def brute_force_intersection_edges(rep):
     """Independent reading of a representation: the edge set of the
     intersection of its interval graphs, checked pair by pair."""
+    lo, hi = rep.lo.tolist(), rep.hi.tolist()
     edges = set()
     for u, v in combinations(range(rep.n), 2):
-        if all(max(d.intervals[u][0], d.intervals[v][0])
-               <= min(d.intervals[u][1], d.intervals[v][1])
-               for d in rep.dims):
+        if all(max(a[u], a[v]) <= min(b[u], b[v]) for a, b in zip(lo, hi)):
             edges.add((u, v))
     return edges
 
 
-def random_rep(g, seed, span=6):
+def reference_report(g, rep):
+    """Pure-Python reference oracle: (valid, missing_edge, uncovered_nonedge),
+    the witnesses being the smallest pairs on which the brute-force edge set
+    and the graph disagree."""
+    edges = brute_force_intersection_edges(rep)
+    missing = min(g.edges - edges, default=None)
+    uncovered = min(edges - g.edges, default=None)
+    return (missing is None and uncovered is None, missing, uncovered)
+
+
+def report_tuple(report):
+    return (report.valid, report.missing_edge, report.uncovered_nonedge)
+
+
+def random_rep(g, seed, span=6, max_dims=3):
     from boxrep.rng import SplitMix64
 
     rng = SplitMix64(seed)
     dims = []
-    for _ in range(1 + rng.below(3)):
-        intervals = {}
-        for v in range(g.n):
-            lo = rng.below(span)
-            intervals[v] = (lo, lo + rng.below(3))
-        dims.append(IntervalAssignment(intervals))
-    return BoxRepresentation(g.n, tuple(dims))
+    for _ in range(1 + rng.below(max_dims)):
+        starts = [rng.below(span) for _ in range(g.n)]
+        dims.append([(lo, lo + rng.below(3)) for lo in starts])
+    return rep_from(*dims)
 
 
 class TestRepresentationModel:
     def test_needs_a_dimension(self):
+        none = np.empty((0, 2), dtype=np.int64)
         with pytest.raises(InvalidInputRep):
-            BoxRepresentation(2, ())
+            BoxRepresentation(2, none, none)
 
     def test_assignment_must_cover(self):
         with pytest.raises(InvalidInputRep):
-            BoxRepresentation(2, (IntervalAssignment({0: (0, 1)}),))
+            BoxRepresentation(2, [[0]], [[1]])
 
     def test_rejects_empty_interval(self):
         with pytest.raises(InvalidInputRep):
-            BoxRepresentation(1, (IntervalAssignment({0: (2, 1)}),))
+            BoxRepresentation(1, [[2]], [[1]])
 
     def test_rejects_non_integer(self):
         with pytest.raises(InvalidInputRep):
-            BoxRepresentation(1, (IntervalAssignment({0: (0.0, 1)}),))
+            BoxRepresentation(1, [[0.0]], [[1]])
+
+    def test_rejects_endpoint_outside_int64(self):
+        with pytest.raises(InvalidInputRep):
+            BoxRepresentation(1, [[0]], [[10**23]])
+
+    def test_arrays_are_read_only_and_shared(self, c4):
+        rep = roberts_rep(c4)
+        assert rep.lo.dtype == rep.hi.dtype == np.int64
+        assert not rep.lo.flags.writeable and not rep.hi.flags.writeable
+        again = BoxRepresentation(rep.n, rep.lo, rep.hi)
+        assert again.lo is rep.lo and again.hi is rep.hi
 
 
 class TestVerify:
     def test_k2_shared_interval_valid(self):
         g = path_graph(2)
-        rep = BoxRepresentation(2, (IntervalAssignment({0: (0, 1), 1: (0, 1)}),))
+        rep = rep_from([(0, 1), (0, 1)])
         assert verify_representation(g, rep).valid
 
     def test_touching_intervals_intersect(self):
         g = Graph(2, frozenset())
-        rep = BoxRepresentation(2, (IntervalAssignment({0: (0, 1), 1: (1, 2)}),))
+        rep = rep_from([(0, 1), (1, 2)])
         report = verify_representation(g, rep)
         assert not report.valid
         assert report.uncovered_nonedge == (0, 1)
@@ -93,20 +121,18 @@ class TestVerify:
         assert verify_representation(g, roberts_rep(g)).valid
 
     def test_dimension_mismatch(self):
-        rep = BoxRepresentation(2, (IntervalAssignment({0: (0, 1), 1: (0, 1)}),))
+        rep = rep_from([(0, 1), (0, 1)])
         with pytest.raises(DimensionMismatch):
             verify_representation(path_graph(3), rep)
 
     def test_witnesses_are_lex_smallest(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         # separate everything: all non-edges covered, both edges broken
-        rep = BoxRepresentation(
-            4, (IntervalAssignment({v: (2 * v, 2 * v) for v in range(4)}),))
+        rep = rep_from([(2 * v, 2 * v) for v in range(4)])
         report = verify_representation(g, rep)
         assert report.missing_edge == (0, 1)
         # cover everything: every non-edge uncovered
-        rep2 = BoxRepresentation(
-            4, (IntervalAssignment({v: (0, 1) for v in range(4)}),))
+        rep2 = rep_from([(0, 1)] * 4)
         report2 = verify_representation(g, rep2)
         assert report2.uncovered_nonedge == (0, 2)
 
@@ -123,13 +149,25 @@ class TestVerify:
         expected = brute_force_intersection_edges(rep) == set(g.sorted_edges())
         assert verify_representation(g, rep).valid == expected
 
-    @given(graphs_strategy(6), st.integers(0, 10_000))
-    def test_plain_and_vectorized_paths_agree(self, g, seed):
-        rep = random_rep(g, seed)
-        a = _verify_plain(g, rep)
-        b = _verify_vectorized(g, rep)
-        assert (a.valid, a.missing_edge, a.uncovered_nonedge) == \
-            (b.valid, b.missing_edge, b.uncovered_nonedge)
+    @given(graphs_strategy(7), st.integers(0, 10_000), st.integers(1, 12))
+    def test_oracle_matches_reference_witnesses(self, g, seed, max_dims):
+        rep = random_rep(g, seed, max_dims=max_dims)
+        assert report_tuple(verify_representation(g, rep)) == reference_report(g, rep)
+
+    def test_witness_in_last_chunk(self, monkeypatch):
+        g = cycle_graph(6)
+        valid = roberts_rep(g)
+        # five universal dimensions, then Roberts' two; the last dimension
+        # then moves vertex 0 away from everything, separating the edge (0, 1)
+        lo = np.vstack([np.zeros((5, g.n), dtype=np.int64), valid.lo])
+        hi = np.vstack([np.ones((5, g.n), dtype=np.int64), valid.hi])
+        lo[-1, 0] = hi[-1, 0] = 100
+        rep = BoxRepresentation(g.n, lo, hi)
+        assert verify_representation(g, rep).missing_edge == (0, 1)
+        monkeypatch.setattr(intervals, "ORACLE_CHUNK_BYTES", 2 * g.n * g.n)
+        assert rep.d > 2 * 2 and rep.d % 2 == 1  # the last chunk holds one row
+        assert report_tuple(verify_representation(g, rep)) == \
+            reference_report(g, rep) == (False, (0, 1), None)
 
 
 class TestRecognition:
@@ -199,18 +237,18 @@ class TestConcat:
 class TestExtendUniversal:
     def test_third_vertex_universal(self):
         k2 = path_graph(2)
-        rep = BoxRepresentation(2, (IntervalAssignment({0: (0, 1), 1: (1, 2)}),))
+        rep = rep_from([(0, 1), (1, 2)])
         out = extend_universal(rep, (0, 1), 3)
         assert out.n == 3
-        assert out.dims[0].intervals[2] == (0, 2)
+        assert (out.lo[0, 2], out.hi[0, 2]) == (0, 2)
         k3_minus = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         assert verify_representation(k3_minus, out).valid
         del k2
 
     def test_identity_when_members_cover(self):
-        rep = BoxRepresentation(2, (IntervalAssignment({0: (0, 1), 1: (3, 4)}),))
+        rep = rep_from([(0, 1), (3, 4)])
         out = extend_universal(rep, (0, 1), 2)
-        assert out.dims[0].intervals == rep.dims[0].intervals
+        assert np.array_equal(out.lo, rep.lo) and np.array_equal(out.hi, rep.hi)
 
     @given(graphs_strategy(6), st.integers(0, 500))
     def test_preserves_subset_coverage(self, g, seed):
@@ -221,14 +259,14 @@ class TestExtendUniversal:
         rep = random_rep(sub, seed)
         out = extend_universal(rep, members, g.n)
         # pairs inside the subset keep their verdict in every dimension
-        for j, dim in enumerate(rep.dims):
+        for j in range(rep.d):
             for a in range(sub.n):
                 for b in range(a + 1, sub.n):
-                    before = max(dim.intervals[a][0], dim.intervals[b][0]) <= \
-                        min(dim.intervals[a][1], dim.intervals[b][1])
-                    ia = out.dims[j].intervals[members[a]]
-                    ib = out.dims[j].intervals[members[b]]
-                    after = max(ia[0], ib[0]) <= min(ia[1], ib[1])
+                    before = max(rep.lo[j, a], rep.lo[j, b]) <= \
+                        min(rep.hi[j, a], rep.hi[j, b])
+                    ia, ib = members[a], members[b]
+                    after = max(out.lo[j, ia], out.lo[j, ib]) <= \
+                        min(out.hi[j, ia], out.hi[j, ib])
                     assert before == after
 
 
@@ -259,7 +297,7 @@ class TestMergeComponents:
     def test_single_component_unchanged(self, c4):
         rep = roberts_rep(c4)
         out = merge_components([rep], [(0, 1, 2, 3)])
-        assert [d.intervals for d in out.dims] == [d.intervals for d in rep.dims]
+        assert np.array_equal(out.lo, rep.lo) and np.array_equal(out.hi, rep.hi)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -304,6 +342,8 @@ class TestRepresentationIO:
     @pytest.mark.parametrize("bad", [
         "", "boxrep 1\n", "boxrep 1 1\nwrong\n0 0 0\n",
         "boxrep 1 1\ndim 1\n1 0 0\n", "boxrep 2 1\ndim 1\n0 0 0\n",
+        "boxrep 1 1\ndim 1\n0 2 1\n", f"boxrep 1 1\ndim 1\n0 0 {2**63}\n",
+        "boxrep 1 0\n", "boxrep -1 -1\n",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
