@@ -16,12 +16,7 @@ import numpy as np
 from .coloring import Coloring, validate_acyclic
 from .errors import InvalidOrder, InvalidParams, NotAForest
 from .graph import Graph, is_forest
-from .intervals import (
-    RECOGNITION_LIMIT,
-    BoxRepresentation,
-    consecutive_clique_order,
-    extend_universal,
-)
+from .intervals import BoxRepresentation, consecutive_clique_order, extend_universal
 from .rng import ALGORITHM, SplitMix64
 
 
@@ -29,6 +24,12 @@ def _universal(n: int, metadata: dict) -> BoxRepresentation:
     """One dimension giving every vertex [0, 1]: a representation of K_n."""
     return BoxRepresentation(n, np.zeros((1, n), dtype=np.int64),
                              np.ones((1, n), dtype=np.int64), metadata)
+
+
+def _points(n: int, metadata: dict) -> BoxRepresentation:
+    """One dimension of n distinct points: a representation of the edgeless graph."""
+    points = np.arange(n, dtype=np.int64)[None, :]
+    return BoxRepresentation(n, points, points, metadata)
 
 
 def roberts_rep(g: Graph) -> BoxRepresentation:
@@ -118,23 +119,23 @@ def forest_rep(forest: Graph) -> BoxRepresentation:
 
 
 def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
-    """k(k-1) dimensions from an acyclic coloring with k >= 2 colors.
+    """k(k-1) dimensions from an acyclic coloring using k >= 2 colors.
 
-    Each unordered color pair contributes the 2-dimensional forest
+    k counts the colors the coloring uses, which may be fewer than it
+    declares. Each unordered color pair contributes the 2-dimensional forest
     representation of the subgraph it induces, extended to all other vertices
-    with full-span intervals. A 1-coloring means the graph is edgeless and a
-    single dimension of pairwise-disjoint points suffices.
+    with full-span intervals. A coloring using at most one color means the
+    graph is edgeless and a single dimension of pairwise-disjoint points
+    suffices.
     """
     validate_acyclic(g, coloring)
-    k = coloring.k
-    if k <= 1:
-        points = np.arange(g.n, dtype=np.int64)[None, :]
-        return BoxRepresentation(g.n, points, points,
-                                 {"builder": "acyclic", "colors": k,
-                                  "bound_formula": "k*(k-1)", "bound_value": 1})
     classes = {}
     for v, c in coloring.color.items():
         classes.setdefault(c, []).append(v)
+    k = len(classes)
+    if k <= 1:
+        return _points(g.n, {"builder": "acyclic", "colors": k,
+                             "bound_formula": "k*(k-1)", "bound_value": 1})
     lifted = []
     for ci, cj in combinations(sorted(classes), 2):
         verts = sorted(set(classes[ci]) | set(classes[cj]))
@@ -263,13 +264,13 @@ def degenerate_rep(g: Graph, order, k: int,
                              np.array(hi_rows, dtype=np.int64), meta)
 
 
-def trivial_rep(g: Graph, limit: int = RECOGNITION_LIMIT) -> BoxRepresentation | None:
+def trivial_rep(g: Graph) -> BoxRepresentation | None:
     """One-dimensional representation when the graph is already interval.
 
     Places each vertex on the index range of its maximal cliques in a
     consecutive ordering; returns None for non-interval inputs.
     """
-    order = consecutive_clique_order(g, limit=limit)
+    order = consecutive_clique_order(g)
     if order is None:
         return None
     if not order:

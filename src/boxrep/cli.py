@@ -4,18 +4,20 @@ Results and serialized artifacts go to stdout (or --out); diagnostics and
 pipeline traces go to stderr, so seeded invocations are byte-identical on
 stdout and in files. Exit codes: 0 success/valid, 1 invalid verification,
 2 usage, format or file error, 3 size-limit error.
+
+`exact` takes two limit flags, `--max-vertices` and `--max-nonedges`, the
+fields of `SolveLimits` for the boxicity search; a component beyond either
+exits 3. The other size limits are module constants.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 
 from .coloring import ACYCLIC_LIMIT, Coloring, smallest_acyclic_coloring
 from .errors import BoxrepError, FormatError, InvalidParams, SizeLimitExceeded
-from .exact import POSET_GROUND_LIMIT, SolveLimits, exact_boxicity, exact_poset_dimension
+from .exact import SolveLimits, exact_boxicity, exact_poset_dimension
 from .graph import generate, parse_graph, write_graph
 from .intervals import parse_representation, verify_representation, write_representation
 from .pipelines import (
@@ -27,45 +29,6 @@ from .pipelines import (
 )
 from .poset import adjacency_poset, write_poset
 from .rng import ALGORITHM
-
-LIMITS_ENV = "BOXREP_LIMITS"
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int
-    limits: SolveLimits
-    out: str
-
-
-def _parse_limits_env(text: str) -> dict:
-    values = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise InvalidParams(f"bad {LIMITS_ENV} entry {part!r}")
-        key, _, raw = part.partition("=")
-        key = key.strip()
-        if key not in ("max_nonedges", "max_vertices", "max_cliques"):
-            raise InvalidParams(f"unknown {LIMITS_ENV} key {key!r}")
-        values[key] = int(raw)
-    return values
-
-
-def _resolve_limits(args) -> SolveLimits:
-    # precedence: flag > environment > default
-    values = {}
-    env = os.environ.get(LIMITS_ENV)
-    if env:
-        values.update(_parse_limits_env(env))
-    for key in ("max_nonedges", "max_vertices", "max_cliques"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return SolveLimits(**values)
 
 
 def _read(path: str) -> str:
@@ -81,26 +44,27 @@ def _emit(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _parse_vertex_set(text: str) -> frozenset:
-    verts = set()
+def _rows(text: str, width: int, what: str):
+    """The rows of `width` integers of a line file, skipping blank and '#' lines."""
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        verts.add(int(ln))
-    return frozenset(verts)
+        try:
+            row = [int(p) for p in ln.split()]
+        except ValueError:
+            row = []
+        if len(row) != width:
+            raise FormatError(f"bad {what} line {ln!r}")
+        yield row
+
+
+def _parse_vertex_set(text: str) -> frozenset:
+    return frozenset(v for v, in _rows(text, 1, "vertex-set"))
 
 
 def _parse_coloring(text: str) -> Coloring:
-    color = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad coloring line {ln!r}")
-        color[int(parts[0])] = int(parts[1])
+    color = dict(_rows(text, 2, "coloring"))
     return Coloring(color, len(set(color.values())))
 
 
@@ -133,9 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--poset", action="store_true",
                    help="also compute the adjacency poset dimension")
-    p.add_argument("--max-nonedges", dest="max_nonedges", type=int)
-    p.add_argument("--max-vertices", dest="max_vertices", type=int)
-    p.add_argument("--max-cliques", dest="max_cliques", type=int)
+    p.add_argument("--max-nonedges", dest="max_nonedges", type=int,
+                   default=SolveLimits.max_nonedges)
+    p.add_argument("--max-vertices", dest="max_vertices", type=int,
+                   default=SolveLimits.max_vertices)
 
     p = sub.add_parser("poset", help="write the adjacency poset of a graph")
     p.add_argument("--graph", required=True)
@@ -209,11 +174,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = parse_graph(_read(args.graph))
-    limits = _resolve_limits(args)
-    box = exact_boxicity(g, limits)
+    box = exact_boxicity(g, SolveLimits(max_nonedges=args.max_nonedges,
+                                        max_vertices=args.max_vertices))
     sys.stdout.write(f"boxicity {box}\n")
     if args.poset:
-        dim = exact_poset_dimension(adjacency_poset(g), POSET_GROUND_LIMIT)
+        dim = exact_poset_dimension(adjacency_poset(g))
         sys.stdout.write(f"poset dimension {dim}\n")
     return 0
 

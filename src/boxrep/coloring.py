@@ -57,10 +57,10 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def chromatic_number(g: Graph, limit: int = CHROMATIC_LIMIT) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by backtracking above a clique lower bound."""
-    if g.n > limit:
-        raise SizeLimitExceeded(f"chromatic_number limited to n <= {limit}")
+    if g.n > CHROMATIC_LIMIT:
+        raise SizeLimitExceeded(f"chromatic_number limited to n <= {CHROMATIC_LIMIT}")
     if g.n == 0:
         return 0
     if g.m == 0:
@@ -93,15 +93,14 @@ def chromatic_number(g: Graph, limit: int = CHROMATIC_LIMIT) -> int:
     return g.n
 
 
-def acyclic_coloring(g: Graph, k_max: int,
-                     limit: int = ACYCLIC_LIMIT) -> Coloring | None:
+def acyclic_coloring(g: Graph, k_max: int) -> Coloring | None:
     """Proper coloring with <= k_max colors whose class pairs induce forests.
 
     Exact backtracking in vertex-id order with a per-pair cycle check after
     each assignment; returns None when no such coloring exists.
     """
-    if g.n > limit:
-        raise SizeLimitExceeded(f"acyclic_coloring limited to n <= {limit}")
+    if g.n > ACYCLIC_LIMIT:
+        raise SizeLimitExceeded(f"acyclic_coloring limited to n <= {ACYCLIC_LIMIT}")
     if k_max < 1:
         return None
     if g.n == 0:
@@ -152,10 +151,10 @@ def acyclic_coloring(g: Graph, k_max: int,
     return Coloring(dict(color), len(set(color.values())))
 
 
-def smallest_acyclic_coloring(g: Graph, limit: int = ACYCLIC_LIMIT) -> Coloring:
+def smallest_acyclic_coloring(g: Graph) -> Coloring:
     """Acyclic coloring with the fewest colors (distinct colors always work)."""
     for k in range(1, g.n + 1):
-        found = acyclic_coloring(g, k, limit=limit)
+        found = acyclic_coloring(g, k)
         if found is not None:
             return found
     return Coloring({v: v for v in range(g.n)}, g.n)

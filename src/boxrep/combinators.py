@@ -1,8 +1,9 @@
 """Representation-level composition rules.
 
 Both combinators were derived independently of any external construction, so
-each call is gated by the oracle and fails loudly with a witness instead of
-ever returning an unverified representation.
+each call passes its input representations and its output through
+`intervals.certify`, the oracle gate, and fails loudly with a witness instead
+of ever returning an unverified representation.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    ClassMapIncomplete,
-    InvalidInputRep,
-    PreconditionViolation,
-    UncoveredNonedge,
-)
+from .errors import ClassMapIncomplete, InvalidInputRep, PreconditionViolation
 from .graph import Graph, QuotientResult
-from .intervals import BoxRepresentation, extend_universal, verify_representation
+from .intervals import BoxRepresentation, certify, extend_universal
 
 
 def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
@@ -38,13 +34,8 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     s_sorted = sorted(set(s))
     if any(not (0 <= v < g.n) for v in s_sorted):
         raise PreconditionViolation("S contains a vertex outside the graph")
-    h = g.remove_edges_inside(s_sorted)
-    report = verify_representation(h, rep_h)
-    if not report.valid:
-        raise PreconditionViolation(
-            f"rep_h does not represent g minus S-internal edges "
-            f"(missing_edge={report.missing_edge}, "
-            f"uncovered_nonedge={report.uncovered_nonedge})")
+    certify(g.remove_edges_inside(s_sorted), rep_h,
+            "rep_h for g minus the edges inside S", PreconditionViolation)
     if not s_sorted:
         return BoxRepresentation(g.n, rep_h.lo, rep_h.hi,
                                  {"builder": "split_compose", "s_size": 0,
@@ -52,12 +43,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     gs, members = g.induced(s_sorted)
     if rep_s.n != gs.n:
         raise InvalidInputRep("rep_s must be over the induced subgraph on S")
-    report_s = verify_representation(gs, rep_s)
-    if not report_s.valid:
-        raise InvalidInputRep(
-            f"rep_s does not represent g[S] "
-            f"(missing_edge={report_s.missing_edge}, "
-            f"uncovered_nonedge={report_s.uncovered_nonedge})")
+    certify(gs, rep_s, "rep_s for g[S]", InvalidInputRep)
 
     # rows 2j and 2j+1 copy dimension j; S reaches past its top, then its bottom
     lo = np.repeat(rep_h.lo, 2, axis=0)
@@ -73,13 +59,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
                             {"builder": "split_compose",
                              "s_size": len(s_sorted),
                              "parts": (rep_h.d, rep_s.d)})
-    final = verify_representation(g, out)
-    if final.missing_edge is not None:
-        raise PreconditionViolation(
-            f"composed representation separates edge {final.missing_edge}")
-    if final.uncovered_nonedge is not None:
-        raise UncoveredNonedge(final.uncovered_nonedge)
-    return out
+    return certify(g, out, "the composed representation")
 
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
@@ -93,13 +73,9 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
     representation is oracle-checked against it.
     """
     reps_local = [q.local_id[cls[0]] for cls in q.classes]
-    h1 = q.quotient_graph.add_clique(reps_local)
-    report = verify_representation(h1, rep_q)
-    if not report.valid:
-        raise InvalidInputRep(
-            f"rep_q does not represent the quotient-plus-clique graph "
-            f"(missing_edge={report.missing_edge}, "
-            f"uncovered_nonedge={report.uncovered_nonedge})")
+    certify(q.quotient_graph.add_clique(reps_local), rep_q,
+            "rep_q for the quotient plus a clique on the representatives",
+            InvalidInputRep)
     if target.n != len(q.rep_of):
         raise ClassMapIncomplete("quotient does not cover the target vertex set")
     cols = []
@@ -110,10 +86,4 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
         cols.append(q.local_id[rep_vertex])
     out = BoxRepresentation(target.n, rep_q.lo[:, cols], rep_q.hi[:, cols],
                             {"builder": "quotient_lift", "parts": (rep_q.d,)})
-    final = verify_representation(target, out)
-    if final.missing_edge is not None:
-        raise PreconditionViolation(
-            f"lifted representation separates edge {final.missing_edge}")
-    if final.uncovered_nonedge is not None:
-        raise UncoveredNonedge(final.uncovered_nonedge)
-    return out
+    return certify(target, out, "the lifted representation")

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .errors import InvalidParams, SizeLimitExceeded
 from .graph import Graph, components
-from .intervals import _interval_order_from_adj
+from .intervals import RECOGNITION_LIMIT, _interval_order_from_adj
 from .poset import FinitePoset
 
 POSET_GROUND_LIMIT = 10
@@ -22,10 +22,9 @@ POSET_GROUND_LIMIT = 10
 class SolveLimits:
     max_nonedges: int = 20
     max_vertices: int = 10
-    max_cliques: int = 12
 
     def __post_init__(self):
-        if min(self.max_nonedges, self.max_vertices, self.max_cliques) <= 0:
+        if min(self.max_nonedges, self.max_vertices) <= 0:
             raise InvalidParams("limits must be positive")
 
 
@@ -80,13 +79,10 @@ def _min_cover(universe: int, sets: list[int]) -> int:
 
 
 def _component_boxicity(comp: Graph, limits: SolveLimits) -> int:
-    if comp.n > limits.max_vertices:
-        raise SizeLimitExceeded(
-            f"component has {comp.n} vertices, limit {limits.max_vertices}")
-    if comp.n > limits.max_cliques:
-        raise SizeLimitExceeded(
-            f"component has {comp.n} vertices, recognition limit "
-            f"{limits.max_cliques}")
+    # interval recognition sets a second vertex limit beside the caller's
+    cap = min(limits.max_vertices, RECOGNITION_LIMIT)
+    if comp.n > cap:
+        raise SizeLimitExceeded(f"component has {comp.n} vertices, limit {cap}")
     nonedges = list(comp.nonedges())
     kk = len(nonedges)
     if kk == 0:
@@ -105,7 +101,7 @@ def _component_boxicity(comp: Graph, limits: SolveLimits) -> int:
             u, v = nonedges[i]
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        if _interval_order_from_adj(adj, comp.n, comp.n) is not None:
+        if _interval_order_from_adj(adj, comp.n) is not None:
             keepable.append(mask)
     # only maximal killed-sets matter for the cover
     keepable.sort(key=lambda m: -bin(m).count("1"))
@@ -154,7 +150,7 @@ def _critical_pairs(n: int, below: list[int], above: list[int]) -> list[tuple[in
     return pairs
 
 
-def exact_poset_dimension(p: FinitePoset, limit: int = POSET_GROUND_LIMIT) -> int:
+def exact_poset_dimension(p: FinitePoset) -> int:
     """Minimum number of linear extensions whose intersection is the poset.
 
     A family of linear extensions realizes the poset exactly when every
@@ -165,8 +161,9 @@ def exact_poset_dimension(p: FinitePoset, limit: int = POSET_GROUND_LIMIT) -> in
     pruning on infeasible pairs.
     """
     n = p.ground_size
-    if n > limit:
-        raise SizeLimitExceeded(f"poset ground set {n} exceeds limit {limit}")
+    if n > POSET_GROUND_LIMIT:
+        raise SizeLimitExceeded(
+            f"poset ground set {n} exceeds limit {POSET_GROUND_LIMIT}")
     if n <= 1:
         return 1
     below = [0] * n

@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
+    BoxrepError,
     DimensionMismatch,
     EmptyInput,
     FormatError,
@@ -123,18 +124,37 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
         (int(u[uncovered[0]]), int(v[uncovered[0]])) if len(uncovered) else None)
 
 
+def certify(g: Graph, rep: BoxRepresentation, what: str,
+            error: type[BoxrepError] | None = None) -> BoxRepresentation:
+    """Return `rep` when the oracle accepts it for `g`, raise otherwise.
+
+    The one gate of every combinator, for its inputs and its output. A
+    rejected `rep` raises `error`, naming `what` and both witnesses; with no
+    `error`, a separated edge raises PreconditionViolation and an unseparated
+    non-edge raises UncoveredNonedge.
+    """
+    report = verify_representation(g, rep)
+    if report.valid:
+        return rep
+    if error is None and report.missing_edge is None:
+        raise UncoveredNonedge(report.uncovered_nonedge)
+    raise (error or PreconditionViolation)(
+        f"{what} fails the oracle (missing_edge={report.missing_edge}, "
+        f"uncovered_nonedge={report.uncovered_nonedge})")
+
+
 # ---------------------------------------------------------------------------
 # interval-graph recognition via consecutively orderable maximal cliques
 
 
-def _maximal_cliques(adj: list[int], n: int, cap: int) -> list[int] | None:
-    """All maximal cliques as bitmasks, or None once more than `cap` exist."""
+def _maximal_cliques(adj: list[int], n: int) -> list[int] | None:
+    """All maximal cliques as bitmasks, or None once more than n exist."""
     cliques: list[int] = []
 
     def expand(r: int, p: int, x: int) -> bool:
         if p == 0 and x == 0:
             cliques.append(r)
-            return len(cliques) <= cap
+            return len(cliques) <= n
         # pivot on the candidate dominating the most of p
         px = p | x
         best_u, best_cover = -1, -1
@@ -249,35 +269,36 @@ def _consecutive_order(cliques: list[int]) -> list[int] | None:
     return [cliques[i] for i in order]
 
 
-def _interval_order_from_adj(adj: list[int], n: int, cap: int):
+def _interval_order_from_adj(adj: list[int], n: int):
     if n == 0:
         return []
     if not _is_chordal(adj, n):
         return None  # interval graphs are chordal; skips the clique search
-    cliques = _maximal_cliques(adj, n, cap)
+    cliques = _maximal_cliques(adj, n)
     if cliques is None:
         return None
     cliques.sort()
     return _consecutive_order(cliques)
 
 
-def consecutive_clique_order(g: Graph, limit: int = RECOGNITION_LIMIT):
+def consecutive_clique_order(g: Graph):
     """Maximal cliques in a consecutive order, or None if no order exists.
 
     Early-rejects when the graph has more than n maximal cliques (interval
     graphs never do). Exhaustive, hence the size guard.
     """
-    if g.n > limit:
-        raise SizeLimitExceeded(f"interval recognition limited to n <= {limit}")
+    if g.n > RECOGNITION_LIMIT:
+        raise SizeLimitExceeded(
+            f"interval recognition limited to n <= {RECOGNITION_LIMIT}")
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _interval_order_from_adj(adj, g.n, g.n)
+    return _interval_order_from_adj(adj, g.n)
 
 
-def is_interval_graph(g: Graph, limit: int = RECOGNITION_LIMIT) -> bool:
-    return consecutive_clique_order(g, limit=limit) is not None
+def is_interval_graph(g: Graph) -> bool:
+    return consecutive_clique_order(g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +317,7 @@ def concat(r1: BoxRepresentation, r2: BoxRepresentation, g: Graph) -> BoxReprese
     out = BoxRepresentation(g.n, np.concatenate((r1.lo, r2.lo)),
                             np.concatenate((r1.hi, r2.hi)),
                             {"builder": "concat", "parts": (r1.d, r2.d)})
-    report = verify_representation(g, out)
-    if report.missing_edge is not None:
-        raise PreconditionViolation(
-            f"edge {report.missing_edge} separated; inputs are not supergraph reps")
-    if report.uncovered_nonedge is not None:
-        raise UncoveredNonedge(report.uncovered_nonedge)
-    return out
+    return certify(g, out, "the concatenation of two supergraph representations")
 
 
 def extend_universal(rep: BoxRepresentation, members: Iterable[int],

@@ -9,16 +9,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .builders import (
     DegenerateStrategy,
+    _points,
     _universal,
     acyclic_rep,
     degenerate_rep,
     roberts_rep,
 )
-from .coloring import Coloring, validate_acyclic
+from .coloring import Coloring
 from .combinators import quotient_lift, split_compose
 from .errors import (
     InvalidColoring,
@@ -26,12 +25,13 @@ from .errors import (
     SizeLimitExceeded,
     StructuralCheckFailed,
 )
-from .exact import SolveLimits, exact_boxicity
+from .exact import exact_boxicity
 from .graph import (
     Graph,
     assert_k3k,
     components,
     degeneracy_order,
+    euler_genus_upper,
     generate,
     peel,
     quotient_by_a_neighborhood,
@@ -77,9 +77,19 @@ class PipelineTrace:
 EDGE_BOUND_FORMULA = "(15e+1)*sqrt(m*ln(n))"
 
 
-def _points_rep(n: int) -> BoxRepresentation:
-    points = np.arange(n, dtype=np.int64)[None, :]
-    return BoxRepresentation(n, points, points, {"builder": "points"})
+def _edge_bound(n: int, m: int) -> float:
+    """The paper's bound (15e+1)*sqrt(m*ln(n)) on the boxicity."""
+    return (15 * math.e + 1) * math.sqrt(m * math.log(n))
+
+
+def _heawood_bound(genus: int) -> float:
+    """(5 + sqrt(1+24g))/2, above the degeneracy of any graph of Euler genus g."""
+    return 0.5 * (5 + math.sqrt(1 + 24 * genus))
+
+
+def _relaxed_class_cap(genus: int) -> int:
+    """The relaxed cap 1e9 * g^4 on the A-neighborhood classes, for g >= 1."""
+    return 10**9 * genus**4
 
 
 def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
@@ -107,7 +117,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
     for comp, mapping in components(g):
         comp_seed = seeder.next_u64()
         if comp.m == 0:
-            rep = _points_rep(comp.n)
+            rep = _points(comp.n, {"builder": "points"})
             trace.record("component", {"n": comp.n, "m": 0, "dims": 1})
         else:
             n_c, m_c = comp.n, comp.m
@@ -155,8 +165,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
     trace.record("final_dims", merged.d)
     trace.record("edge_bound_formula", EDGE_BOUND_FORMULA)
     if g.n >= 2 and g.m >= 1:
-        trace.record("edge_bound_value",
-                     round((15 * math.e + 1) * math.sqrt(g.m * math.log(g.n)), 3))
+        trace.record("edge_bound_value", round(_edge_bound(g.n, g.m), 3))
     trace.wall_time = time.perf_counter() - started
     meta = dict(merged.metadata)
     meta.update(pipeline="edge", mode=mode, seed=seed)
@@ -196,7 +205,6 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
             coloring.k)
         if len(local_coloring.color) != sub.n:
             raise InvalidColoring("coloring must assign every vertex outside A")
-        validate_acyclic(sub, local_coloring)
         r_inner = acyclic_rep(sub, local_coloring)
         r_g2 = extend_universal(r_inner, members, g.n)
     else:
@@ -221,13 +229,13 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
         raise StructuralCheckFailed(
             f"{len(q.classes)} neighborhood classes exceed the cap {class_cap}")
     if genus >= 1:
-        trace.record("quotient_class_cap_relaxed", 10**9 * genus**4)
+        trace.record("quotient_class_cap_relaxed", _relaxed_class_cap(genus))
 
     order, k_q = degeneracy_order(q.quotient_graph)
     effective_genus = max(genus, 2)
     if effective_genus != genus:
         trace.record("genus_for_formulas", effective_genus)
-    heawood = 0.5 * (5 + math.sqrt(1 + 24 * effective_genus))
+    heawood = _heawood_bound(effective_genus)
     trace.record("quotient_degeneracy", k_q)
     trace.record("heawood_degeneracy_bound", round(heawood, 3))
     if k_q > math.ceil(heawood):
@@ -253,13 +261,9 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     r_g1 = quotient_lift(r_h1, q, g1)
     trace.record("g1_dims", r_g1.d)
 
-    result = concat(r_g1, r_g2, g)
+    result = concat(r_g1, r_g2, g)  # concat certifies the result against g
     assert result.d == r_g1.d + r_g2.d
     trace.record("final_dims", result.d)
-    report = verify_representation(g, result)
-    if not report.valid:
-        raise StructuralCheckFailed(
-            f"pipeline output failed verification: {report}", report)
     trace.wall_time = time.perf_counter() - started
     meta = dict(result.metadata)
     meta.update(pipeline="surface", genus=genus, seed=seed)
@@ -309,8 +313,7 @@ class ExperimentReport:
         return "\n".join(rows) + "\n"
 
 
-def bipartite_experiment(n: int, trials: int, seed: int = 0,
-                         limits: SolveLimits | None = None) -> ExperimentReport:
+def bipartite_experiment(n: int, trials: int, seed: int = 0) -> ExperimentReport:
     """Sample random bipartite graphs and check the edge-count cap 2n^2/ln n.
 
     For n <= 4 the samples are small enough for the exact solver, so the
@@ -338,7 +341,7 @@ def bipartite_experiment(n: int, trials: int, seed: int = 0,
         box = ""
         if n <= 4:
             try:
-                box = exact_boxicity(sample, limits or SolveLimits())
+                box = exact_boxicity(sample)
                 dist[box] += 1
             except SizeLimitExceeded:
                 over_limit += 1
@@ -362,9 +365,8 @@ def bound_report(n: int, m: int, genus: int | None = None,
         raise InvalidParams("k must be nonnegative")
     rows: list[tuple[str, str, object]] = []
     rows.append(("roberts_pairing", "n/2", n / 2))
-    rows.append(("edge_sqrt", EDGE_BOUND_FORMULA,
-                 (15 * math.e + 1) * math.sqrt(m * math.log(n))))
-    rows.append(("euler_genus_upper", "m + 2", m + 2))
+    rows.append(("edge_sqrt", EDGE_BOUND_FORMULA, _edge_bound(n, m)))
+    rows.append(("euler_genus_upper", "m + 2", euler_genus_upper(m)))
     rows.append(("poset_dim_via_pairing", "2*(n/2) + n + 4", n + n + 4))
     if k is not None:
         rows.append(("degenerate_cover", "(k+2)*ceil(2e*ln(n))",
@@ -372,9 +374,9 @@ def bound_report(n: int, m: int, genus: int | None = None,
         rows.append(("acyclic_color_pairs", "k*(k-1)", k * (k - 1)))
     if genus is not None:
         rows.append(("heawood_degeneracy", "(5 + sqrt(1+24g))/2",
-                     0.5 * (5 + math.sqrt(1 + 24 * genus))))
+                     _heawood_bound(genus)))
         rows.append(("quotient_class_relaxed_cap", "1e9 * g^4",
-                     10**9 * genus**4))
+                     _relaxed_class_cap(genus)))
     return rows
 
 

@@ -87,8 +87,9 @@ def parse_poset(text: str) -> FinitePoset:
         raise FormatError(f"bad header {lines[0]!r}") from exc
     strict = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad relation line {ln!r}")
-        strict.add((int(parts[0]), int(parts[1])))
+        try:
+            a, b = map(int, ln.split())
+        except ValueError as exc:  # a non-integer or not exactly two of them
+            raise FormatError(f"bad relation line {ln!r}") from exc
+        strict.add((a, b))
     return FinitePoset(size, frozenset(strict))

@@ -111,6 +111,19 @@ class TestAcyclicRep:
         assert rep.d == 1
         assert verify_representation(g, rep).valid
 
+    def test_counts_colors_in_use_not_declared(self):
+        # the path 0-1-2 uses two of its three declared colors
+        g = path_graph(3)
+        rep = acyclic_rep(g, Coloring({0: 0, 1: 1, 2: 0}, 3))
+        assert rep.d == 2 and rep.metadata["colors"] == 2
+        assert verify_representation(g, rep).valid
+
+    def test_edgeless_one_color_in_use_of_two(self):
+        g = Graph(3, frozenset())
+        rep = acyclic_rep(g, Coloring({0: 0, 1: 0, 2: 0}, 2))
+        assert rep.d == 1
+        assert verify_representation(g, rep).valid
+
     def test_rejects_invalid_coloring(self, c4):
         with pytest.raises(InvalidColoring):
             acyclic_rep(c4, Coloring({0: 0, 1: 1, 2: 0, 3: 1}, 2))

@@ -2,20 +2,19 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from boxrep import cli
+from boxrep.errors import BoxrepError
 from boxrep.graph import parse_graph
 from boxrep.intervals import parse_representation, verify_representation
+from boxrep.poset import parse_poset
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "boxrep", *args],
-        capture_output=True, text=True, env=full_env)
+        capture_output=True, text=True)
 
 
 class TestGen:
@@ -61,13 +60,12 @@ class TestExact:
         res = run_cli("exact", "--graph", str(tmp_path / "g"))
         assert res.returncode == 3
         res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      env={"BOXREP_LIMITS": "max_vertices=12"})
+                      "--max-vertices", "12")
         assert res.returncode == 0
         assert res.stdout == "boxicity 6\n"
-        # flag beats environment
+        # copm(6) has 6 non-edges, one above this limit
         res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "10",
-                      env={"BOXREP_LIMITS": "max_vertices=12"})
+                      "--max-vertices", "12", "--max-nonedges", "5")
         assert res.returncode == 3
 
 
@@ -99,6 +97,31 @@ class TestBuildVerify:
         res = run_cli("verify", "--graph", str(gfile),
                       "--rep", str(tmp_path / "r.br"))
         assert res.returncode == 0
+
+    def test_surface_coloring_declares_more_colors_than_used_outside_a(self, tmp_path):
+        # colour 2 sits only on vertex 0, which is in A: two colours remain
+        gfile, afile, cfile = tmp_path / "g.g", tmp_path / "a.txt", tmp_path / "c.txt"
+        run_cli("gen", "--model", "copm", "--k", "2", "--out", str(gfile))
+        afile.write_text("0\n")
+        cfile.write_text("0 2\n1 0\n2 1\n3 1\n")
+        res = run_cli("build", "--graph", str(gfile), "--pipeline", "surface",
+                      "--A", str(afile), "--coloring", str(cfile),
+                      "--out", str(tmp_path / "r.br"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("verify", "--graph", str(gfile),
+                      "--rep", str(tmp_path / "r.br"))
+        assert res.stdout == "valid\n"
+
+    @pytest.mark.parametrize("flag, text", [("--A", "x\n"), ("--coloring", "0 a\n")],
+                             ids=["vertex_set", "coloring"])
+    def test_malformed_side_file_exit_2(self, tmp_path, flag, text):
+        gfile, side = tmp_path / "g.g", tmp_path / "side.txt"
+        run_cli("gen", "--model", "copm", "--k", "2", "--out", str(gfile))
+        side.write_text(text)
+        res = run_cli("build", "--graph", str(gfile), "--pipeline", "surface",
+                      flag, str(side))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
     def test_tampered_rep_exit_1_with_witness(self, tmp_path):
         gfile = tmp_path / "g.g"
@@ -180,3 +203,26 @@ class TestDeterminism:
             assert res.returncode == 0
             outs.append(res.stdout)
         assert outs[0] == outs[1]
+
+
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["boxrep", "poset", "dim", "#", "x", "1.5", "-", "",
+                     "1_0", str(2**63), str(10**30)]))
+_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.tuples(st.sampled_from(["", "3 2\n", "boxrep 2 1\ndim 1\n", "poset 3\n"]),
+              st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=6)
+              ).map(lambda t: t[0] + "\n".join(t[1])))
+
+
+@pytest.mark.parametrize("parse", [parse_graph, parse_representation, parse_poset,
+                                   cli._parse_vertex_set, cli._parse_coloring],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=300)
+@given(text=_TEXTS)
+def test_parsers_raise_only_boxrep_errors(parse, text):
+    try:
+        parse(text)
+    except BoxrepError:
+        pass

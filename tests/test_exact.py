@@ -5,7 +5,7 @@ from boxrep.builders import degenerate_rep, roberts_rep
 from boxrep.errors import SizeLimitExceeded
 from boxrep.exact import SolveLimits, exact_boxicity, exact_poset_dimension
 from boxrep.graph import Graph, degeneracy_order, generate
-from boxrep.intervals import is_interval_graph
+from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
@@ -46,6 +46,12 @@ class TestExactBoxicity:
         dense_nonedges = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
         with pytest.raises(SizeLimitExceeded):
             exact_boxicity(dense_nonedges, SolveLimits(max_nonedges=5))
+
+    def test_recognition_limit_caps_max_vertices(self):
+        # copm(7) has 14 vertices and 7 non-edges: within the caller's limits,
+        # above the interval-recognition limit
+        with pytest.raises(SizeLimitExceeded, match=f"limit {RECOGNITION_LIMIT}"):
+            exact_boxicity(generate("copm", k=7), SolveLimits(max_vertices=14))
 
     def test_limits_apply_per_component(self):
         # two K5s: 25+ cross non-edges in total but none inside a component

@@ -1,0 +1,94 @@
+"""Golden CLI outputs: seeded commands must keep their exact bytes.
+
+Each case runs one command and compares the sha256 of its stdout (or of its
+--out file) with a constant recorded from an earlier release. A change that
+alters any of these bytes is a change of output, not a refactor; when it is
+intended, record the new digests in the same change.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+GOLDEN = {
+    "gen_kdegen60":
+        "a5f28d952aed85467c7ce72e8714f7293a8b0b7ab68862f021865cd34f04284a",
+    "build_edge_paper":
+        "98ad767c34a84e3b8148370e342f585d348049a7d8273efb22cc3ae0cf621857",
+    "build_edge_reference":
+        "81d3ed24d82e1d3f235e73b5dbe30438d4600c804129977fb24e7d30396dacee",
+    "gen_kdegen14":
+        "41bcdaa7dce179cd2af3c845f88b884c0d50cb38c52980d95b307b1af985a28a",
+    "build_surface":
+        "3cd9351262c9c43288b1ee57f12de5cbdef641f801ea98979247730e448a4198",
+    "verify":
+        "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
+    "report":
+        "5eb61e4093690160b0beb33c3d6a1feb80fa7a813d50c208547cbeb30596b216",
+    "report_csv":
+        "a3926d4cc8464128aaf81030cb75f824284f9010b89508e618c3e8a3df242ff2",
+    "gen_copm2":
+        "72a88baa3dc2fbae5972a468a69da63c882efb6f209da9cb08ee1a7662bf3f55",
+    "exact_poset_copm2":
+        "8dea02181b8df0eab817deae31a7ab165aee0410d9c252714b254f4e73e2f5bd",
+    "gen_copm3":
+        "d090d1c90202db4ae6db06d19b9274feff51dba8f7221c43508b3ab251084c6b",
+    "exact_copm3":
+        "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
+    "exact_poset_copm3":
+        "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
+}
+
+
+def _cli(*args):
+    return subprocess.run([sys.executable, "-m", "boxrep", *args],
+                          capture_output=True)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Every golden command's (exit code, output bytes), keyed as GOLDEN."""
+    tmp = tmp_path_factory.mktemp("golden")
+    out = {}
+
+    def run(key, *args, to_file=None):
+        res = _cli(*args, *(("--out", str(to_file)) if to_file else ()))
+        out[key] = (res.returncode, to_file.read_bytes() if to_file else res.stdout)
+
+    g60, g14, a = tmp / "kdegen60.g", tmp / "kdegen14.g", tmp / "a.txt"
+    c2, c3 = tmp / "copm2.g", tmp / "copm3.g"
+    a.write_text("0\n1\n")
+    run("gen_kdegen60", "gen", "--model", "kdegen", "--n", "60", "--k", "3",
+        "--seed", "1", to_file=g60)
+    run("build_edge_paper", "build", "--graph", str(g60), "--pipeline", "edge",
+        "--mode", "paper", "--seed", "1", to_file=tmp / "paper.br")
+    run("build_edge_reference", "build", "--graph", str(g60), "--pipeline", "edge",
+        "--mode", "reference", "--seed", "1")
+    run("gen_kdegen14", "gen", "--model", "kdegen", "--n", "14", "--k", "2",
+        "--seed", "5", to_file=g14)
+    run("build_surface", "build", "--graph", str(g14), "--pipeline", "surface",
+        "--g", "1", "--A", str(a), to_file=tmp / "surface.br")
+    run("verify", "verify", "--graph", str(g60), "--rep", str(tmp / "paper.br"))
+    run("report", "report", "--n", "50", "--m", "100", "--g", "1", "--k", "2")
+    run("report_csv", "report", "--n", "50", "--m", "100", "--g", "1", "--k", "2",
+        "--csv")
+    run("gen_copm2", "gen", "--model", "copm", "--k", "2", to_file=c2)
+    run("exact_poset_copm2", "exact", "--graph", str(c2), "--poset")
+    run("gen_copm3", "gen", "--model", "copm", "--k", "3", to_file=c3)
+    run("exact_copm3", "exact", "--graph", str(c3))
+    # 12 poset elements exceed POSET_GROUND_LIMIT: boxicity, then exit 3
+    run("exact_poset_copm3", "exact", "--graph", str(c3), "--poset")
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_output_unchanged(outputs, key):
+    code, data = outputs[key]
+    assert code == (3 if key == "exact_poset_copm3" else 0)
+    assert _digest(data) == GOLDEN[key]

@@ -10,6 +10,7 @@ from boxrep.errors import (
     EmptyInput,
     FormatError,
     InvalidInputRep,
+    PreconditionViolation,
     SizeLimitExceeded,
     UncoveredNonedge,
 )
@@ -193,6 +194,31 @@ class TestRecognition:
         assert (rep is not None) == is_interval_graph(g)
         if rep is not None:
             assert verify_representation(g, rep).valid
+
+
+class TestCertify:
+    def test_returns_valid_rep_itself(self, c4):
+        rep = roberts_rep(c4)
+        assert intervals.certify(c4, rep, "roberts") is rep
+
+    def test_default_errors_by_witness_kind(self, c4):
+        together = rep_from([(0, 0)] * 4)  # keeps every edge, separates nothing
+        with pytest.raises(UncoveredNonedge) as exc:
+            intervals.certify(c4, together, "together")
+        assert exc.value.pair == (0, 2)
+        apart = rep_from([(v, v) for v in range(4)])  # separates every pair
+        with pytest.raises(PreconditionViolation,
+                           match=r"apart .*missing_edge=\(0, 1\)"):
+            intervals.certify(c4, apart, "apart")
+
+    def test_given_error_names_what_and_both_witnesses(self, c4):
+        # separates the edge (0, 1) and leaves the non-edge (0, 2) covered
+        rep = rep_from([(0, 0), (1, 1), (0, 0), (0, 1)])
+        with pytest.raises(InvalidInputRep) as exc:
+            intervals.certify(c4, rep, "the input", InvalidInputRep)
+        text = str(exc.value)
+        assert text.startswith("the input ")
+        assert "missing_edge=(0, 1)" in text and "uncovered_nonedge=(0, 2)" in text
 
 
 class TestConcat:

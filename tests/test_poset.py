@@ -82,6 +82,14 @@ class TestPosetIO:
         with pytest.raises(InvalidParams):
             parse_poset("poset 2\n0 1\n1 0\n")
 
+    @pytest.mark.parametrize("text", ["poset 2\n0 x\n", "poset 2\n0 1 1\n"],
+                             ids=["non_integer", "three_fields"])
+    def test_bad_relation_line_is_format_error(self, text):
+        from boxrep.errors import FormatError
+
+        with pytest.raises(FormatError):
+            parse_poset(text)
+
 
 class TestFinitePoset:
     def test_rejects_intransitive(self):
