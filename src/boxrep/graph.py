@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, InvalidParams
+from .errors import FormatError, InvalidParams, SizeLimitExceeded
 from .rng import SplitMix64
 
 
@@ -323,6 +323,16 @@ def euler_genus_upper(m: int) -> int:
 # ---------------------------------------------------------------------------
 # generators
 
+# random draws one `generate` call may make, about 13 s at 1.3 us per draw
+GENERATOR_DRAW_LIMIT = 10_000_000
+
+
+def _check_draws(draws: int) -> None:
+    if draws > GENERATOR_DRAW_LIMIT:
+        raise SizeLimitExceeded(
+            f"generator needs about {draws} random draws, "
+            f"limit {GENERATOR_DRAW_LIMIT}")
+
 
 def generate(model: str, seed: int = 0, n: int | None = None,
              k: int | None = None) -> Graph:
@@ -333,10 +343,13 @@ def generate(model: str, seed: int = 0, n: int | None = None,
     complete graph on 2k vertices minus the perfect matching {(2i, 2i+1)}.
     kdegen(n, k): vertices arrive one at a time and pick min(k, i) distinct
     uniform earlier neighbors. Deterministic given (model, params, seed).
+    A call that would make more than GENERATOR_DRAW_LIMIT random draws (n^2
+    for bipartite, n*k for kdegen) raises SizeLimitExceeded before the first.
     """
     if model == "bipartite":
         if n is None or n < 2:
             raise InvalidParams("bipartite model needs n >= 2")
+        _check_draws(n * n)
         rng = SplitMix64(seed)
         p = 1.0 / math.log(n)
         edges = []
@@ -354,6 +367,7 @@ def generate(model: str, seed: int = 0, n: int | None = None,
     if model == "kdegen":
         if n is None or n < 1 or k is None or k < 0:
             raise InvalidParams("kdegen model needs n >= 1 and k >= 0")
+        _check_draws(n * k)
         rng = SplitMix64(seed)
         edges = []
         for i in range(1, n):

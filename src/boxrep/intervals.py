@@ -400,15 +400,33 @@ def merge_components(reps: list[BoxRepresentation],
 
 
 def write_representation(rep: BoxRepresentation) -> str:
-    lines = [f"boxrep {rep.n} {rep.d}"]
-    for j, (lo, hi) in enumerate(zip(rep.lo.tolist(), rep.hi.tolist()), start=1):
-        lines.append(f"dim {j}")
-        for v in range(rep.n):
-            lines.append(f"{v} {lo[v]} {hi[v]}")
-    return "\n".join(lines) + "\n"
+    """The text format read by `parse_representation`.
+
+    One format string holds a whole dimension, so each dimension is a single
+    `format` call on the interleaved endpoints of its row.
+    """
+    block = "dim {}\n" + "".join(f"{v} {{}} {{}}\n" for v in range(rep.n))
+    ends = np.empty((rep.d, 2 * rep.n), dtype=np.int64)
+    ends[:, 0::2] = rep.lo
+    ends[:, 1::2] = rep.hi
+    body = "".join(block.format(j, *row.tolist())
+                   for j, row in enumerate(ends, start=1))
+    return f"boxrep {rep.n} {rep.d}\n{body}"
 
 
 def parse_representation(text: str) -> BoxRepresentation:
+    """Read the text format written by `write_representation`.
+
+    The header `boxrep n d` is followed by d blocks; block j is the line
+    `dim j` and then n lines `v lo hi` for v = 0..n-1, with integers lo <= hi
+    in the int64 range. Fields are separated by whitespace, surrounding
+    whitespace is ignored and lines after the last block are not read.
+
+    A well-formed ASCII body is read as one integer table. Every text that
+    this batch read refuses goes to the line scan `_parse_lines`, which
+    decides it and names the first bad line, so both paths accept the same
+    texts and return the same arrays.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("boxrep "):
         raise FormatError("missing 'boxrep n d' header")
@@ -421,6 +439,38 @@ def parse_representation(text: str) -> BoxRepresentation:
         raise FormatError(f"bad header {lines[0]!r}") from exc
     if n < 0 or d < 1:
         raise FormatError(f"bad header {lines[0]!r}")
+    # numpy's integer reader takes some non-ASCII characters for digits
+    table = _interval_table(lines, n, d) if text.isascii() else None
+    if table is None:
+        return _parse_lines(lines, n, d)
+    return BoxRepresentation(n, table[:, 1].reshape(d, n).copy(),
+                             table[:, 2].reshape(d, n).copy())
+
+
+def _interval_table(lines: list[str], n: int, d: int) -> np.ndarray | None:
+    """The (d*n, 3) table of `v lo hi` rows of a well-formed body, else None."""
+    rows = lines[1:1 + d * (n + 1)]
+    if (n == 0 or len(rows) < d * (n + 1)
+            or [s.strip() for s in rows[::n + 1]]
+            != [f"dim {j}" for j in range(1, d + 1)]):
+        return None
+    del rows[::n + 1]
+    if not rows[0].strip():  # loadtxt skips blank lines, and warns if all are
+        return None
+    try:
+        table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # a bad field, a ragged row or an int64 overflow
+        return None
+    if (table.shape != (d * n, 3)
+            or (table[:, 0].reshape(d, n) != np.arange(n)).any()
+            or (table[:, 1] > table[:, 2]).any()):
+        return None
+    return table
+
+
+def _parse_lines(lines: list[str], n: int, d: int) -> BoxRepresentation:
+    """Read the body after a valid header line by line, raising FormatError
+    at the first line that breaks the format."""
     pos = 1
     lo, hi = [], []
     for j in range(1, d + 1):

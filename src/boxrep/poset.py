@@ -20,8 +20,11 @@ class FinitePoset:
     strict: frozenset
 
     def __post_init__(self):
+        if self.ground_size < 0:
+            raise InvalidParams("ground set size must be nonnegative")
         self.strict = frozenset(self.strict)
         rel = self.strict
+        above: dict[int, list[int]] = {}
         for a, b in rel:
             if a == b:
                 raise InvalidParams("strict relation cannot be reflexive")
@@ -29,14 +32,12 @@ class FinitePoset:
                 raise InvalidParams(f"relation ({a}, {b}) outside ground set")
             if (b, a) in rel:
                 raise InvalidParams(f"antisymmetry violated on ({a}, {b})")
+            above.setdefault(a, []).append(b)
         for a, b in rel:
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
+            for d in above.get(b, ()):
+                if (a, d) not in rel:
                     raise InvalidParams(
                         f"relation is not transitively closed at ({a}, {d})")
-
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.strict
 
 
 @dataclass
@@ -85,6 +86,8 @@ def parse_poset(text: str) -> FinitePoset:
         size = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"bad header {lines[0]!r}") from exc
+    if size < 0:
+        raise FormatError(f"bad header {lines[0]!r}")
     strict = set()
     for ln in lines[1:]:
         try:

@@ -29,6 +29,12 @@ class TestGen:
         res = run_cli("gen", "--model", "bipartite", "--n", "1")
         assert res.returncode == 2
 
+    def test_draw_budget_exit_3(self):
+        res = run_cli("gen", "--model", "bipartite", "--n", "100000")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "10000000000 random draws" in res.stderr
+
     def test_unknown_flag_exit_2(self):
         res = run_cli("gen", "--model", "copm", "--wat", "1")
         assert res.returncode == 2

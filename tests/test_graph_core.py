@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from boxrep.errors import FormatError, InvalidParams
+from boxrep import graph
+from boxrep.errors import FormatError, InvalidParams, SizeLimitExceeded
 from boxrep.graph import (
     Graph,
     assert_k3k,
@@ -284,6 +285,19 @@ class TestGenerate:
             if abs(g.m - mean) <= slack:
                 hits += 1
         assert hits >= 0.95 * trials
+
+    def test_draw_budget_checked_before_drawing(self, monkeypatch):
+        with pytest.raises(SizeLimitExceeded, match="10000000000 random draws"):
+            generate("bipartite", n=100_000)
+        with pytest.raises(SizeLimitExceeded, match="limit 10000000$"):
+            generate("kdegen", n=10**8, k=3)
+        monkeypatch.setattr(graph, "GENERATOR_DRAW_LIMIT", 16)
+        assert generate("bipartite", n=4).n == 8
+        assert generate("kdegen", n=8, k=2).n == 8
+        with pytest.raises(SizeLimitExceeded):
+            generate("bipartite", n=5)
+        with pytest.raises(SizeLimitExceeded):
+            generate("kdegen", n=6, k=3)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):

@@ -2,10 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boxrep import intervals
 from boxrep.errors import (
+    BoxrepError,
     DimensionMismatch,
     EmptyInput,
     FormatError,
@@ -61,6 +62,17 @@ def reference_report(g, rep):
 
 def report_tuple(report):
     return (report.valid, report.missing_edge, report.uncovered_nonedge)
+
+
+def parse_outcome(parse, *args):
+    """What a parser makes of its input: the arrays, or the error's type and
+    message."""
+    try:
+        rep = parse(*args)
+    except BoxrepError as exc:
+        return type(exc).__name__, str(exc)
+    assert rep.lo.dtype == rep.hi.dtype == np.int64
+    return "ok", rep.lo.tolist(), rep.hi.tolist()
 
 
 def random_rep(g, seed, span=6, max_dims=3):
@@ -358,6 +370,42 @@ class TestRepresentationIO:
         assert write_representation(again) == text
         assert verify_representation(c4, again).valid
 
+    @pytest.mark.parametrize("lo, hi", [
+        ([[], []], [[], []]),
+        ([[7]], [[7]]),
+        ([[-2**63, 0], [2**63 - 1, -2**63]], [[2**63 - 1, 0], [2**63 - 1, -1]]),
+    ], ids=["n0", "n1", "int64_extremes"])
+    def test_round_trip_edge_sizes(self, lo, hi):
+        n = len(lo[0])
+        rep = BoxRepresentation(n, np.array(lo, dtype=np.int64).reshape(len(lo), n),
+                                np.array(hi, dtype=np.int64).reshape(len(hi), n))
+        text = write_representation(rep)
+        again = parse_representation(text)
+        assert np.array_equal(again.lo, rep.lo) and np.array_equal(again.hi, rep.hi)
+        assert write_representation(again) == text
+
+    def test_well_formed_text_skips_line_scan(self, c4, monkeypatch):
+        text = write_representation(roberts_rep(c4))
+
+        def refuse(*args):
+            raise AssertionError("well-formed text reached the line scan")
+
+        monkeypatch.setattr(intervals, "_parse_lines", refuse)
+        assert write_representation(parse_representation(text)) == text
+
+    @pytest.mark.parametrize("row, expected", [
+        ("0 +5 1_0", ([[5]], [[10]])),
+        ("0\xa0\u0663\t\u0663", ([[3]], [[3]])),
+        # numpy's loadtxt reads U+01FE as a digit and would return 4623
+        ("0 0 \u01fe3", ("FormatError", "bad interval line '0 0 \u01fe3'")),
+        (f"0 0 {2**63}", ("FormatError", "interval endpoint outside the int64 range")),
+    ], ids=["plus_underscore", "nbsp_arabic_digit", "non_ascii", "int64_overflow"])
+    def test_spellings_only_the_line_scan_reads(self, row, expected):
+        text = f"boxrep 1 1\r\ndim 1\r\n{row}\r\n"
+        got = parse_outcome(parse_representation, text)
+        assert got == parse_outcome(intervals._parse_lines, text.splitlines(), 1, 1)
+        assert got[-2:] == expected
+
     def test_header_shape(self, c4):
         text = write_representation(roberts_rep(c4))
         lines = text.splitlines()
@@ -374,3 +422,75 @@ class TestRepresentationIO:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
             parse_representation(bad)
+
+
+_EXTREMES = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+_MUTATIONS = ["blank", "crlf", "tab", "nbsp", "plus", "underscore", "arabic_digit",
+              "non_ascii", "int64_overflow", "missing_field", "extra_field",
+              "swap_lines", "trailing", "padded_dim"]
+
+
+@st.composite
+def canonical_certificates(draw):
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 4))
+    point = st.one_of(st.integers(-3, 3), st.sampled_from(_EXTREMES))
+    pairs = draw(st.lists(st.tuples(point, point), min_size=d * n, max_size=d * n))
+    lo = np.array([min(p) for p in pairs], dtype=np.int64).reshape(d, n)
+    hi = np.array([max(p) for p in pairs], dtype=np.int64).reshape(d, n)
+    return n, d, write_representation(BoxRepresentation(n, lo, hi))
+
+
+def _mutate(data, text):
+    """Apply up to three drawn edits to a certificate, never to its header."""
+    lines, end = text.splitlines(), "\n"
+    for kind in data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        if kind == "crlf":
+            end = "\r\n"
+        elif kind == "trailing":
+            lines.append(data.draw(st.sampled_from(["", "junk", "0 0 0", "dim 9"])))
+        elif kind == "padded_dim":
+            dims = [i for i, ln in enumerate(lines) if ln.startswith("dim ")]
+            if dims:
+                i = data.draw(st.sampled_from(dims))
+                lines[i] = f" \t{lines[i]}  "
+        elif len(lines) > 1:
+            rows = [i for i in range(1, len(lines)) if len(lines[i].split()) == 3]
+            any_line = st.integers(1, len(lines) - 1)
+            i = data.draw(st.one_of(st.sampled_from(rows), any_line) if rows else any_line)
+            parts = lines[i].split()
+            if kind == "blank":
+                lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"])))
+            elif kind == "tab":
+                lines[i] = lines[i].replace(" ", "\t", 1)
+            elif kind == "nbsp":
+                lines[i] = lines[i].replace(" ", "\xa0", 1)
+            elif kind == "missing_field":
+                lines[i] = " ".join(parts[:-1])
+            elif kind == "extra_field":
+                lines[i] += " 0"
+            elif kind == "swap_lines":
+                j = data.draw(st.integers(1, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif parts:
+                k = data.draw(st.integers(0, len(parts) - 1))
+                tok = parts[k]
+                parts[k] = {
+                    "plus": "+" + tok,
+                    "underscore": tok + "_0",
+                    "arabic_digit": tok + "\u0663",
+                    "non_ascii": "\u01fe" + tok,
+                    "int64_overflow": data.draw(st.sampled_from(
+                        [str(2**63), str(-2**63 - 1), str(10**30)])),
+                }[kind]
+                lines[i] = " ".join(parts)
+    return end.join(lines) + end
+
+
+@settings(max_examples=600)
+@given(canonical_certificates(), st.data())
+def test_batch_parse_agrees_with_line_scan(cert, data):
+    n, d, text = cert
+    text = _mutate(data, text)
+    assert (parse_outcome(parse_representation, text)
+            == parse_outcome(intervals._parse_lines, text.splitlines(), n, d))

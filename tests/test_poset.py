@@ -82,6 +82,12 @@ class TestPosetIO:
         with pytest.raises(InvalidParams):
             parse_poset("poset 2\n0 1\n1 0\n")
 
+    def test_negative_size_is_format_error(self):
+        from boxrep.errors import FormatError
+
+        with pytest.raises(FormatError, match="bad header"):
+            parse_poset("poset -3\n")
+
     @pytest.mark.parametrize("text", ["poset 2\n0 x\n", "poset 2\n0 1 1\n"],
                              ids=["non_integer", "three_fields"])
     def test_bad_relation_line_is_format_error(self, text):
@@ -98,3 +104,7 @@ class TestFinitePoset:
 
     def test_accepts_closed_chain(self):
         FinitePoset(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+
+    def test_rejects_negative_ground_size(self):
+        with pytest.raises(InvalidParams, match="nonnegative"):
+            FinitePoset(-3, frozenset())
