@@ -52,6 +52,6 @@ from .pipelines import (
     format_bound_table,
     surface_pipeline,
 )
-from .poset import AdjacencyPoset, FinitePoset, adjacency_poset, poset_dim_upper
+from .poset import FinitePoset, adjacency_poset, poset_dim_upper
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,8 @@
 """Primitive representation constructions.
 
 Every builder returns a BoxRepresentation that passes the oracle on its input
-graph, unconditionally; size guarantees are recorded in the metadata and are
-asserted against each builder's own formula.
+graph, unconditionally, and asserts its size against its own formula. Only
+degenerate_rep records statistics of its cover in the metadata.
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ from .coloring import Coloring, validate_acyclic
 from .errors import InvalidOrder, InvalidParams, NotAForest
 from .graph import Graph, is_forest
 from .intervals import BoxRepresentation, consecutive_clique_order, extend_universal
-from .rng import ALGORITHM, SplitMix64
+from .rng import SplitMix64
 
 
-def _universal(n: int, metadata: dict) -> BoxRepresentation:
+def _universal(n: int, **metadata) -> BoxRepresentation:
     """One dimension giving every vertex [0, 1]: a representation of K_n."""
     return BoxRepresentation(n, np.zeros((1, n), dtype=np.int64),
                              np.ones((1, n), dtype=np.int64), metadata)
 
 
-def _points(n: int, metadata: dict) -> BoxRepresentation:
+def _points(n: int, **metadata) -> BoxRepresentation:
     """One dimension of n distinct points: a representation of the edgeless graph."""
     points = np.arange(n, dtype=np.int64)[None, :]
     return BoxRepresentation(n, points, points, metadata)
@@ -56,12 +56,9 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
         pairs.append(found)
         pool.difference_update(found)
 
-    bound = max(1, g.n // 2)
-    meta = {"builder": "roberts", "bound_formula": "max(1, floor(n/2))",
-            "bound_value": bound}
     if not pairs:
-        return _universal(g.n, meta)
-    assert len(pairs) <= bound
+        return _universal(g.n)
+    assert len(pairs) <= max(1, g.n // 2)
     lo_rows, hi_rows = [], []
     for a, b in pairs:
         # neighbors of a start at 2, neighbors of b end at 4, the rest sit at 3
@@ -74,7 +71,7 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
         lo_rows.append(lo)
         hi_rows.append(hi)
     return BoxRepresentation(g.n, np.array(lo_rows, dtype=np.int64),
-                             np.array(hi_rows, dtype=np.int64), meta)
+                             np.array(hi_rows, dtype=np.int64))
 
 
 def forest_rep(forest: Graph) -> BoxRepresentation:
@@ -113,9 +110,7 @@ def forest_rep(forest: Graph) -> BoxRepresentation:
                     seen[w] = True
                     stack.append((w, d + 1, False))
     ends = np.array([depth, pre, [d + 1 for d in depth], post], dtype=np.int64)
-    return BoxRepresentation(forest.n, ends[:2], ends[2:],
-                             {"builder": "forest", "bound_formula": "2",
-                              "bound_value": 2})
+    return BoxRepresentation(forest.n, ends[:2], ends[2:])
 
 
 def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
@@ -134,8 +129,7 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
         classes.setdefault(c, []).append(v)
     k = len(classes)
     if k <= 1:
-        return _points(g.n, {"builder": "acyclic", "colors": k,
-                             "bound_formula": "k*(k-1)", "bound_value": 1})
+        return _points(g.n, colors=k)
     lifted = []
     for ci, cj in combinations(sorted(classes), 2):
         verts = sorted(set(classes[ci]) | set(classes[cj]))
@@ -144,24 +138,17 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     lo = np.concatenate([r.lo for r in lifted])
     hi = np.concatenate([r.hi for r in lifted])
     assert len(lo) == k * (k - 1)
-    return BoxRepresentation(g.n, lo, hi,
-                             {"builder": "acyclic", "colors": k,
-                              "bound_formula": "k*(k-1)",
-                              "bound_value": k * (k - 1)})
+    return BoxRepresentation(g.n, lo, hi, {"colors": k})
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DegenerateStrategy:
-    """How degenerate_rep builds its cover.
+    """The round budget and seed of degenerate_rep's randomized cover.
 
-    `reference` is the randomized strategy implemented here, with size
-    guarantee (k+2)*ceil(6*e^2*(k+2)*ln(n)) plus one dimension per fallback.
-    `tight` is a named extension slot for a construction achieving
-    (k+2)*ceil(2*e*ln(n)); it is not implemented in this package and size
-    claims are only ever asserted against the active strategy's own formula.
+    With the default budget the cover has at most
+    (k+2)*ceil(6*e^2*(k+2)*ln(n)) dimensions plus one per fallback.
     """
 
-    name: str = "reference"
     round_budget: int | None = None
     seed: int = 0
 
@@ -186,11 +173,6 @@ def degenerate_rep(g: Graph, order, k: int,
     and edgeless graphs a single dimension of distinct points.
     """
     strategy = strategy or DegenerateStrategy()
-    if strategy.name == "tight":
-        raise NotImplementedError(
-            "the tight strategy is an extension slot; use 'reference'")
-    if strategy.name != "reference":
-        raise InvalidParams(f"unknown strategy {strategy.name!r}")
     order = list(order)
     pos = {v: i for i, v in enumerate(order)}
     if len(pos) != g.n or set(pos) != set(range(g.n)):
@@ -202,18 +184,15 @@ def degenerate_rep(g: Graph, order, k: int,
     if any(len(f) > k for f in forward):
         raise InvalidOrder("some vertex has more than k later neighbors")
 
-    meta = {"builder": "degenerate-reference", "k": k, "seed": strategy.seed,
-            "prng": ALGORITHM}
     uncovered = set(g.nonedges())
     if not uncovered:
-        meta.update(rounds_used=0, round_dims=0, fallback_dims=0, size_bound=1,
-                    size_bound_formula="1 (no non-edges)")
-        return _universal(g.n, meta)
+        return _universal(g.n, rounds_used=0, round_dims=0, fallback_dims=0,
+                          size_bound=1)
     if g.m == 0:
         points = np.array([[pos[v] + 1 for v in range(g.n)]], dtype=np.int64)
-        meta.update(rounds_used=0, round_dims=1, fallback_dims=0, size_bound=1,
-                    size_bound_formula="1 (edgeless)")
-        return BoxRepresentation(g.n, points, points, meta)
+        return BoxRepresentation(g.n, points, points,
+                                 {"rounds_used": 0, "round_dims": 1,
+                                  "fallback_dims": 0, "size_bound": 1})
 
     budget = strategy.round_budget
     if budget is None:
@@ -257,11 +236,10 @@ def degenerate_rep(g: Graph, order, k: int,
         fallback += 1
     size_bound = colors_count * (budget - 1) + fallback
     assert len(lo_rows) <= size_bound
-    meta.update(rounds_used=rounds_used, round_dims=len(lo_rows) - fallback,
-                fallback_dims=fallback, size_bound=size_bound,
-                size_bound_formula="(k+2)*ceil(6*e^2*(k+2)*ln(n)) + fallbacks")
+    stats = {"rounds_used": rounds_used, "round_dims": len(lo_rows) - fallback,
+             "fallback_dims": fallback, "size_bound": size_bound}
     return BoxRepresentation(g.n, np.array(lo_rows, dtype=np.int64),
-                             np.array(hi_rows, dtype=np.int64), meta)
+                             np.array(hi_rows, dtype=np.int64), stats)
 
 
 def trivial_rep(g: Graph) -> BoxRepresentation | None:
@@ -286,6 +264,4 @@ def trivial_rep(g: Graph) -> BoxRepresentation | None:
                 first[v] = idx
             last[v] = idx
     ends = np.array([first, last], dtype=np.int64)
-    return BoxRepresentation(g.n, ends[:1], ends[1:],
-                             {"builder": "trivial", "bound_formula": "1",
-                              "bound_value": 1})
+    return BoxRepresentation(g.n, ends[:1], ends[1:])

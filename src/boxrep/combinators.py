@@ -37,9 +37,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     certify(g.remove_edges_inside(s_sorted), rep_h,
             "rep_h for g minus the edges inside S", PreconditionViolation)
     if not s_sorted:
-        return BoxRepresentation(g.n, rep_h.lo, rep_h.hi,
-                                 {"builder": "split_compose", "s_size": 0,
-                                  "parts": (rep_h.d, 0)})
+        return rep_h
     gs, members = g.induced(s_sorted)
     if rep_s.n != gs.n:
         raise InvalidInputRep("rep_s must be over the induced subgraph on S")
@@ -55,11 +53,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     hi = np.concatenate((hi, lifted.hi))
     assert len(lo) == 2 * rep_h.d + rep_s.d
 
-    out = BoxRepresentation(g.n, lo, hi,
-                            {"builder": "split_compose",
-                             "s_size": len(s_sorted),
-                             "parts": (rep_h.d, rep_s.d)})
-    return certify(g, out, "the composed representation")
+    return certify(g, BoxRepresentation(g.n, lo, hi), "the composed representation")
 
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
@@ -84,6 +78,5 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
         if rep_vertex is None or rep_vertex not in q.local_id:
             raise ClassMapIncomplete(f"no representative box for vertex {v}")
         cols.append(q.local_id[rep_vertex])
-    out = BoxRepresentation(target.n, rep_q.lo[:, cols], rep_q.hi[:, cols],
-                            {"builder": "quotient_lift", "parts": (rep_q.d,)})
+    out = BoxRepresentation(target.n, rep_q.lo[:, cols], rep_q.hi[:, cols])
     return certify(target, out, "the lifted representation")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InvalidParams, SizeLimitExceeded
 from .graph import Graph, components

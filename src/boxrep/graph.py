@@ -9,7 +9,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -151,7 +151,6 @@ def degeneracy_order(g: Graph) -> tuple[list[int], int]:
 class PeelResult:
     survivors: frozenset
     removal_order: tuple
-    theta: Fraction
 
 
 def peel(g: Graph, theta) -> PeelResult:
@@ -180,7 +179,7 @@ def peel(g: Graph, theta) -> PeelResult:
                 deg[w] -= 1
                 if deg[w] <= theta:
                     low.add(w)
-    return PeelResult(frozenset(alive), tuple(order), theta)
+    return PeelResult(frozenset(alive), tuple(order))
 
 
 def forward_degeneracy(g: Graph, order: Iterable[int]) -> int:
@@ -243,7 +242,6 @@ class QuotientResult:
     classes: tuple
     rep_of: dict
     quotient_graph: Graph
-    members: tuple
     local_id: dict
 
 
@@ -276,7 +274,7 @@ def quotient_by_a_neighborhood(g: Graph, a: Iterable[int]) -> QuotientResult:
     stripped = g.remove_edges_inside(set(outside))
     qg, members = stripped.induced(kept)
     local_id = {v: i for i, v in enumerate(members)}
-    return QuotientResult(a_set, classes, rep_of, qg, members, local_id)
+    return QuotientResult(a_set, classes, rep_of, qg, local_id)
 
 
 @dataclass
@@ -323,14 +321,14 @@ def euler_genus_upper(m: int) -> int:
 # ---------------------------------------------------------------------------
 # generators
 
-# random draws one `generate` call may make, about 13 s at 1.3 us per draw
+# draws (copm: pairs) per generate or bipartite_experiment call, ~13 s at 1.3 us
 GENERATOR_DRAW_LIMIT = 10_000_000
 
 
-def _check_draws(draws: int) -> None:
+def _check_draws(draws: int, unit: str = "random draws") -> None:
     if draws > GENERATOR_DRAW_LIMIT:
         raise SizeLimitExceeded(
-            f"generator needs about {draws} random draws, "
+            f"generator needs about {draws} {unit}, "
             f"limit {GENERATOR_DRAW_LIMIT}")
 
 
@@ -344,7 +342,8 @@ def generate(model: str, seed: int = 0, n: int | None = None,
     kdegen(n, k): vertices arrive one at a time and pick min(k, i) distinct
     uniform earlier neighbors. Deterministic given (model, params, seed).
     A call that would make more than GENERATOR_DRAW_LIMIT random draws (n^2
-    for bipartite, n*k for kdegen) raises SizeLimitExceeded before the first.
+    for bipartite, n*k for kdegen) or enumerate more vertex pairs (C(2k, 2)
+    for copm) raises SizeLimitExceeded before the first.
     """
     if model == "bipartite":
         if n is None or n < 2:
@@ -361,6 +360,7 @@ def generate(model: str, seed: int = 0, n: int | None = None,
     if model == "copm":
         if k is None or k < 1:
             raise InvalidParams("copm model needs k >= 1")
+        _check_draws(math.comb(2 * k, 2), "vertex pairs")
         matching = {(2 * i, 2 * i + 1) for i in range(k)}
         edges = [e for e in combinations(range(2 * k), 2) if e not in matching]
         return Graph.from_edges(2 * k, edges)

@@ -57,7 +57,8 @@ class BoxRepresentation:
     every value fits in int64; anything else raises InvalidInputRep. The
     constructor takes int64 arrays over without copying and marks them
     read-only, so a representation may share its arrays with the one it was
-    derived from.
+    derived from. `metadata` is free-form, not written to the text format, and
+    set only by degenerate_rep (cover statistics) and acyclic_rep (colors).
     """
 
     n: int
@@ -315,8 +316,7 @@ def concat(r1: BoxRepresentation, r2: BoxRepresentation, g: Graph) -> BoxReprese
     if r1.n != r2.n or r1.n != g.n:
         raise DimensionMismatch("representations must share the vertex set of g")
     out = BoxRepresentation(g.n, np.concatenate((r1.lo, r2.lo)),
-                            np.concatenate((r1.hi, r2.hi)),
-                            {"builder": "concat", "parts": (r1.d, r2.d)})
+                            np.concatenate((r1.hi, r2.hi)))
     return certify(g, out, "the concatenation of two supergraph representations")
 
 
@@ -342,9 +342,7 @@ def extend_universal(rep: BoxRepresentation, members: Iterable[int],
     hi[:] = rep.hi.max(axis=1, keepdims=True)
     lo[:, members] = rep.lo
     hi[:, members] = rep.hi
-    meta = dict(rep.metadata)
-    meta["extended_from"] = rep.n
-    return BoxRepresentation(n_total, lo, hi, meta)
+    return BoxRepresentation(n_total, lo, hi)
 
 
 def merge_components(reps: list[BoxRepresentation],
@@ -390,9 +388,7 @@ def merge_components(reps: list[BoxRepresentation],
         hi[0, cols] += shift
         cursor = int(rep.hi[0].max()) + shift + 1
 
-    return BoxRepresentation(n_total, lo, hi,
-                             {"builder": "merge_components",
-                              "parts": tuple(r.d for r in reps)})
+    return BoxRepresentation(n_total, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .errors import (
 from .exact import exact_boxicity
 from .graph import (
     Graph,
+    _check_draws,
     assert_k3k,
     components,
     degeneracy_order,
@@ -37,7 +38,6 @@ from .graph import (
     quotient_by_a_neighborhood,
 )
 from .intervals import (
-    BoxRepresentation,
     concat,
     extend_universal,
     merge_components,
@@ -92,13 +92,12 @@ def _relaxed_class_cap(genus: int) -> int:
     return 10**9 * genus**4
 
 
-def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
-                  trace: PipelineTrace | None = None):
+def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     """Build a representation whose size scales with the edge count.
 
     Per component: peel vertices with at most theta surviving neighbors
     (paper mode theta = sqrt(m/ln n); reference mode theta = (m/ln n)^(1/3),
-    rebalanced for the reference cover strategy's quadratic k-dependence,
+    rebalanced for the randomized cover's quadratic k-dependence,
     giving O(m^(2/3) (ln n)^(1/3)) dimensions overall). The peel order
     witnesses that the graph minus survivor-internal edges has forward
     degeneracy at most ceil(theta); that graph gets the degenerate cover, the
@@ -109,7 +108,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
         raise InvalidParams("edge_pipeline needs n >= 2")
     if mode not in ("paper", "reference"):
         raise InvalidParams(f"unknown mode {mode!r}")
-    trace = trace if trace is not None else PipelineTrace(seed)
+    trace = PipelineTrace(seed)
     started = time.perf_counter()
     seeder = SplitMix64(seed)
     reps = []
@@ -117,7 +116,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
     for comp, mapping in components(g):
         comp_seed = seeder.next_u64()
         if comp.m == 0:
-            rep = _points(comp.n, {"builder": "points"})
+            rep = _points(comp.n)
             trace.record("component", {"n": comp.n, "m": 0, "dims": 1})
         else:
             n_c, m_c = comp.n, comp.m
@@ -167,14 +166,11 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0,
     if g.n >= 2 and g.m >= 1:
         trace.record("edge_bound_value", round(_edge_bound(g.n, g.m), 3))
     trace.wall_time = time.perf_counter() - started
-    meta = dict(merged.metadata)
-    meta.update(pipeline="edge", mode=mode, seed=seed)
-    out = BoxRepresentation(g.n, merged.lo, merged.hi, meta)
-    return out, trace
+    return merged, trace
 
 
 def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
-                     seed: int = 0, trace: PipelineTrace | None = None):
+                     seed: int = 0):
     """Build a representation from a deletion set and an acyclic coloring.
 
     `a` is a vertex set whose removal leaves a graph acyclically colorable by
@@ -189,7 +185,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     """
     if genus < 0:
         raise InvalidParams("genus must be nonnegative")
-    trace = trace if trace is not None else PipelineTrace(seed)
+    trace = PipelineTrace(seed)
     started = time.perf_counter()
     a_set = frozenset(a)
     if any(not (0 <= v < g.n) for v in a_set):
@@ -208,7 +204,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
         r_inner = acyclic_rep(sub, local_coloring)
         r_g2 = extend_universal(r_inner, members, g.n)
     else:
-        r_g2 = _universal(g.n, {"builder": "universal"})
+        r_g2 = _universal(g.n)
     trace.record("g2_dims", r_g2.d)
 
     # structural checks for the quotient stage
@@ -251,8 +247,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     reps_local = sorted(q.local_id[cls[0]] for cls in q.classes)
     h1 = q.quotient_graph.add_clique(reps_local)
     if reps_local:
-        clique_rep = _universal(len(reps_local), {"builder": "clique"})
-        r_h1 = split_compose(r_q, clique_rep, reps_local, h1)
+        r_h1 = split_compose(r_q, _universal(len(reps_local)), reps_local, h1)
     else:
         r_h1 = r_q
     trace.record("h1_dims", r_h1.d)
@@ -265,9 +260,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     assert result.d == r_g1.d + r_g2.d
     trace.record("final_dims", result.d)
     trace.wall_time = time.perf_counter() - started
-    meta = dict(result.metadata)
-    meta.update(pipeline="surface", genus=genus, seed=seed)
-    return BoxRepresentation(g.n, result.lo, result.hi, meta), trace
+    return result, trace
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +311,14 @@ def bipartite_experiment(n: int, trials: int, seed: int = 0) -> ExperimentReport
 
     For n <= 4 the samples are small enough for the exact solver, so the
     report additionally carries the exact boxicity distribution (samples
-    whose components exceed the solver limits are counted separately).
+    whose components exceed the solver limits are counted separately). All
+    trials * n^2 draws must fit in GENERATOR_DRAW_LIMIT, checked up front.
     """
     if n < 4:
         raise InvalidParams("bipartite_experiment needs n >= 4")
     if trials < 0:
         raise InvalidParams("trials must be nonnegative")
+    _check_draws(trials * n * n)
     seeder = SplitMix64(seed)
     cap = 2.0 * n * n / math.log(n)
     edge_counts = []

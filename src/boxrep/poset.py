@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FormatError, InvalidParams
 from .graph import Graph
@@ -40,24 +40,18 @@ class FinitePoset:
                         f"relation is not transitively closed at ({a}, {d})")
 
 
-@dataclass
-class AdjacencyPoset(FinitePoset):
+def adjacency_poset(g: Graph) -> FinitePoset:
     """Height-2 poset on V and a disjoint copy V'.
 
     Elements 0..n-1 are the vertices, n..2n-1 their primed copies, and
     u < v' exactly when u and v are distinct adjacent vertices. No chain of
     three distinct elements exists, so the order axioms hold trivially.
     """
-
-    n: int = 0
-
-
-def adjacency_poset(g: Graph) -> AdjacencyPoset:
     strict = set()
     for u, v in g.edges:
         strict.add((u, g.n + v))
         strict.add((v, g.n + u))
-    return AdjacencyPoset(2 * g.n, frozenset(strict), n=g.n)
+    return FinitePoset(2 * g.n, frozenset(strict))
 
 
 def poset_dim_upper(box_dims: int, chi: int) -> int:

@@ -3,7 +3,7 @@
 A tiny, fully specified 64-bit generator (Steele, Lea and Vigna's splitmix64
 finalizer) implemented here so that seeded runs are byte-identical across
 platforms and Python versions. All randomized code in the package draws from
-this class and records ALGORITHM in its metadata.
+this class; `boxrep gen` records ALGORITHM in the comment line it writes.
 """
 
 ALGORITHM = "splitmix64"
@@ -40,12 +40,13 @@ class SplitMix64:
     def sample(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), via partial Fisher-Yates.
 
-        Returned sorted so callers iterate deterministically.
+        Only touched positions are stored, so a call costs O(k); the result is
+        sorted so callers iterate deterministically.
         """
         if k > population:
             raise ValueError("sample larger than population")
-        pool = list(range(population))
+        moved: dict[int, int] = {}
         for i in range(k):
             j = i + self.below(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return sorted(moved.get(i, i) for i in range(k))

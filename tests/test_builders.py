@@ -195,16 +195,16 @@ class TestDegenerate:
                 for v in members[i + 1:]:
                     assert not g.has_edge(u, v)
 
+    def test_strategy_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            DegenerateStrategy(5)
+        assert DegenerateStrategy(seed=5).round_budget is None
+
     def test_rejects_bad_order(self, c4):
         with pytest.raises(InvalidOrder):
             degenerate_rep(c4, [0, 1, 2], 2)
         with pytest.raises(InvalidOrder):
             degenerate_rep(c4, [0, 1, 2, 3], 1)
-
-    def test_tight_strategy_is_reserved(self, c4):
-        order, k = degeneracy_order(c4)
-        with pytest.raises(NotImplementedError):
-            degenerate_rep(c4, order, k, DegenerateStrategy(name="tight"))
 
     @given(st.integers(1, 10), st.integers(0, 20))
     def test_kill_probability_meets_reference_rate(self, k, extra):

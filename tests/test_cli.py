@@ -35,6 +35,12 @@ class TestGen:
         assert res.stdout == ""
         assert "10000000000 random draws" in res.stderr
 
+    def test_copm_pair_budget_exit_3(self):
+        res = run_cli("gen", "--model", "copm", "--k", "100000")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "19999900000 vertex pairs" in res.stderr
+
     def test_unknown_flag_exit_2(self):
         res = run_cli("gen", "--model", "copm", "--wat", "1")
         assert res.returncode == 2
@@ -183,6 +189,12 @@ class TestPosetReportExperiment:
         res = run_cli("experiment", "--n", "32", "--trials", "5", "--seed", "3")
         assert res.returncode == 0
         assert "fraction_within_cap" in res.stdout
+
+    def test_experiment_draw_budget_exit_3(self):
+        res = run_cli("experiment", "--n", "1000", "--trials", "1000")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "1000000000 random draws" in res.stderr
 
 
 class TestDeterminism:

@@ -299,6 +299,15 @@ class TestGenerate:
         with pytest.raises(SizeLimitExceeded):
             generate("kdegen", n=6, k=3)
 
+    def test_copm_pair_budget_checked_before_enumerating(self, monkeypatch):
+        with pytest.raises(SizeLimitExceeded,
+                           match="19999900000 vertex pairs, limit 10000000$"):
+            generate("copm", k=100_000)
+        monkeypatch.setattr(graph, "GENERATOR_DRAW_LIMIT", 6)
+        assert generate("copm", k=2).m == 4
+        with pytest.raises(SizeLimitExceeded):
+            generate("copm", k=3)
+
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
             generate("bipartite", n=1)

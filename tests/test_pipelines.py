@@ -1,11 +1,18 @@
+import ast
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boxrep import graph
 from boxrep.coloring import Coloring, smallest_acyclic_coloring
-from boxrep.errors import InvalidColoring, InvalidParams, StructuralCheckFailed
+from boxrep.errors import (
+    InvalidColoring,
+    InvalidParams,
+    SizeLimitExceeded,
+    StructuralCheckFailed,
+)
 from boxrep.graph import Graph, generate
 from boxrep.intervals import verify_representation
 from boxrep.pipelines import (
@@ -152,6 +159,31 @@ class TestSurfacePipeline:
         assert trace.get("final_dims") == trace.get("g1_dims") + trace.get("g2_dims")
 
 
+class TestTraceText:
+    """The `key = value` lines that benchmark scripts read back from to_text."""
+
+    @pytest.mark.parametrize("mode", ["paper", "reference"])
+    def test_edge_component_lines_round_trip(self, mode):
+        # two isolated vertices add two edgeless components to the kdegen one
+        g = generate("kdegen", n=60, k=3, seed=4)
+        g = Graph.from_edges(g.n + 2, g.edges)
+        _, trace = edge_pipeline(g, mode=mode, seed=5)
+        lines = [line.partition(" = ") for line in trace.to_text().splitlines()]
+        parsed = [ast.literal_eval(value) for key, _, value in lines
+                  if key == "component"]
+        assert parsed == trace.get_all("component")
+        assert [c["m"] == 0 for c in parsed] == [False, True, True]
+
+    def test_surface_dims_lines_parse_as_ints(self):
+        g = complete_bipartite(3, 5)
+        coloring = Coloring({v: 0 for v in range(3, 8)}, 1)
+        _, trace = surface_pipeline(g, 2, {0, 1, 2}, coloring)
+        values = {key: value for key, _, value in
+                  (line.partition(" = ") for line in trace.to_text().splitlines())}
+        for key in ("quotient_dims", "g2_dims"):
+            assert int(values[key]) == trace.get(key)
+
+
 class TestBipartiteExperiment:
     def test_zero_trials_empty_report(self):
         report = bipartite_experiment(16, 0, seed=5)
@@ -162,6 +194,16 @@ class TestBipartiteExperiment:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidParams):
             bipartite_experiment(3, 5)
+
+    def test_draw_budget_covers_all_trials(self, monkeypatch):
+        # every trial alone is within the budget, all of them together are not
+        with pytest.raises(SizeLimitExceeded,
+                           match="1000000000 random draws, limit 10000000$"):
+            bipartite_experiment(1000, 1000)
+        monkeypatch.setattr(graph, "GENERATOR_DRAW_LIMIT", 48)
+        assert bipartite_experiment(4, 3).trials == 3
+        with pytest.raises(SizeLimitExceeded):
+            bipartite_experiment(4, 4)
 
     def test_edge_cap_mostly_holds(self):
         report = bipartite_experiment(64, 30, seed=2)

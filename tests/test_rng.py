@@ -1,0 +1,29 @@
+from hypothesis import given, settings, strategies as st
+
+from boxrep.rng import SplitMix64
+
+
+def list_sample(rng, population, k):
+    """The dense partial Fisher-Yates that SplitMix64.sample must match."""
+    pool = list(range(population))
+    for i in range(k):
+        j = i + rng.below(population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300), st.data())
+@settings(max_examples=300)
+def test_sample_matches_dense_fisher_yates(seed, population, data):
+    k = data.draw(st.integers(0, population))
+    fast, dense = SplitMix64(seed), SplitMix64(seed)
+    assert fast.sample(population, k) == list_sample(dense, population, k)
+    # the same draws were made, so both streams continue alike
+    assert fast.next_u64() == dense.next_u64()
+
+
+def test_sample_costs_k_not_population():
+    values = SplitMix64(1).sample(2**62, 3)
+    assert len(values) == 3 and len(set(values)) == 3
+    assert values == sorted(values)
+    assert all(0 <= v < 2**62 for v in values)
