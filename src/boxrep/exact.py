@@ -1,7 +1,8 @@
-"""Brute-force ground truth: exact boxicity and exact poset dimension.
+"""Ground truth: exact boxicity and exact poset dimension.
 
-Both solvers are definitional searches with hard size limits that fail
-loudly; there is no approximate fallback here.
+Boxicity is a dynamic program over vertex orderings followed by an exact
+set cover; poset dimension is a definitional search. Both have hard size
+limits that fail loudly; there is no approximate fallback here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParams, SizeLimitExceeded
 from .graph import Graph, components
-from .intervals import RECOGNITION_LIMIT, _interval_order_from_adj
+from .intervals import RECOGNITION_LIMIT
 from .poset import FinitePoset
 
 POSET_GROUND_LIMIT = 10
@@ -77,8 +78,57 @@ def _min_cover(universe: int, sets: list[int]) -> int:
     return best
 
 
+def _maximal(masks) -> list[int]:
+    """The masks contained in no other mask, largest first, then ascending."""
+    out = []
+    for m in sorted(masks, key=lambda m: (-m.bit_count(), m)):
+        if not any(m | kept == kept for kept in out):
+            out.append(m)
+    return out
+
+
+def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
+    """Maximal sets F of non-edges, as bitmasks over `nonedges`, such that
+    the complete graph minus F is interval; see `exact_boxicity`.
+
+    Dynamic program over the set P of vertices placed so far: placing w
+    after P keeps the non-edge uw exactly when u is closed, that is placed
+    with all its neighbours placed. states[P] is the antichain of non-edge
+    masks kept by the orderings that place P first; a mask inside another
+    at the same P is dropped, since what the rest of the ordering keeps
+    depends on P alone. Each P is reached from P minus one vertex, a smaller
+    integer, so walking P in increasing order completes states[P] before it
+    is used.
+    """
+    n = comp.n
+    nbrs = [0] * n
+    for u, v in comp.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    bit = [[0] * n for _ in range(n)]  # bit[w][u]: non-edge uw's bit, or 0
+    for i, (u, v) in enumerate(nonedges):
+        bit[u][v] = bit[v][u] = 1 << i
+    full = (1 << n) - 1
+    states = [set() for _ in range(full + 1)]
+    states[0].add(0)
+    for placed in range(full):
+        masks = _maximal(states[placed])
+        states[placed] = None
+        closed = [u for u in range(n)
+                  if (placed >> u) & 1 and not nbrs[u] & ~placed]
+        for w in range(n):
+            if (placed >> w) & 1:
+                continue
+            kept = 0
+            for u in closed:
+                kept |= bit[w][u]
+            states[placed | (1 << w)].update(m | kept for m in masks)
+    return _maximal(states[full])
+
+
 def _component_boxicity(comp: Graph, limits: SolveLimits) -> int:
-    # interval recognition sets a second vertex limit beside the caller's
+    # the dynamic program has 2^n states; this second vertex limit beside
+    # the caller's bounds them
     cap = min(limits.max_vertices, RECOGNITION_LIMIT)
     if comp.n > cap:
         raise SizeLimitExceeded(f"component has {comp.n} vertices, limit {cap}")
@@ -89,36 +139,36 @@ def _component_boxicity(comp: Graph, limits: SolveLimits) -> int:
     if kk > limits.max_nonedges:
         raise SizeLimitExceeded(
             f"component has {kk} non-edges, limit {limits.max_nonedges}")
-    full_adj = [((1 << comp.n) - 1) & ~(1 << v) for v in range(comp.n)]
-    keepable = []
-    for mask in range(1 << kk):
-        adj = list(full_adj)
-        w = mask
-        while w:
-            i = (w & -w).bit_length() - 1
-            w &= w - 1
-            u, v = nonedges[i]
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        if _interval_order_from_adj(adj, comp.n) is not None:
-            keepable.append(mask)
-    # only maximal killed-sets matter for the cover
-    keepable.sort(key=lambda m: -bin(m).count("1"))
-    maximal = []
-    for m in keepable:
-        if not any(m | kept == kept for kept in maximal):
-            maximal.append(m)
-    return _min_cover((1 << kk) - 1, maximal)
+    return _min_cover((1 << kk) - 1, _maximal_keepable(comp, nonedges))
 
 
 def exact_boxicity(g: Graph, limits: SolveLimits | None = None) -> int:
     """Smallest number of interval graphs intersecting to the input graph.
 
-    Per connected component (boxicity of a disjoint union is the maximum over
-    components): enumerate every subset F of the component's non-edges, keep
-    F when the complete graph minus F is interval, and find the minimum
-    number of kept subsets covering all non-edges. Complete and edgeless
-    graphs answer 1.
+    Boxicity of a disjoint union is the maximum over its components. For a
+    component G with non-edge set N, a box representation is a family of
+    interval supergraphs I of G whose non-edge sets N - E(I) cover N; only
+    the maximal such sets matter, so the answer is a minimum set cover of N
+    by the maximal sets F with K - F interval. Complete and edgeless graphs
+    answer 1.
+
+    Those maximal sets come from vertex orderings. For an ordering
+    v1 ... vn, let H(G, v) be G plus every pair vi vj (i < j) such that vi
+    has a G-neighbour at a position >= j.
+
+    - H is interval: if i < j < k and vi vk is in H, then vi has a
+      G-neighbour at a position >= k >= j (vk itself when vi vk is in G),
+      so vi vj is in H too. The ordering is umbrella-free for H, and a
+      graph with an umbrella-free ordering is interval (Olariu, IPL 1991).
+    - Every interval supergraph I of G contains H(G, v), where v orders the
+      vertices by the left ends of I's intervals: if i < j and vi has a
+      G-neighbour vk with k >= j, then l(vi) <= l(vj) <= l(vk) <= r(vi),
+      since vi vk is an edge of I, so vi and vj meet in I.
+
+    So every set F with K - F interval lies inside the non-edge set of some
+    H(G, v), and each of those non-edge sets is such an F: the maximal sets
+    F are exactly the maximal non-edge sets of the graphs H(G, v), which
+    `_maximal_keepable` enumerates without listing the orderings.
     """
     limits = limits or SolveLimits()
     best = 1

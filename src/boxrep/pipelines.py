@@ -295,8 +295,8 @@ class ExperimentReport:
             dist = ", ".join(f"{k}: {v}" for k, v in
                              sorted(self.boxicity_distribution.items()))
             lines.append(f"boxicity_distribution = {{{dist}}}")
-            if self.over_limit:
-                lines.append(f"boxicity_over_limit = {self.over_limit}")
+        if self.over_limit:
+            lines.append(f"boxicity_over_limit = {self.over_limit}")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:

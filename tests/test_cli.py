@@ -190,6 +190,16 @@ class TestPosetReportExperiment:
         assert res.returncode == 0
         assert "fraction_within_cap" in res.stdout
 
+    def test_experiment_reports_over_limit_without_distribution(self):
+        # the only sample has a 21-non-edge component, over the solver limit
+        res = run_cli("experiment", "--n", "4", "--trials", "1", "--seed", "232")
+        assert res.returncode == 0
+        assert "boxicity_distribution" not in res.stdout
+        assert res.stdout.splitlines()[-1] == "boxicity_over_limit = 1"
+        csv = run_cli("experiment", "--n", "4", "--trials", "1", "--seed", "232",
+                      "--csv")
+        assert csv.stdout.splitlines()[-1].endswith(",over_limit")
+
     def test_experiment_draw_budget_exit_3(self):
         res = run_cli("experiment", "--n", "1000", "--trials", "1000")
         assert res.returncode == 3

@@ -3,14 +3,41 @@ from hypothesis import given, settings, strategies as st
 
 from boxrep.builders import degenerate_rep, roberts_rep
 from boxrep.errors import SizeLimitExceeded
-from boxrep.exact import SolveLimits, exact_boxicity, exact_poset_dimension
-from boxrep.graph import Graph, degeneracy_order, generate
-from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
+from boxrep.exact import (SolveLimits, _maximal_keepable, exact_boxicity,
+                          exact_poset_dimension)
+from boxrep.graph import Graph, components, degeneracy_order, generate
+from boxrep.intervals import (RECOGNITION_LIMIT, _interval_order_from_adj,
+                              is_interval_graph)
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 from test_graph_core import graphs_strategy
+
+
+def subset_maximal_keepable(comp, nonedges):
+    """Reference for `_maximal_keepable`, straight from the definition: test
+    every subset F of the non-edges for K - F being interval, then keep the
+    maximal ones, largest first, then ascending."""
+    full_adj = [((1 << comp.n) - 1) & ~(1 << v) for v in range(comp.n)]
+    keepable = []
+    for mask in range(1 << len(nonedges)):
+        adj = list(full_adj)
+        w = mask
+        while w:
+            i = (w & -w).bit_length() - 1
+            w &= w - 1
+            u, v = nonedges[i]
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        if _interval_order_from_adj(adj, comp.n) is not None:
+            keepable.append(mask)
+    keepable.sort(key=lambda m: -bin(m).count("1"))
+    maximal = []
+    for m in keepable:
+        if not any(m | kept == kept for kept in maximal):
+            maximal.append(m)
+    return maximal
 
 
 class TestExactBoxicity:
@@ -60,7 +87,15 @@ class TestExactBoxicity:
         g = Graph.from_edges(10, edges)
         assert exact_boxicity(g, SolveLimits(max_nonedges=3)) == 1
 
-    @given(graphs_strategy(5))
+    @given(graphs_strategy(6))
+    def test_ordering_dp_matches_subset_enumeration(self, g):
+        # a component on at most 6 vertices has at most 10 non-edges
+        for comp, _ in components(g):
+            nonedges = list(comp.nonedges())
+            assert (_maximal_keepable(comp, nonedges)
+                    == subset_maximal_keepable(comp, nonedges))
+
+    @given(graphs_strategy(7))
     def test_upper_bounds_and_builders_sandwich(self, g):
         box = exact_boxicity(g)
         assert 1 <= box <= max(1, g.n // 2)
@@ -68,7 +103,7 @@ class TestExactBoxicity:
         order, k = degeneracy_order(g)
         assert box <= degenerate_rep(g, order, k).d
 
-    @given(graphs_strategy(5), st.integers(0, 1000))
+    @given(graphs_strategy(7), st.integers(0, 1000))
     @settings(max_examples=30)
     def test_isomorphism_invariant(self, g, seed):
         rng = SplitMix64(seed)

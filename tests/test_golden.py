@@ -39,6 +39,8 @@ GOLDEN = {
         "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
     "exact_poset_copm3":
         "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
+    "experiment_bipartite4_csv":
+        "c6cf80966344916fcc80bebf397e931f782e976678eedde752f16e9067a557d5",
 }
 
 
@@ -84,6 +86,9 @@ def outputs(tmp_path_factory):
     run("exact_copm3", "exact", "--graph", str(c3))
     # 12 poset elements exceed POSET_GROUND_LIMIT: boxicity, then exit 3
     run("exact_poset_copm3", "exact", "--graph", str(c3), "--poset")
+    # each sample's exact boxicity, from 8-vertex bipartite graphs
+    run("experiment_bipartite4_csv", "experiment", "--n", "4", "--trials", "3",
+        "--seed", "0", "--csv")
     return out
 
 
