@@ -14,9 +14,9 @@ from itertools import combinations
 import numpy as np
 
 from .coloring import Coloring, validate_acyclic
-from .errors import InvalidOrder, InvalidParams, NotAForest
+from .errors import InvalidOrder, NotAForest
 from .graph import Graph, is_forest
-from .intervals import BoxRepresentation, consecutive_clique_order, extend_universal
+from .intervals import BoxRepresentation, extend_universal, interval_order
 from .rng import SplitMix64
 
 
@@ -143,18 +143,15 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
 
 @dataclass(kw_only=True)
 class DegenerateStrategy:
-    """The round budget and seed of degenerate_rep's randomized cover.
+    """The seed of degenerate_rep's randomized cover."""
 
-    With the default budget the cover has at most
-    (k+2)*ceil(6*e^2*(k+2)*ln(n)) dimensions plus one per fallback.
-    """
-
-    round_budget: int | None = None
     seed: int = 0
 
 
 def _default_budget(k: int, n: int) -> int:
-    return math.ceil(6 * math.e**2 * (k + 2) * math.log(n)) + 1
+    """degenerate_rep's round count, which bounds its cover at
+    (k+2)*ceil(6*e^2*(k+2)*ln(n)) dimensions plus one per fallback."""
+    return math.ceil(6 * math.e**2 * (k + 2) * math.log(n))
 
 
 def degenerate_rep(g: Graph, order, k: int,
@@ -194,17 +191,13 @@ def degenerate_rep(g: Graph, order, k: int,
                                  {"rounds_used": 0, "round_dims": 1,
                                   "fallback_dims": 0, "size_bound": 1})
 
-    budget = strategy.round_budget
-    if budget is None:
-        budget = _default_budget(k, g.n)
-    if budget < 1:
-        raise InvalidParams("round budget must be at least 1")
+    budget = _default_budget(k, g.n)
     colors_count = k + 2
     rng = SplitMix64(strategy.seed)
     lo_rows, hi_rows = [], []
     rounds_used = 0
     done = False
-    for _ in range(budget - 1):
+    for _ in range(budget):
         if done:
             break
         rounds_used += 1
@@ -234,7 +227,7 @@ def degenerate_rep(g: Graph, order, k: int,
         lo_rows.append(lo)
         hi_rows.append(hi)
         fallback += 1
-    size_bound = colors_count * (budget - 1) + fallback
+    size_bound = colors_count * budget + fallback
     assert len(lo_rows) <= size_bound
     stats = {"rounds_used": rounds_used, "round_dims": len(lo_rows) - fallback,
              "fallback_dims": fallback, "size_bound": size_bound}
@@ -245,23 +238,17 @@ def degenerate_rep(g: Graph, order, k: int,
 def trivial_rep(g: Graph) -> BoxRepresentation | None:
     """One-dimensional representation when the graph is already interval.
 
-    Places each vertex on the index range of its maximal cliques in a
-    consecutive ordering; returns None for non-interval inputs.
+    Along an umbrella-free order v0 ... v(n-1) from `interval_order`, vi gets
+    [i, max(i, position of its last neighbour)]; returns None for
+    non-interval inputs. For i < j, vi and vj meet iff vi has a neighbour at
+    a position >= j, and umbrella-freeness makes that vi vj itself.
     """
-    order = consecutive_clique_order(g)
+    order = interval_order(g)
     if order is None:
         return None
-    if not order:
-        order = [0]
-    first = [-1] * g.n
-    last = [-1] * g.n
-    for idx, mask in enumerate(order):
-        w = mask
-        while w:
-            v = (w & -w).bit_length() - 1
-            w &= w - 1
-            if first[v] < 0:
-                first[v] = idx
-            last[v] = idx
-    ends = np.array([first, last], dtype=np.int64)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    hi = [max([pos[v], *(pos[w] for w in g.neighbors(v))]) for v in range(g.n)]
+    ends = np.array([pos, hi], dtype=np.int64)
     return BoxRepresentation(g.n, ends[:1], ends[1:])

@@ -390,6 +390,11 @@ def write_graph(g: Graph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+# vertices in a parsed graph; `verify` at this n peaks near 1.1 GB, mostly
+# the int64 pair arrays of Graph.pairs
+GRAPH_VERTEX_LIMIT = 10_000
+
+
 def parse_graph(text: str) -> Graph:
     data = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in data if ln and not ln.startswith("#")]
@@ -402,6 +407,9 @@ def parse_graph(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad header {data[0]!r}") from exc
+    if n > GRAPH_VERTEX_LIMIT:
+        raise SizeLimitExceeded(
+            f"graph has {n} vertices, limit {GRAPH_VERTEX_LIMIT}")
     if len(data) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(data) - 1}")
     edges = set()

@@ -7,7 +7,9 @@ intersect. A representation stores its endpoints as two int64 arrays `lo`
 and `hi` of shape (d, n): row j is dimension j+1 and column v is vertex v.
 The arrays are read-only, so representations and the combinators below share
 rows without copying them. Endpoints must lie in the int64 range, and every
-combinator below keeps them integral.
+combinator below keeps them integral. Interval graphs on at most
+RECOGNITION_LIMIT vertices are recognised by a search for an umbrella-free
+vertex order.
 """
 
 from __future__ import annotations
@@ -145,161 +147,56 @@ def certify(g: Graph, rep: BoxRepresentation, what: str,
 
 
 # ---------------------------------------------------------------------------
-# interval-graph recognition via consecutively orderable maximal cliques
+# interval-graph recognition via umbrella-free vertex orderings
 
 
-def _maximal_cliques(adj: list[int], n: int) -> list[int] | None:
-    """All maximal cliques as bitmasks, or None once more than n exist."""
-    cliques: list[int] = []
+def interval_order(g: Graph) -> list[int] | None:
+    """A vertex order in which no edge jumps over a non-neighbour, or None.
 
-    def expand(r: int, p: int, x: int) -> bool:
-        if p == 0 and x == 0:
-            cliques.append(r)
-            return len(cliques) <= n
-        # pivot on the candidate dominating the most of p
-        px = p | x
-        best_u, best_cover = -1, -1
-        w = px
-        while w:
-            u = (w & -w).bit_length() - 1
-            w &= w - 1
-            cover = bin(p & adj[u]).count("1")
-            if cover > best_cover:
-                best_cover, best_u = cover, u
-        candidates = p & ~adj[best_u]
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            vb = 1 << v
-            candidates &= candidates - 1
-            if not expand(r | vb, p & adj[v], x & adj[v]):
-                return False
-            p &= ~vb
-            x |= vb
-        return True
-
-    if not expand(0, (1 << n) - 1 if n else 0, 0):
-        return None
-    return cliques
-
-
-def _is_chordal(adj: list[int], n: int) -> bool:
-    """Tarjan-Yannakakis test: maximum cardinality search ordering must be a
-    perfect elimination order (in reverse)."""
-    if n == 0:
-        return True
-    chosen = 0
-    weight = [0] * n
-    pos = [0] * n
-    order = []
-    for step in range(n):
-        best, best_w = -1, -1
-        for v in range(n):
-            if not (chosen >> v) & 1 and weight[v] > best_w:
-                best, best_w = v, weight[v]
-        chosen |= 1 << best
-        pos[best] = step
-        order.append(best)
-        w = adj[best]
-        while w:
-            u = (w & -w).bit_length() - 1
-            w &= w - 1
-            if not (chosen >> u) & 1:
-                weight[u] += 1
-    seen = 0
-    for v in order:
-        prev = adj[v] & seen
-        seen |= 1 << v
-        if prev:
-            u = max((pos[x], x) for x in _bits(prev))[1]
-            if prev & ~(adj[u] | (1 << u)):
-                return False
-    return True
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask &= mask - 1
-        yield b.bit_length() - 1
-
-
-def _consecutive_order(cliques: list[int]) -> list[int] | None:
-    """Order cliques so each vertex's cliques are consecutive, or None.
-
-    A vertex whose run is open and which still occurs in unplaced cliques
-    must appear in the next clique placed, which prunes every branch that is
-    already doomed.
-    """
-    t = len(cliques)
-    if t == 0:
-        return []
-    width = max(c.bit_length() for c in cliques)
-    cnt = [0] * width
-    for c in cliques:
-        for v in _bits(c):
-            cnt[v] += 1
-    order: list[int] = []
-
-    def place(unplaced: int, started: int, closed: int) -> bool:
-        if unplaced == 0:
-            return True
-        pending = 0
-        for v in _bits(started & ~closed):
-            if cnt[v] > 0:
-                pending |= 1 << v
-        rem = unplaced
-        while rem:
-            ib = rem & -rem
-            rem &= rem - 1
-            i = ib.bit_length() - 1
-            c = cliques[i]
-            if c & closed or pending & ~c:
-                continue
-            for v in _bits(c):
-                cnt[v] -= 1
-            order.append(i)
-            if place(unplaced & ~ib, started | c, closed | (started & ~c)):
-                return True
-            order.pop()
-            for v in _bits(c):
-                cnt[v] += 1
-        return False
-
-    if not place((1 << t) - 1, 0, 0):
-        return None
-    return [cliques[i] for i in order]
-
-
-def _interval_order_from_adj(adj: list[int], n: int):
-    if n == 0:
-        return []
-    if not _is_chordal(adj, n):
-        return None  # interval graphs are chordal; skips the clique search
-    cliques = _maximal_cliques(adj, n)
-    if cliques is None:
-        return None
-    cliques.sort()
-    return _consecutive_order(cliques)
-
-
-def consecutive_clique_order(g: Graph):
-    """Maximal cliques in a consecutive order, or None if no order exists.
-
-    Early-rejects when the graph has more than n maximal cliques (interval
-    graphs never do). Exhaustive, hence the size guard.
+    Such an umbrella-free order exists iff `g` is interval (Olariu, IPL
+    1991; see `exact.exact_boxicity`). Placing w after the set P of placed
+    vertices keeps the order umbrella-free iff every non-neighbour of w in P
+    is closed, that is has all its neighbours in P. Whether P extends to a
+    full order depends on P alone, so a depth-first walk over the sets P
+    that remembers the dead ones visits each of the 2^n sets at most once,
+    hence the size guard.
     """
     if g.n > RECOGNITION_LIMIT:
         raise SizeLimitExceeded(
             f"interval recognition limited to n <= {RECOGNITION_LIMIT}")
-    adj = [0] * g.n
+    n = g.n
+    nbrs = [0] * n
     for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _interval_order_from_adj(adj, g.n)
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    full = (1 << n) - 1
+    dead = set()
+    order = []
+
+    def extend(placed: int) -> bool:
+        if placed == full:
+            return True
+        if placed in dead:
+            return False
+        open_ = 0  # placed vertices with a neighbour still to come
+        for u in range(n):
+            if (placed >> u) & 1 and nbrs[u] & ~placed:
+                open_ |= 1 << u
+        for w in range(n):
+            if (placed >> w) & 1 or open_ & ~nbrs[w]:
+                continue
+            order.append(w)
+            if extend(placed | (1 << w)):
+                return True
+            order.pop()
+        dead.add(placed)
+        return False
+
+    return order if extend(0) else None
 
 
 def is_interval_graph(g: Graph) -> bool:
-    return consecutive_clique_order(g) is not None
+    return interval_order(g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from boxrep import builders
 from boxrep.builders import (
     DegenerateStrategy,
     _default_budget,
@@ -162,7 +163,7 @@ class TestDegenerate:
         g = cycle_graph(5)
         order, k = degeneracy_order(g)
         assert k == 2
-        s_ref = (k + 2) * (_default_budget(k, g.n) - 1)
+        s_ref = (k + 2) * _default_budget(k, g.n)
         no_fallback = 0
         for seed in range(100):
             rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
@@ -173,10 +174,12 @@ class TestDegenerate:
                 no_fallback += 1
         assert no_fallback >= 90
 
-    def test_budget_one_forces_fallback(self):
+    def test_budget_one_forces_fallback(self, monkeypatch):
+        # no rounds at all: every non-edge takes a fallback dimension
+        monkeypatch.setattr(builders, "_default_budget", lambda k, n: 0)
         g = cycle_graph(5)
         order, k = degeneracy_order(g)
-        rep = degenerate_rep(g, order, k, DegenerateStrategy(round_budget=1))
+        rep = degenerate_rep(g, order, k)
         assert rep.metadata["fallback_dims"] == 5
         assert rep.metadata["rounds_used"] == 0
         assert verify_representation(g, rep).valid
@@ -198,7 +201,7 @@ class TestDegenerate:
     def test_strategy_fields_are_keyword_only(self):
         with pytest.raises(TypeError):
             DegenerateStrategy(5)
-        assert DegenerateStrategy(seed=5).round_budget is None
+        assert DegenerateStrategy(seed=5).seed == 5
 
     def test_rejects_bad_order(self, c4):
         with pytest.raises(InvalidOrder):
@@ -255,6 +258,16 @@ class TestTrivial:
         g = Graph(1, frozenset())
         rep = trivial_rep(g)
         assert rep is not None and rep.d == 1
+
+    @pytest.mark.parametrize("g", [Graph(12, frozenset()), complete_graph(12),
+                                   path_graph(12)], ids=["edgeless", "complete", "path"])
+    def test_recognition_limit_is_inclusive(self, g):
+        rep = trivial_rep(g)
+        assert rep is not None and rep.d == 1
+        assert verify_representation(g, rep).valid
+
+    def test_copm6_none(self):
+        assert trivial_rep(generate("copm", k=6)) is None
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):

@@ -11,10 +11,10 @@ from boxrep.intervals import parse_representation, verify_representation
 from boxrep.poset import parse_poset
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "boxrep", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=timeout)
 
 
 class TestGen:
@@ -163,6 +163,17 @@ class TestBuildVerify:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ("build", "--pipeline", "edge"), ("build", "--pipeline", "surface"), ("exact",),
+    ], ids=["edge", "surface", "exact"])
+    def test_oversized_header_exit_3(self, tmp_path, args):
+        gfile = tmp_path / "g.g"
+        gfile.write_text(f"{10**22} 0")
+        res = run_cli(*args, "--graph", str(gfile), timeout=30)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
     def test_directory_as_graph_exit_2(self, tmp_path):
         res = run_cli("verify", "--graph", str(tmp_path), "--rep", str(tmp_path))

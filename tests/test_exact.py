@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +8,7 @@ from boxrep.errors import SizeLimitExceeded
 from boxrep.exact import (SolveLimits, _maximal_keepable, exact_boxicity,
                           exact_poset_dimension)
 from boxrep.graph import Graph, components, degeneracy_order, generate
-from boxrep.intervals import (RECOGNITION_LIMIT, _interval_order_from_adj,
-                              is_interval_graph)
+from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
@@ -19,18 +20,12 @@ def subset_maximal_keepable(comp, nonedges):
     """Reference for `_maximal_keepable`, straight from the definition: test
     every subset F of the non-edges for K - F being interval, then keep the
     maximal ones, largest first, then ascending."""
-    full_adj = [((1 << comp.n) - 1) & ~(1 << v) for v in range(comp.n)]
     keepable = []
     for mask in range(1 << len(nonedges)):
-        adj = list(full_adj)
-        w = mask
-        while w:
-            i = (w & -w).bit_length() - 1
-            w &= w - 1
-            u, v = nonedges[i]
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        if _interval_order_from_adj(adj, comp.n) is not None:
+        dropped = {e for i, e in enumerate(nonedges) if (mask >> i) & 1}
+        k_minus_f = Graph(comp.n, frozenset(
+            e for e in combinations(range(comp.n), 2) if e not in dropped))
+        if is_interval_graph(k_minus_f):
             keepable.append(mask)
     keepable.sort(key=lambda m: -bin(m).count("1"))
     maximal = []

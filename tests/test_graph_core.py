@@ -338,3 +338,8 @@ class TestGraphIO:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
             parse_graph(bad)
+
+    def test_vertex_limit(self):
+        assert parse_graph(f"{graph.GRAPH_VERTEX_LIMIT} 0\n").n == graph.GRAPH_VERTEX_LIMIT
+        with pytest.raises(SizeLimitExceeded, match="limit"):
+            parse_graph(f"{graph.GRAPH_VERTEX_LIMIT + 1} 0\n")

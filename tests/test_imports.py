@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,52 @@ def test_no_unused_imports(path):
 def test_guard_sees_attribute_bases_and_unused_names():
     source = "import numpy as np\nfrom math import pi, tau\nx = np.zeros(pi)\n"
     assert unused_imports(source) == ["line 2: tau"]
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _reads(node: ast.AST) -> Counter:
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_`-prefixed functions, classes and constants that no
+    module reads, as a name or an attribute, outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sorted(sources.items())}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in _top_level_names(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and reads[name] == _reads(node)[name]]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_dead_code_guard_sees_attribute_reads_and_skips_self_reads():
+    sources = {
+        "a.py": ("_USED = 1\n_DEAD = 2\n__all__ = []\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Base:\n    pass\n"
+                 "def _helper():\n    pass\n"),
+        "b.py": "import a\nclass C(a._Base):\n    f = a._helper\nprint(_USED)\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _DEAD", "a.py: _recursive"]

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 
 from boxrep.graph import components, degeneracy_order
-from boxrep.intervals import _bits, _is_chordal, _maximal_cliques
+from boxrep.intervals import is_interval_graph
 
+from conftest import all_graphs_upto
 from test_graph_core import graphs_strategy
 
 nx = pytest.importorskip("networkx")
@@ -18,12 +19,10 @@ def _nx(g):
     return h
 
 
-def _adj(g):
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def _nx_is_interval(g):
+    # interval = chordal and asteroidal-triple-free (Lekkerkerker, Boland 1962)
+    h = _nx(g)
+    return nx.is_chordal(h) and nx.is_at_free(h)
 
 
 @given(graphs_strategy(9))
@@ -39,15 +38,10 @@ def test_degeneracy_matches_max_core_number(g):
 
 
 @given(graphs_strategy(9))
-def test_is_chordal_matches(g):
-    assert _is_chordal(_adj(g), g.n) == nx.is_chordal(_nx(g))
+def test_is_interval_graph_matches_chordal_and_at_free(g):
+    assert is_interval_graph(g) == _nx_is_interval(g)
 
 
-@given(graphs_strategy(9))
-def test_maximal_cliques_match_find_cliques(g):
-    expected = {frozenset(c) for c in nx.find_cliques(_nx(g))}
-    ours = _maximal_cliques(_adj(g), g.n)
-    if len(expected) > g.n:
-        assert ours is None  # more than n cliques: early rejection
-    else:
-        assert {frozenset(_bits(c)) for c in ours} == expected
+def test_is_interval_graph_matches_on_every_small_graph():
+    for g in all_graphs_upto(5):
+        assert is_interval_graph(g) == _nx_is_interval(g), sorted(g.edges)
