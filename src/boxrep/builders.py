@@ -37,24 +37,26 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
 
     Pairs are extracted lexicographically smallest first until the unused
     vertices form a clique, so at most max(1, n//2) dimensions are emitted.
+    One O(n^2) ascending pass pairs each unused a with its smallest unused
+    non-neighbour above it. That gives the same pairs: a vertex it leaves
+    unpaired has no unused non-neighbour above it, nor below (that one
+    would have taken it), and the unused vertices only get fewer.
     In the dimension for the pair (a, b) the two endpoints sit at opposite
     ends, common neighbors bridge them, one-sided neighbors reach only their
     side, and everything else collapses to the middle point; the dimension
     therefore keeps every edge and separates a and b from all their
     non-neighbors.
     """
-    pool = set(range(g.n))
+    taken = set()
     pairs = []
-    while True:
-        found = None
-        for a, b in combinations(sorted(pool), 2):
-            if not g.has_edge(a, b):
-                found = (a, b)
-                break
-        if found is None:
-            break
-        pairs.append(found)
-        pool.difference_update(found)
+    for a in range(g.n):
+        if a in taken:
+            continue
+        b = next((b for b in range(a + 1, g.n)
+                  if b not in taken and b not in g.adj[a]), None)
+        if b is not None:
+            taken.add(b)
+            pairs.append((a, b))
 
     if not pairs:
         return _universal(g.n)

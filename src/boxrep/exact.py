@@ -101,10 +101,7 @@ def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
     is used.
     """
     n = comp.n
-    nbrs = [0] * n
-    for u, v in comp.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
+    nbrs = comp.neighbor_masks()
     bit = [[0] * n for _ in range(n)]  # bit[w][u]: non-edge uw's bit, or 0
     for i, (u, v) in enumerate(nonedges):
         bit[u][v] = bit[v][u] = 1 << i

@@ -9,24 +9,15 @@ concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import FormatError, InvalidParams, SizeLimitExceeded
 from .rng import SplitMix64
-
-
-@lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> tuple:
-    u, v = np.triu_indices(n, 1)
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
 
 
 @dataclass(frozen=True)
@@ -35,18 +26,26 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParams("vertex count must be nonnegative")
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise InvalidParams(f"bad edge {e} for n={self.n}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            if self.n < 0:
+                raise InvalidParams("vertex count must be nonnegative")
+            for u, v in self.edges:
+                if not (0 <= u < v < self.n):
+                    raise InvalidParams(f"bad edge {(u, v)} for n={self.n}")
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams("n must be an integer and edges pairs of integers") from exc
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from any iterable of vertex pairs, normalizing order."""
+        """Build a graph from any iterable of integer pairs, normalizing order and ids."""
         normalized = set()
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+                u, v = operator.index(u), operator.index(v)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParams(f"bad edge {e!r}: not a pair of integers") from exc
             if u == v:
                 raise InvalidParams(f"self-loop at {u}")
             normalized.add((u, v) if u < v else (v, u))
@@ -64,17 +63,9 @@ class Graph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
-    @cached_property
-    def pairs(self) -> tuple:
-        """Read-only arrays (u, v, is_edge) over all pairs u < v, in
-        lexicographic order; the oracle reads its witnesses from them."""
-        n = self.n
-        u, v = _upper_pairs(n)
-        is_edge = np.zeros(len(u), dtype=bool)
-        # (a, b) is pair number a*(2n-a-1)/2 + b-a-1 in lexicographic order
-        is_edge[[a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in self.edges]] = True
-        is_edge.setflags(write=False)
-        return u, v, is_edge
+    def neighbor_masks(self) -> list[int]:
+        """Bit v of entry u is set iff uv is an edge."""
+        return [sum(1 << v for v in self.adj[u]) for u in range(self.n)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges if u < v else (v, u) in self.edges
@@ -390,8 +381,8 @@ def write_graph(g: Graph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# vertices in a parsed graph; `verify` at this n peaks near 1.1 GB, mostly
-# the int64 pair arrays of Graph.pairs
+# vertices in a parsed graph; `verify` at this n peaks near 320 MiB: the
+# oracle's (n, n) bool matrices
 GRAPH_VERTEX_LIMIT = 10_000
 
 

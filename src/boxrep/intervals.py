@@ -15,6 +15,7 @@ vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -102,9 +103,15 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
 
     Intervals u and v meet in every dimension iff lo[j, u] <= hi[j, v] for
     all j and lo[j, v] <= hi[j, u] for all j, so one (n, n) matrix of the
-    first condition, read against its transpose, decides every pair. It is
-    accumulated over chunks of dimensions whose (chunk, n, n) comparison
-    stays within ORACLE_CHUNK_BYTES.
+    first condition, read against its transpose, gives the symmetric matrix
+    `met` of the pairs that meet. It is accumulated over chunks of
+    dimensions whose (chunk, n, n) comparison stays within
+    ORACLE_CHUNK_BYTES. Every vertex meets itself, so the representation is
+    valid iff every edge is met and `met` holds exactly n + 2m true entries.
+    Otherwise, with the edges and the diagonal cleared, the first true entry
+    of `met` in row-major order is the smallest uncovered non-edge: if it
+    were (a, b) with b < a, then `met[b, a]` would be true and come first.
+    `argmax` finds it without building an index array.
     """
     if rep.n != g.n:
         raise DimensionMismatch(f"representation over {rep.n} vertices, graph has {g.n}")
@@ -115,16 +122,19 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
     below = np.ones((g.n, g.n), dtype=bool)
     for start in range(0, rep.d, step):
         below &= (lo[start:start + step] <= hi[start:start + step]).all(axis=0)
-    u, v, edge = g.pairs
-    wrong = np.flatnonzero((below & below.T)[u, v] != edge)
-    if not len(wrong):
+    met = below & below.T
+    u, v = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m).reshape(-1, 2).T
+    broken = ~met[u, v]
+    missing = None
+    if broken.any():
+        missing = divmod(int((u[broken] * g.n + v[broken]).min()), g.n)
+    elif np.count_nonzero(met) == g.n + 2 * g.m:
         return VerifyReport(True, None, None)
-    is_edge = edge[wrong]
-    missing, uncovered = wrong[is_edge], wrong[~is_edge]
-    return VerifyReport(
-        False,
-        (int(u[missing[0]]), int(v[missing[0]])) if len(missing) else None,
-        (int(u[uncovered[0]]), int(v[uncovered[0]])) if len(uncovered) else None)
+    met[u, v] = met[v, u] = False
+    np.fill_diagonal(met, False)
+    first = int(met.argmax())
+    return VerifyReport(False, missing,
+                        divmod(first, g.n) if met.flat[first] else None)
 
 
 def certify(g: Graph, rep: BoxRepresentation, what: str,
@@ -165,10 +175,7 @@ def interval_order(g: Graph) -> list[int] | None:
         raise SizeLimitExceeded(
             f"interval recognition limited to n <= {RECOGNITION_LIMIT}")
     n = g.n
-    nbrs = [0] * n
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
+    nbrs = g.neighbor_masks()
     full = (1 << n) - 1
     dead = set()
     order = []

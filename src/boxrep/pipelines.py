@@ -102,7 +102,8 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     witnesses that the graph minus survivor-internal edges has forward
     degeneracy at most ceil(theta); that graph gets the degenerate cover, the
     survivors get the pairing construction, and split_compose recombines.
-    Components merge at the end and the result is oracle-checked.
+    Components merge at the end, and the result is oracle-checked unless
+    split_compose has already certified it.
     """
     if g.n < 2:
         raise InvalidParams("edge_pipeline needs n >= 2")
@@ -116,7 +117,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     for comp, mapping in components(g):
         comp_seed = seeder.next_u64()
         if comp.m == 0:
-            rep = _points(comp.n)
+            rep, composed = _points(comp.n), False
             trace.record("component", {"n": comp.n, "m": 0, "dims": 1})
         else:
             n_c, m_c = comp.n, comp.m
@@ -137,10 +138,8 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
                                  DegenerateStrategy(seed=comp_seed))
             gs, _ = comp.induced(survivors)
             r_s = roberts_rep(gs) if survivors else None
-            if survivors:
-                rep = split_compose(r_h, r_s, survivors, comp)
-            else:
-                rep = r_h
+            composed = bool(survivors)
+            rep = split_compose(r_h, r_s, survivors, comp) if composed else r_h
             entry = {
                 "n": n_c, "m": m_c, "theta": round(theta_f, 6),
                 "k": k, "survivors": len(survivors),
@@ -156,10 +155,12 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
         reps.append(rep)
         maps.append(mapping)
     merged = merge_components(reps, maps) if len(reps) > 1 else reps[0]
-    report = verify_representation(g, merged)
-    if not report.valid:
-        raise StructuralCheckFailed(
-            f"pipeline output failed verification: {report}", report)
+    # split_compose has certified a lone component's output against comp == g
+    if len(reps) > 1 or not composed:
+        report = verify_representation(g, merged)
+        if not report.valid:
+            raise StructuralCheckFailed(
+                f"pipeline output failed verification: {report}", report)
     trace.record("mode", mode)
     trace.record("final_dims", merged.d)
     trace.record("edge_bound_formula", EDGE_BOUND_FORMULA)

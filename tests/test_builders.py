@@ -1,5 +1,7 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,11 +20,37 @@ from boxrep.errors import InvalidColoring, InvalidOrder, NotAForest, SizeLimitEx
 from boxrep.graph import Graph, degeneracy_order, generate
 from boxrep.intervals import verify_representation
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from test_graph_core import graphs_strategy
 
 
+def roberts_pairs_by_restart(g):
+    """Roberts' pairs by the lexicographic rule read literally: after every
+    pair, restart the scan over all pairs of unused vertices."""
+    pool = set(range(g.n))
+    pairs = []
+    while True:
+        found = next(((a, b) for a, b in combinations(sorted(pool), 2)
+                      if not g.has_edge(a, b)), None)
+        if found is None:
+            return pairs
+        pairs.append(found)
+        pool.difference_update(found)
+
+
 class TestRoberts:
+    @given(st.integers(1, 30), st.integers(0, 100), st.integers(0, 10_000))
+    def test_pairs_match_the_restart_scan(self, n, p_percent, seed):
+        g = random_graph(n, p_percent, seed)
+        rep = roberts_rep(g)
+        pairs = roberts_pairs_by_restart(g)
+        if not pairs:
+            assert rep.d == 1 and (rep.lo == 0).all() and (rep.hi == 1).all()
+        else:
+            # a's interval starts at 0 and b's at 4, and no other one does
+            assert [(int(np.flatnonzero(row == 0)[0]), int(np.flatnonzero(row == 4)[0]))
+                    for row in rep.lo] == pairs
+
     def test_complete_one_dimension(self):
         rep = roberts_rep(complete_graph(3))
         assert rep.d == 1

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,6 +53,36 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParams):
             Graph(3, frozenset({(0, 3)}))
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1.5)]),
+        (3, [(0, "1")]),
+        (3, [(0, 1, 2)]),
+        (3, [(0,)]),
+        (3, [0]),
+        (2.5, []),
+        ("3", []),
+    ], ids=["float id", "str id", "triple", "single", "not a pair", "float n",
+            "str n"])
+    def test_bad_ids_raise_invalid_params(self, n, edges):
+        with pytest.raises(InvalidParams):
+            Graph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("n, edges", [
+        (2.5, frozenset()),
+        (3, frozenset({(0, "1")})),
+        (3, frozenset({(0, 1, 2)})),
+        (3, frozenset({0})),
+    ], ids=["float n", "str id", "triple", "not a pair"])
+    def test_constructor_rejects_malformed_input(self, n, edges):
+        with pytest.raises(InvalidParams):
+            Graph(n, edges)
+
+    def test_numpy_ids_become_ints(self):
+        g = Graph.from_edges(np.int64(3), [(np.int64(2), np.int32(0)), (1, np.uint8(2))])
+        assert g == Graph(3, frozenset({(0, 2), (1, 2)}))
+        assert type(g.n) is int
+        assert {type(v) for e in g.edges for v in e} == {int}
 
     def test_normalizes_and_dedupes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])

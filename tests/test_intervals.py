@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -58,6 +59,20 @@ def reference_report(g, rep):
     missing = min(g.edges - edges, default=None)
     uncovered = min(edges - g.edges, default=None)
     return (missing is None and uncovered is None, missing, uncovered)
+
+
+def tampered_rep(g, seed, moves):
+    """roberts_rep(g), valid, with `moves` intervals replaced by random ones."""
+    from boxrep.rng import SplitMix64
+
+    rep = roberts_rep(g)
+    lo, hi = rep.lo.copy(), rep.hi.copy()
+    rng = SplitMix64(seed)
+    for _ in range(moves):
+        j, v = rng.below(rep.d), rng.below(g.n)
+        lo[j, v] = rng.below(7)
+        hi[j, v] = lo[j, v] + rng.below(3)
+    return BoxRepresentation(g.n, lo, hi)
 
 
 def report_tuple(report):
@@ -162,10 +177,33 @@ class TestVerify:
         expected = brute_force_intersection_edges(rep) == set(g.sorted_edges())
         assert verify_representation(g, rep).valid == expected
 
-    @given(graphs_strategy(7), st.integers(0, 10_000), st.integers(1, 12))
-    def test_oracle_matches_reference_witnesses(self, g, seed, max_dims):
+    @given(graphs_strategy(7), st.integers(0, 10_000), st.integers(1, 12),
+           st.integers(2, 40), st.integers(0, 100), st.integers(0, 3))
+    def test_oracle_matches_reference_witnesses(self, g, seed, max_dims,
+                                                n, p_percent, moves):
         rep = random_rep(g, seed, max_dims=max_dims)
         assert report_tuple(verify_representation(g, rep)) == reference_report(g, rep)
+        # moving a few intervals of a valid certificate puts witnesses anywhere
+        big = random_graph(n, p_percent, seed)
+        rep = tampered_rep(big, seed, moves)
+        assert report_tuple(verify_representation(big, rep)) == \
+            reference_report(big, rep)
+
+    def test_memory_stays_within_four_matrices(self):
+        n = 2000
+        g = path_graph(n)
+        points = np.arange(n, dtype=np.int64)[None, :]
+        same = np.zeros((1, n), dtype=np.int64)
+        for rep, expected in ((BoxRepresentation(n, points, points + 1), (True, None, None)),
+                              (BoxRepresentation(n, same, same), (False, None, (0, 2)))):
+            tracemalloc.start()
+            try:
+                report = verify_representation(g, rep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report_tuple(report) == expected
+            assert peak <= 4 * n * n
 
     def test_witness_in_last_chunk(self, monkeypatch):
         g = cycle_graph(6)

@@ -1,11 +1,12 @@
 import ast
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boxrep import graph
+from boxrep import graph, intervals, pipelines
 from boxrep.coloring import Coloring, smallest_acyclic_coloring
 from boxrep.errors import (
     InvalidColoring,
@@ -75,6 +76,27 @@ class TestEdgePipeline:
             for comp in trace.get_all("component"):
                 if comp["m"]:
                     assert comp["survivors"] <= comp["survivor_cap"]
+
+    def test_certifies_each_representation_once(self, monkeypatch):
+        real = intervals.verify_representation
+        checked = Counter()
+        alive = []  # keeps checked arrays alive, so their ids stay distinct
+
+        def counting(g, rep):
+            alive.append(rep)
+            checked[g, id(rep.lo), id(rep.hi)] += 1
+            return real(g, rep)
+
+        monkeypatch.setattr(intervals, "verify_representation", counting)
+        monkeypatch.setattr(pipelines, "verify_representation", counting)
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                             (3, 4), (4, 5), (3, 5)])
+        for g in (complete_graph(10), cycle_graph(4), two_triangles,
+                  generate("kdegen", n=40, k=3, seed=1)):
+            checked.clear()
+            rep, _ = edge_pipeline(g, mode="paper", seed=0)
+            assert checked[g, id(rep.lo), id(rep.hi)] == 1
+            assert max(checked.values()) == 1
 
     def test_disconnected_input(self):
         g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
