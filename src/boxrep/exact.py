@@ -1,8 +1,10 @@
 """Ground truth: exact boxicity and exact poset dimension.
 
 Boxicity is a dynamic program over vertex orderings followed by an exact
-set cover; poset dimension is a definitional search. Both have hard size
-limits that fail loudly; there is no approximate fallback here.
+set cover; poset dimension is a depth-first search for a realizer that
+starts at a clique lower bound on critical pairs no extension can reverse
+together. Both have hard size limits that fail loudly; there is no
+approximate fallback here.
 """
 
 from __future__ import annotations
@@ -180,6 +182,16 @@ def exact_boxicity(g: Graph, limits: SolveLimits | None = None) -> int:
 # poset dimension
 
 
+def _order_masks(p: FinitePoset) -> tuple[list[int], list[int]]:
+    """Bitmasks of the elements strictly below and strictly above each element."""
+    below = [0] * p.ground_size
+    above = [0] * p.ground_size
+    for a, b in p.strict:
+        above[a] |= 1 << b
+        below[b] |= 1 << a
+    return below, above
+
+
 def _critical_pairs(n: int, below: list[int], above: list[int]) -> list[tuple[int, int]]:
     pairs = []
     for a in range(n):
@@ -196,36 +208,71 @@ def _critical_pairs(n: int, below: list[int], above: list[int]) -> list[tuple[in
     return pairs
 
 
+def _conflict_masks(crit: list[tuple[int, int]], above: list[int]) -> list[int]:
+    """Bit j of entry i is set iff critical pairs i and j conflict: with
+    i = (a, b) and j = (c, d), a <= d and c <= b in the poset."""
+    up = [above[x] | 1 << x for x in range(len(above))]  # up[x]: elements >= x
+    return [sum(1 << j for j, (c, d) in enumerate(crit)
+                if (up[a] >> d) & 1 and (up[c] >> b) & 1)
+            for a, b in crit]
+
+
+def _max_clique(adj: list[int]) -> list[int]:
+    """A maximum clique of the graph with neighbour masks `adj`, by branch
+    and bound: a branch stops when its vertices plus all its candidates
+    cannot beat the best clique found."""
+    best: list[int] = []
+
+    def grow(clique: list[int], cand: int) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = clique
+        while cand and len(clique) + cand.bit_count() > len(best):
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            grow(clique + [v], cand & adj[v])
+
+    grow([], (1 << len(adj)) - 1)
+    return best
+
+
 def exact_poset_dimension(p: FinitePoset) -> int:
     """Minimum number of linear extensions whose intersection is the poset.
 
     A family of linear extensions realizes the poset exactly when every
-    critical pair (a, b) is reversed in some extension, so the search covers
-    critical pairs: each of d slots holds an acyclic set of precedence
-    constraints (the poset's order plus chosen reversals), and depth-first
-    search assigns reversals to slots with transitive-closure propagation and
-    pruning on infeasible pairs.
+    critical pair (a, b) is reversed (b before a) in some extension, so the
+    search covers critical pairs: each of d slots holds an acyclic set of
+    precedence constraints (the poset's order plus chosen reversals), and
+    depth-first search assigns reversals to slots with transitive-closure
+    propagation and pruning on infeasible pairs. It tries d upwards from a
+    proven lower bound, so the only exhaustive failures are at the values
+    of d between the bound and the answer.
+
+    - Lower bound. Critical pairs (a, b) and (c, d) conflict when a <= d and
+      c <= b. No linear extension reverses both: it would place
+      b < a <= d < c <= b. So in any realizer the pairs of a clique C of
+      this conflict graph are reversed in |C| distinct extensions, and the
+      dimension is at least |C|; at least 2 besides, since the poset is not
+      a chain. `_max_clique` finds a largest C.
+    - Symmetry breaking. Given a realizer with d >= |C| extensions, pick for
+      the i-th pair of C an extension reversing it; these are distinct by
+      the above, so relabelling the extensions puts them in slots 0..|C|-1
+      in order. Hence a realizer of size d exists iff one exists with the
+      i-th pair of C reversed in slot i, and the search starts from there.
+      Each of those slots takes one reversal on top of the poset's order,
+      which never cycles because the pair is incomparable.
     """
     n = p.ground_size
     if n > POSET_GROUND_LIMIT:
         raise SizeLimitExceeded(
             f"poset ground set {n} exceeds limit {POSET_GROUND_LIMIT}")
-    if n <= 1:
-        return 1
-    below = [0] * n
-    above = [0] * n
-    for a, b in p.strict:
-        above[a] |= 1 << b
-        below[b] |= 1 << a
-    has_incomparable = any(
-        not ((above[a] >> b) & 1 or (below[a] >> b) & 1)
-        for a in range(n) for b in range(a + 1, n))
-    if not has_incomparable:
-        return 1
+    below, above = _order_masks(p)
     crit = _critical_pairs(n, below, above)
-    assert crit, "incomparable pairs imply critical pairs"
+    if not crit:  # a chain: any incomparable pair gives a critical pair
+        return 1
+    clique = [crit[i] for i in _max_clique(_conflict_masks(crit, above))]
 
-    base = [above[x] for x in range(n)]  # reach[x] = elements forced after x
+    base = tuple(above)  # reach[x] = elements forced after x
 
     def closed_add(reach: tuple, before: int, after: int) -> tuple | None:
         # add constraint: `before` precedes `after`; None when it cycles
@@ -245,8 +292,8 @@ def exact_poset_dimension(p: FinitePoset) -> int:
         return bool((reach[b] >> a) & 1)
 
     def search(d: int) -> bool:
-        start = tuple(base)
-        slots = [start] * d
+        slots = [closed_add(base, b, a) for a, b in clique]
+        slots += [base] * (d - len(clique))
 
         def dfs(uncovered: list) -> bool:
             live = [(a, b) for a, b in uncovered
@@ -279,7 +326,7 @@ def exact_poset_dimension(p: FinitePoset) -> int:
 
         return dfs(crit)
 
-    for d in range(2, n + 1):
-        if search(d):
-            return d
-    return n
+    d = max(2, len(clique))
+    while not search(d):  # d = len(crit) succeeds: one pair per slot
+        d += 1
+    return d

@@ -13,8 +13,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import FormatError, InvalidParams, SizeLimitExceeded
 from .rng import SplitMix64
@@ -31,10 +33,18 @@ class Graph:
             if self.n < 0:
                 raise InvalidParams("vertex count must be nonnegative")
             for u, v in self.edges:
-                if not (0 <= u < v < self.n):
+                if not (type(u) is int and type(v) is int and 0 <= u < v < self.n):
                     raise InvalidParams(f"bad edge {(u, v)} for n={self.n}")
         except (TypeError, ValueError) as exc:
             raise InvalidParams("n must be an integer and edges pairs of integers") from exc
+
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset) -> "Graph":
+        """A graph derived from a valid one, built without re-checking it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -62,6 +72,14 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Read-only (2, m) intp array: column i holds the ends of one edge."""
+        index = np.fromiter(chain.from_iterable(self.edges), np.intp,
+                            2 * self.m).reshape(-1, 2).T
+        index.flags.writeable = False
+        return index
 
     def neighbor_masks(self) -> list[int]:
         """Bit v of entry u is set iff uv is an edge."""
@@ -99,17 +117,19 @@ class Graph:
             for u, v in self.edges
             if u in local and v in local
         }
-        return Graph(len(members), frozenset(edges)), members
+        return Graph._trusted(len(members), frozenset(edges)), members
 
     def remove_edges_inside(self, s: Iterable[int]) -> "Graph":
         inside = set(s)
         kept = {e for e in self.edges if not (e[0] in inside and e[1] in inside)}
-        return Graph(self.n, frozenset(kept))
+        return Graph._trusted(self.n, frozenset(kept))
 
     def add_clique(self, s: Iterable[int]) -> "Graph":
         verts = sorted(set(s))
+        if not all(type(v) is int and 0 <= v < self.n for v in verts):
+            raise InvalidParams("clique vertex outside graph")
         extra = set(combinations(verts, 2))
-        return Graph(self.n, frozenset(set(self.edges) | extra))
+        return Graph._trusted(self.n, frozenset(set(self.edges) | extra))
 
 
 # ---------------------------------------------------------------------------

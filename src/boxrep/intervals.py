@@ -15,7 +15,6 @@ vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -123,7 +122,7 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
     for start in range(0, rep.d, step):
         below &= (lo[start:start + step] <= hi[start:start + step]).all(axis=0)
     met = below & below.T
-    u, v = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m).reshape(-1, 2).T
+    u, v = g.edge_index
     broken = ~met[u, v]
     missing = None
     if broken.any():

@@ -5,14 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from boxrep.builders import degenerate_rep, roberts_rep
 from boxrep.errors import SizeLimitExceeded
-from boxrep.exact import (SolveLimits, _maximal_keepable, exact_boxicity,
-                          exact_poset_dimension)
+from boxrep.exact import (SolveLimits, _conflict_masks, _critical_pairs,
+                          _max_clique, _maximal_keepable, _order_masks,
+                          exact_boxicity, exact_poset_dimension)
 from boxrep.graph import Graph, components, degeneracy_order, generate
 from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (all_graphs_upto, complete_graph, cycle_graph, path_graph,
+                      random_graph)
 from test_graph_core import graphs_strategy
 
 
@@ -110,6 +112,109 @@ class TestExactBoxicity:
         assert exact_boxicity(g) == exact_boxicity(h)
 
 
+def search_from_two(p):
+    """Reference for `exact_poset_dimension`: the same realizer search with
+    no lower bound and no pre-placed pairs, trying d = 2, 3, ... in turn."""
+    n = p.ground_size
+    if n <= 1:
+        return 1
+    below, above = _order_masks(p)
+    has_incomparable = any(
+        not ((above[a] >> b) & 1 or (below[a] >> b) & 1)
+        for a in range(n) for b in range(a + 1, n))
+    if not has_incomparable:
+        return 1
+    crit = _critical_pairs(n, below, above)
+
+    base = [above[x] for x in range(n)]  # reach[x] = elements forced after x
+
+    def closed_add(reach: tuple, before: int, after: int) -> tuple | None:
+        # add constraint: `before` precedes `after`; None when it cycles
+        if (reach[after] >> before) & 1:
+            return None
+        new = list(reach)
+        gained = (1 << after) | new[after]
+        for x in range(n):
+            if x == before or (new[x] >> before) & 1:
+                if (new[x] | gained) != new[x]:
+                    new[x] |= gained
+        new[before] |= gained
+        return tuple(new)
+
+    def covered(reach: tuple, a: int, b: int) -> bool:
+        # pair (a, b) is reversed when b is forced before a
+        return bool((reach[b] >> a) & 1)
+
+    def search(d: int) -> bool:
+        start = tuple(base)
+        slots = [start] * d
+
+        def dfs(uncovered: list) -> bool:
+            live = [(a, b) for a, b in uncovered
+                    if not any(covered(s, a, b) for s in slots)]
+            if not live:
+                return True
+            # fail-first: the pair with the fewest feasible slots
+            options = []
+            for a, b in live:
+                feas = [i for i in range(d) if not (slots[i][a] >> b) & 1]
+                options.append(((a, b), feas))
+                if not feas:
+                    return False
+            options.sort(key=lambda t: len(t[1]))
+            (a, b), feas = options[0]
+            tried = set()
+            for i in feas:
+                if slots[i] in tried:
+                    continue
+                tried.add(slots[i])
+                new = closed_add(slots[i], b, a)
+                if new is None:
+                    continue
+                old = slots[i]
+                slots[i] = new
+                if dfs(live):
+                    return True
+                slots[i] = old
+            return False
+
+        return dfs(crit)
+
+    for d in range(2, n + 1):
+        if search(d):
+            return d
+    return n
+
+
+def clique_bound(p):
+    """The size of the largest set of pairwise conflicting critical pairs."""
+    below, above = _order_masks(p)
+    crit = _critical_pairs(p.ground_size, below, above)
+    return len(_max_clique(_conflict_masks(crit, above)))
+
+
+@st.composite
+def posets_strategy(draw, max_n=8):
+    """A random DAG on a shuffled order of 0..n-1, transitively closed; with
+    `split`, every arc runs from the first half of the order to the second,
+    so the poset has height at most 2, as adjacency posets do."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    split = draw(st.booleans())
+    pairs = [(i, j) for i, j in combinations(range(n), 2)
+             if not split or i < n // 2 <= j]
+    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    above = [0] * n  # over positions in `order`; arcs go forward only
+    for i, j in arcs:
+        above[i] |= 1 << j
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if (above[i] >> j) & 1:
+                above[i] |= above[j]
+    return FinitePoset(n, frozenset((order[i], order[j]) for i in range(n)
+                                    for j in range(n) if (above[i] >> j) & 1))
+
+
 def chain(n):
     return FinitePoset(n, frozenset((a, b) for a in range(n)
                                     for b in range(a + 1, n)))
@@ -134,6 +239,32 @@ class TestExactPosetDimension:
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):
             exact_poset_dimension(adjacency_poset(path_graph(6)))
+
+    @given(posets_strategy())
+    @settings(max_examples=200)
+    def test_matches_search_from_two_on_random_posets(self, p):
+        dim = exact_poset_dimension(p)
+        assert dim == search_from_two(p)
+        assert clique_bound(p) <= dim
+
+    def test_matches_search_from_two_on_small_adjacency_posets(self):
+        for g in all_graphs_upto(4):
+            p = adjacency_poset(g)
+            dim = exact_poset_dimension(p)
+            assert dim == search_from_two(p)
+            assert clique_bound(p) <= dim
+
+    def test_clique_bound_is_tight_on_standard_examples(self):
+        for n in (3, 4, 5):
+            assert clique_bound(adjacency_poset(complete_graph(n))) == n
+
+    def test_k4_beside_an_isolated_vertex(self):
+        # K4 on {1, 2, 3, 4} plus vertex 0: `search_from_two` takes up to a
+        # second on this labelling, against about 10 ms with K4 on {0, 1, 2, 3}
+        g = Graph(5, frozenset(combinations(range(1, 5), 2)))
+        p = adjacency_poset(g)
+        assert clique_bound(p) == 4
+        assert exact_poset_dimension(p) == 4
 
     @given(graphs_strategy(3))
     def test_realizer_search_matches_brute_force(self, g):

@@ -39,6 +39,10 @@ GOLDEN = {
         "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
     "exact_poset_copm3":
         "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
+    "exact_poset_triangle234":
+        "99ac745294d4fb02df2ccef9598aa35b198f001027f88d15c8ef88fda28f78dd",
+    "exact_poset_k4_1234":
+        "fc38e87836a32bcacb9d6029ccc139252a0ab9f9dbc9f0037d4dd30c614cdb2c",
     "experiment_bipartite4_csv":
         "c6cf80966344916fcc80bebf397e931f782e976678eedde752f16e9067a557d5",
 }
@@ -86,6 +90,13 @@ def outputs(tmp_path_factory):
     run("exact_copm3", "exact", "--graph", str(c3))
     # 12 poset elements exceed POSET_GROUND_LIMIT: boxicity, then exit 3
     run("exact_poset_copm3", "exact", "--graph", str(c3), "--poset")
+    # poset dimensions 3 and 4: a triangle on {2, 3, 4} and K4 on
+    # {1, 2, 3, 4}, each beside isolated vertices
+    tri, k4 = tmp / "triangle234.g", tmp / "k4_1234.g"
+    tri.write_text("5 3\n2 3\n2 4\n3 4\n")
+    k4.write_text("5 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    run("exact_poset_triangle234", "exact", "--graph", str(tri), "--poset")
+    run("exact_poset_k4_1234", "exact", "--graph", str(k4), "--poset")
     # each sample's exact boxicity, from 8-vertex bipartite graphs
     run("experiment_bipartite4_csv", "experiment", "--n", "4", "--trials", "3",
         "--seed", "0", "--csv")

@@ -20,6 +20,7 @@ from boxrep.graph import (
     quotient_by_a_neighborhood,
     write_graph,
 )
+from boxrep.intervals import BoxRepresentation, verify_representation
 
 from conftest import (
     all_graphs,
@@ -71,12 +72,39 @@ class TestGraph:
     @pytest.mark.parametrize("n, edges", [
         (2.5, frozenset()),
         (3, frozenset({(0, "1")})),
+        (3, frozenset({(0, 1.5)})),
+        (3, frozenset({(np.int64(0), 1)})),
+        (3, frozenset({(0, True)})),
         (3, frozenset({(0, 1, 2)})),
         (3, frozenset({0})),
-    ], ids=["float n", "str id", "triple", "not a pair"])
+    ], ids=["float n", "str id", "float id", "numpy id", "bool id", "triple",
+            "not a pair"])
     def test_constructor_rejects_malformed_input(self, n, edges):
         with pytest.raises(InvalidParams):
             Graph(n, edges)
+
+    # a float id once got past the constructor: components then raised a
+    # bare TypeError and the oracle truncated 1.5 to 1, reporting edge (0, 1)
+    @pytest.mark.parametrize("use", [
+        components,
+        lambda g: verify_representation(g, BoxRepresentation(
+            3, np.zeros((1, 3), np.int64), np.zeros((1, 3), np.int64))),
+    ], ids=["components", "verify"])
+    def test_float_id_never_reaches_a_consumer(self, use):
+        with pytest.raises(InvalidParams):
+            use(Graph(3, frozenset({(0, 1.5)})))
+
+    @given(graphs_strategy(7), st.integers(0, 127))
+    def test_derived_graphs_pass_the_checks_they_skip(self, g, mask):
+        part = [v for v in range(g.n) if (mask >> v) & 1]
+        for h in (g.induced(part)[0], g.remove_edges_inside(part),
+                  g.add_clique(part)):
+            assert Graph(h.n, h.edges) == h
+
+    @pytest.mark.parametrize("verts", [[0, 1.5], [0, 3], [-1, 0]])
+    def test_add_clique_rejects_bad_vertices(self, verts):
+        with pytest.raises(InvalidParams):
+            path_graph(3).add_clique(verts)
 
     def test_numpy_ids_become_ints(self):
         g = Graph.from_edges(np.int64(3), [(np.int64(2), np.int32(0)), (1, np.uint8(2))])

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from itertools import combinations
 
@@ -188,6 +189,19 @@ class TestVerify:
         rep = tampered_rep(big, seed, moves)
         assert report_tuple(verify_representation(big, rep)) == \
             reference_report(big, rep)
+
+    def test_edge_index_built_once_per_graph(self, monkeypatch):
+        builds = []
+        build = Graph.edge_index.func
+        monkeypatch.setattr(Graph, "edge_index", functools.cached_property(
+            lambda g: builds.append(g) or build(g)))
+        Graph.edge_index.__set_name__(Graph, "edge_index")
+        rep = roberts_rep(cycle_graph(6))
+        g = cycle_graph(6)
+        first = verify_representation(g, rep)
+        assert verify_representation(g, rep) == first
+        assert len(builds) == 1 and builds[0] is g
+        assert not g.edge_index.flags.writeable
 
     def test_memory_stays_within_four_matrices(self):
         n = 2000
