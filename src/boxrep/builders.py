@@ -8,8 +8,9 @@ degenerate_rep records statistics of its cover in the metadata.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -170,71 +171,100 @@ def degenerate_rep(g: Graph, order, k: int,
     round budget runs out first, each remaining non-edge gets one dedicated
     two-blocks dimension. Complete graphs take a single universal dimension
     and edgeless graphs a single dimension of distinct points.
+
+    The uncovered non-edges are one int bitmask per vertex, n^2/8 bytes in
+    all: bit w of `unc[v]` is set while vw is still unseparated. Clearing
+    B x B is one mask operation per member of B, and `left` counts the set
+    bits, two per uncovered non-edge. Colors are drawn one scalar
+    `rng.below` call at a time, so the seeded stream, and with it every
+    output, is fixed by the seed alone; a vectorised draw costs more than it
+    saves on the small graphs that make up most calls.
     """
     strategy = strategy or DegenerateStrategy()
     order = list(order)
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != g.n or set(pos) != set(range(g.n)):
+    if len(order) != g.n or set(order) != set(range(g.n)):
         raise InvalidOrder("order must list every vertex exactly once")
+    try:
+        k = operator.index(k)
+    except TypeError as exc:
+        raise InvalidOrder(f"k must be an integer, got {k!r}") from exc
     if k < 0:
         raise InvalidOrder("k must be nonnegative")
-    forward = [sorted(w for w in g.neighbors(v) if pos[w] > pos[v])
+    pos = {v: i for i, v in enumerate(order)}
+    forward = [[w for w in g.neighbors(v) if pos[w] > pos[v]]
                for v in range(g.n)]
     if any(len(f) > k for f in forward):
         raise InvalidOrder("some vertex has more than k later neighbors")
 
-    uncovered = set(g.nonedges())
-    if not uncovered:
+    nbrs = g.neighbor_masks()
+    full = (1 << g.n) - 1
+    unc = [full & ~nbrs[v] & ~(1 << v) for v in range(g.n)]
+    left = sum(mask.bit_count() for mask in unc)
+    if left == 0:
         return _universal(g.n, rounds_used=0, round_dims=0, fallback_dims=0,
                           size_bound=1)
+    place = np.array([pos[v] + 1 for v in range(g.n)], dtype=np.int64)
     if g.m == 0:
-        points = np.array([[pos[v] + 1 for v in range(g.n)]], dtype=np.int64)
-        return BoxRepresentation(g.n, points, points,
+        return BoxRepresentation(g.n, place[None, :], place[None, :],
                                  {"rounds_used": 0, "round_dims": 1,
                                   "fallback_dims": 0, "size_bound": 1})
 
     budget = _default_budget(k, g.n)
     colors_count = k + 2
-    rng = SplitMix64(strategy.seed)
-    lo_rows, hi_rows = [], []
+    below = SplitMix64(strategy.seed).below
+    blocks = []
     rounds_used = 0
-    done = False
-    for _ in range(budget):
-        if done:
-            break
+    while left and rounds_used < budget:
         rounds_used += 1
-        color = [rng.below(colors_count) for _ in range(g.n)]
-        for c in range(colors_count):
-            members = [v for v in range(g.n)
-                       if color[v] == c
-                       and all(color[w] != c for w in forward[v])]
+        color = [below(colors_count) for _ in range(g.n)]
+        good = [[] for _ in range(colors_count)]
+        for v, c in enumerate(color):
+            for w in forward[v]:
+                if color[w] == c:
+                    break
+            else:
+                good[c].append(v)
+        for members in good:
             if len(members) < 2:
                 continue
-            for x, y in combinations(members, 2):
-                assert not g.has_edge(x, y), "good same-color set must be independent"
-                uncovered.discard((x, y) if x < y else (y, x))
-            lo, hi = [0] * g.n, [g.n + 1] * g.n
-            for v in members:
-                lo[v] = hi[v] = pos[v] + 1
-            lo_rows.append(lo)
-            hi_rows.append(hi)
-            if not uncovered:
-                done = True
+            bm = 0
+            for x in members:
+                bm |= 1 << x
+            for x in members:
+                assert not nbrs[x] & bm, "good same-color set must be independent"
+                hit = unc[x] & bm
+                left -= hit.bit_count()
+                unc[x] ^= hit
+            blocks.append(members)
+            if not left:
                 break
-    fallback = 0
-    for u, v in sorted(uncovered):
-        lo, hi = [0] * g.n, [3] * g.n
-        hi[u] = 1
-        lo[v] = 2
-        lo_rows.append(lo)
-        hi_rows.append(hi)
-        fallback += 1
-    size_bound = colors_count * budget + fallback
-    assert len(lo_rows) <= size_bound
-    stats = {"rounds_used": rounds_used, "round_dims": len(lo_rows) - fallback,
-             "fallback_dims": fallback, "size_bound": size_bound}
-    return BoxRepresentation(g.n, np.array(lo_rows, dtype=np.int64),
-                             np.array(hi_rows, dtype=np.int64), stats)
+    pairs = []
+    for a in range(g.n):
+        rest = unc[a] >> (a + 1)
+        while rest:
+            low = rest & -rest
+            pairs.append((a, a + low.bit_length()))
+            rest ^= low
+    size_bound = colors_count * budget + len(pairs)
+    assert len(blocks) + len(pairs) <= size_bound
+
+    d = len(blocks) + len(pairs)
+    lo = np.zeros((d, g.n), dtype=np.int64)
+    hi = np.full((d, g.n), g.n + 1, dtype=np.int64)
+    if blocks:
+        rows = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        cols = np.fromiter(chain.from_iterable(blocks), np.intp, len(rows))
+        lo[rows, cols] = hi[rows, cols] = place[cols]
+    if pairs:
+        # u's interval [0, 1] and v's [2, 3] part; everyone else spans [0, 3]
+        rows = np.arange(len(blocks), d)
+        ends = np.array(pairs, dtype=np.intp)
+        hi[len(blocks):] = 3
+        hi[rows, ends[:, 0]] = 1
+        lo[rows, ends[:, 1]] = 2
+    stats = {"rounds_used": rounds_used, "round_dims": len(blocks),
+             "fallback_dims": len(pairs), "size_bound": size_bound}
+    return BoxRepresentation(g.n, lo, hi, stats)
 
 
 def trivial_rep(g: Graph) -> BoxRepresentation | None:

@@ -8,6 +8,7 @@ concurrently.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -142,19 +143,27 @@ def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     Each vertex has at most k neighbors occurring later in the order, and k
     is tight: at the step where the minimum degree peaks, the remaining
     induced subgraph has minimum degree k. Ties break on smallest vertex id.
+    A heap of (degree, vertex) entries finds each minimum; a degree drop
+    pushes a fresh entry, and entries of removed vertices or out-of-date
+    degrees are skipped when popped.
     """
     deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    alive = [True] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     k = 0
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        k = max(k, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != deg[v]:
+            continue
+        k = max(k, d)
         order.append(v)
-        alive.remove(v)
+        alive[v] = False
         for w in g.neighbors(v):
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order, k
 
 
@@ -170,34 +179,40 @@ def peel(g: Graph, theta) -> PeelResult:
     Starting from all vertices, any vertex with at most `theta` neighbors
     among the current survivors is removed (smallest id first) until every
     survivor has more than `theta` surviving neighbors. The threshold is kept
-    as an exact rational and compared against integer degrees exactly, so the
-    loop involves no floating-point decisions.
+    as an exact rational, and degrees are integers, so "at most theta" is
+    "at most floor(theta)" and the loop involves no floating-point decisions.
+    The removable vertices wait in a min-heap; each enters it once, when its
+    degree first falls to floor(theta) or below.
     """
-    theta = Fraction(theta)
+    try:
+        theta = Fraction(theta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"theta must be a finite number, got {theta!r}") from exc
     if theta < 0:
         raise InvalidParams("theta must be nonnegative")
+    limit = math.floor(theta)
     deg = [g.degree(v) for v in range(g.n)]
     alive = set(range(g.n))
-    low = {v for v in alive if deg[v] <= theta}
+    low = [v for v in range(g.n) if deg[v] <= limit]  # ascending, so a heap
     order = []
     while low:
-        v = min(low)
-        low.remove(v)
+        v = heapq.heappop(low)
         alive.remove(v)
         order.append(v)
         for w in g.neighbors(v):
             if w in alive:
                 deg[w] -= 1
-                if deg[w] <= theta:
-                    low.add(w)
+                if deg[w] == limit:
+                    heapq.heappush(low, w)
     return PeelResult(frozenset(alive), tuple(order))
 
 
 def forward_degeneracy(g: Graph, order: Iterable[int]) -> int:
     """Largest number of later-in-order neighbors over all vertices."""
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != g.n or set(pos) != set(range(g.n)):
+    order = list(order)
+    if len(order) != g.n or set(order) != set(range(g.n)):
         raise InvalidParams("order must list every vertex exactly once")
+    pos = {v: i for i, v in enumerate(order)}
     best = 0
     for v in range(g.n):
         fwd = sum(1 for w in g.neighbors(v) if pos[w] > pos[v])

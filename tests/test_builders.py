@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from boxrep.builders import (
 )
 from boxrep.coloring import Coloring, smallest_acyclic_coloring
 from boxrep.errors import InvalidColoring, InvalidOrder, NotAForest, SizeLimitExceeded
-from boxrep.graph import Graph, degeneracy_order, generate
+from boxrep.graph import Graph, degeneracy_order, forward_degeneracy, generate
 from boxrep.intervals import verify_representation
+from boxrep.rng import SplitMix64
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from test_graph_core import graphs_strategy
@@ -36,6 +39,73 @@ def roberts_pairs_by_restart(g):
             return pairs
         pairs.append(found)
         pool.difference_update(found)
+
+
+def degenerate_by_tuples(g, order, k, seed):
+    """degenerate_rep's cover kept as a set of non-edge tuples, discarding
+    every pair of each block; returns (lo, hi, metadata)."""
+    pos = {v: i for i, v in enumerate(order)}
+    forward = [[w for w in g.neighbors(v) if pos[w] > pos[v]] for v in range(g.n)]
+    uncovered = set(g.nonedges())
+    if not uncovered:
+        return [[0] * g.n], [[1] * g.n], {"rounds_used": 0, "round_dims": 0,
+                                          "fallback_dims": 0, "size_bound": 1}
+    if g.m == 0:
+        points = [pos[v] + 1 for v in range(g.n)]
+        return [points], [points], {"rounds_used": 0, "round_dims": 1,
+                                    "fallback_dims": 0, "size_bound": 1}
+    budget = builders._default_budget(k, g.n)
+    colors_count = k + 2
+    rng = SplitMix64(seed)
+    lo_rows, hi_rows = [], []
+    rounds_used = 0
+    done = False
+    for _ in range(budget):
+        if done:
+            break
+        rounds_used += 1
+        color = [rng.below(colors_count) for _ in range(g.n)]
+        for c in range(colors_count):
+            members = [v for v in range(g.n)
+                       if color[v] == c and all(color[w] != c for w in forward[v])]
+            if len(members) < 2:
+                continue
+            for x, y in combinations(members, 2):
+                uncovered.discard((x, y))
+            lo, hi = [0] * g.n, [g.n + 1] * g.n
+            for v in members:
+                lo[v] = hi[v] = pos[v] + 1
+            lo_rows.append(lo)
+            hi_rows.append(hi)
+            if not uncovered:
+                done = True
+                break
+    fallback = 0
+    for u, v in sorted(uncovered):
+        lo, hi = [0] * g.n, [3] * g.n
+        hi[u] = 1
+        lo[v] = 2
+        lo_rows.append(lo)
+        hi_rows.append(hi)
+        fallback += 1
+    return lo_rows, hi_rows, {"rounds_used": rounds_used,
+                              "round_dims": len(lo_rows) - fallback,
+                              "fallback_dims": fallback,
+                              "size_bound": colors_count * budget + fallback}
+
+
+@st.composite
+def cover_inputs(draw):
+    """A graph, an order of it, a k it witnesses and a seed: mostly n <= 12,
+    sometimes 65 <= n <= 130 and sparse, so the masks span several words."""
+    if draw(st.integers(0, 4)):
+        n, p_percent = draw(st.integers(1, 12)), draw(st.integers(0, 100))
+    else:
+        n, p_percent = draw(st.integers(65, 130)), draw(st.integers(0, 4))
+    g = random_graph(n, p_percent, draw(st.integers(0, 10_000)))
+    order = draw(st.permutations(range(n)))
+    k = forward_degeneracy(g, order) + draw(st.integers(0, 2))
+    return g, order, k, draw(st.integers(0, 2**64 - 1))
 
 
 class TestRoberts:
@@ -237,6 +307,18 @@ class TestDegenerate:
         with pytest.raises(InvalidOrder):
             degenerate_rep(c4, [0, 1, 2, 3], 1)
 
+    def test_rejects_a_repeated_vertex(self):
+        g = generate("kdegen", n=10, k=2, seed=1)
+        order, _ = degeneracy_order(g)
+        # k = 3 admits the forward degree the repeat gives order[0]
+        with pytest.raises(InvalidOrder):
+            degenerate_rep(g, order + [order[0]], 3)
+
+    @pytest.mark.parametrize("k", [2.5, "3", None, 3.0])
+    def test_rejects_non_integer_k(self, c4, k):
+        with pytest.raises(InvalidOrder):
+            degenerate_rep(c4, [0, 1, 2, 3], k)
+
     @given(st.integers(1, 10), st.integers(0, 20))
     def test_kill_probability_meets_reference_rate(self, k, extra):
         # a fixed non-edge with f <= 2k colored forward neighbors dies in one
@@ -271,6 +353,61 @@ class TestDegenerate:
         order, k = degeneracy_order(g)
         rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
         assert verify_representation(g, rep).valid
+
+
+class TestDegenerateAgainstTuples:
+    """The bitmask cover against the set-of-tuples cover it replaced."""
+
+    @staticmethod
+    def assert_same(g, order, k, seed):
+        rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
+        lo, hi, metadata = degenerate_by_tuples(g, order, k, seed)
+        assert rep.lo.tolist() == lo
+        assert rep.hi.tolist() == hi
+        assert rep.metadata == metadata
+
+    @given(cover_inputs(), st.sampled_from([None, 0, 1]))
+    def test_same_lo_hi_and_metadata(self, case, budget):
+        if budget is None:
+            self.assert_same(*case)
+        else:
+            with mock.patch.object(builders, "_default_budget", lambda k, n: budget):
+                self.assert_same(*case)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 70])
+    @pytest.mark.parametrize("dense", [False, True], ids=["edgeless", "complete"])
+    def test_edgeless_and_complete(self, n, dense):
+        g = complete_graph(n) if dense else Graph(n, frozenset())
+        order = list(range(n))[::-1]
+        self.assert_same(g, order, forward_degeneracy(g, order), 3)
+
+    def test_peak_memory_near_output_size(self, monkeypatch):
+        # the tuple set and per-row lists took about 3 times the output
+        g = generate("kdegen", n=1000, k=3, seed=1)
+        order, k = degeneracy_order(g)
+        rep = degenerate_rep(g, order, k)
+        # replay the same colors from a list: tracing every allocation of the
+        # generator's 64-bit arithmetic would take ten seconds
+        rng = SplitMix64(0)
+        colors = iter([rng.below(k + 2)
+                       for _ in range(rep.metadata["rounds_used"] * g.n)])
+
+        class Replay:
+            def __init__(self, seed):
+                pass
+
+            def below(self, n):
+                return next(colors)
+
+        monkeypatch.setattr(builders, "SplitMix64", Replay)
+        tracemalloc.start()
+        try:
+            again = degenerate_rep(g, order, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.lo, rep.lo) and np.array_equal(again.hi, rep.hi)
+        assert peak <= 2 * (rep.lo.nbytes + rep.hi.nbytes)
 
 
 class TestTrivial:

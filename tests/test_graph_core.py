@@ -122,6 +122,43 @@ class TestGraph:
         assert list(g.nonedges()) == [(0, 2), (1, 3)]
 
 
+def degeneracy_order_by_min(g):
+    """degeneracy_order as a min over the alive set at every step."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    order = []
+    k = 0
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        k = max(k, deg[v])
+        order.append(v)
+        alive.remove(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                deg[w] -= 1
+    return order, k
+
+
+def peel_by_min(g, theta):
+    """peel as a min over the set of removable vertices at every step."""
+    theta = Fraction(theta)
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    low = {v for v in alive if deg[v] <= theta}
+    order = []
+    while low:
+        v = min(low)
+        low.remove(v)
+        alive.remove(v)
+        order.append(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] <= theta:
+                    low.add(w)
+    return frozenset(alive), tuple(order)
+
+
 class TestDegeneracy:
     def test_complete(self):
         assert degeneracy_order(complete_graph(5))[1] == 4
@@ -150,6 +187,29 @@ class TestDegeneracy:
                 assert min((sub.degree(v) for v in range(sub.n)), default=0) <= k
 
 
+    def test_forward_degeneracy_rejects_a_repeated_vertex(self):
+        g = generate("kdegen", n=10, k=2, seed=1)
+        order, _ = degeneracy_order(g)
+        with pytest.raises(InvalidParams):
+            forward_degeneracy(g, order + [order[0]])
+
+
+class TestHeapOrders:
+    """The heap-driven orders against a min over a set at every step."""
+
+    @given(graphs_strategy(12))
+    def test_degeneracy_order_matches(self, g):
+        assert degeneracy_order(g) == degeneracy_order_by_min(g)
+
+    @given(st.integers(1, 60), st.integers(0, 60), st.integers(0, 10_000),
+           st.fractions(min_value=0, max_value=12))
+    def test_peel_matches(self, n, p_percent, seed, theta):
+        g = random_graph(n, p_percent, seed)
+        pr = peel(g, theta)
+        assert (pr.survivors, pr.removal_order) == peel_by_min(g, theta)
+        assert degeneracy_order(g) == degeneracy_order_by_min(g)
+
+
 class TestPeel:
     def test_c4_theta1_keeps_everything(self):
         pr = peel(cycle_graph(4), 1)
@@ -170,6 +230,12 @@ class TestPeel:
     def test_rejects_negative_theta(self):
         with pytest.raises(InvalidParams):
             peel(cycle_graph(4), Fraction(-1, 2))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "x", None],
+                             ids=["nan", "inf", "-inf", "str", "None"])
+    def test_rejects_non_numeric_theta(self, theta):
+        with pytest.raises(InvalidParams):
+            peel(cycle_graph(4), theta)
 
     @given(graphs_strategy(), st.fractions(min_value=0, max_value=6))
     def test_postconditions_and_replay(self, g, theta):
