@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -146,15 +147,23 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
 
 @dataclass(kw_only=True)
 class DegenerateStrategy:
-    """The seed of degenerate_rep's randomized cover."""
+    """The seed of degenerate_rep's randomized cover: it fixes every round's
+    colouring, and with it the output."""
 
     seed: int = 0
 
 
-def _default_budget(k: int, n: int) -> int:
-    """degenerate_rep's round count, which bounds its cover at
-    (k+2)*ceil(6*e^2*(k+2)*ln(n)) dimensions plus one per fallback."""
-    return math.ceil(6 * math.e**2 * (k + 2) * math.log(n))
+def _default_budget(n: int) -> int:
+    """degenerate_rep's round count r = ceil(e^2 * ln(n(n-1)/2)).
+
+    A round separates each fixed non-edge with probability at least e^-2,
+    whatever k is, so after r rounds fewer than one of the n(n-1)/2 pairs is
+    expected to be left for the fallback. The cover thus has at most (k+2)*r
+    hub dimensions, the bound that bound_report prints, plus one dimension
+    per fallback pair.
+    """
+    pairs = n * (n - 1) // 2
+    return math.ceil(math.e**2 * math.log(pairs)) if pairs > 1 else 0
 
 
 def degenerate_rep(g: Graph, order, k: int,
@@ -162,23 +171,46 @@ def degenerate_rep(g: Graph, order, k: int,
     """Cover all non-edges of a graph with few forward neighbors per vertex.
 
     `order` must witness that every vertex has at most k neighbors later in
-    the order. Rounds draw a uniform (k+2)-coloring; within a round, a vertex
-    is good when no later-in-order neighbor shares its color, so the good
-    vertices of one color form an independent set B. Each B with at least two
-    members becomes a dimension placing B at distinct points (their order
-    positions) and everyone else across the whole line, separating exactly
-    the pairs inside B. Rounds stop once every non-edge is separated; if the
-    round budget runs out first, each remaining non-edge gets one dedicated
-    two-blocks dimension. Complete graphs take a single universal dimension
-    and edgeless graphs a single dimension of distinct points.
+    the order; pos(v) is v's index in it. Rounds draw a uniform
+    (k+2)-coloring; within a round, a vertex is good when no later neighbor
+    shares its color, so the good vertices B of one color form an
+    independent set. The hub dimension of B gives each w in B the point
+    pos(w)+1 and every other vertex x the interval [0, t(x)], where t(x) is
+    1 + the largest position of a neighbor of x in B, or 0 when x has none.
 
-    The uncovered non-edges are one int bitmask per vertex, n^2/8 bytes in
-    all: bit w of `unc[v]` is set while vw is still unseparated. Clearing
-    B x B is one mask operation per member of B, and `left` counts the set
-    bits, two per uncovered non-edge. Colors are drawn one scalar
-    `rng.below` call at a time, so the seeded stream, and with it every
-    output, is fixed by the seed alone; a vectorised draw costs more than it
-    saves on the small graphs that make up most calls.
+    *Every edge meets.* An edge from w in B to x outside B meets because
+    t(x) >= pos(w)+1; two vertices outside B share 0; B has no inner edge.
+    *What it separates.* Every pair inside B (distinct points), and w in B
+    from x outside B exactly when t(x) <= pos(w), that is when every
+    B-neighbor of x comes before w. Pairs outside B all share 0.
+
+    *Each round separates a non-edge xu with probability at least e^-2.*
+    Say pos(x) < pos(u), let c be u's color, and let L(v) be the later
+    neighbors of v: at most 2k vertices in L(x) | L(u), none of them u or x.
+    Suppose none of them has color c. Then u is good, so u is in B_c. If x
+    has color c it is good as well, and B_c separates the pair as two
+    points. Otherwise every B_c-neighbor y of x lies in L(x) or before x:
+    not in L(x), which has no color c, so pos(y) < pos(x) < pos(u), and B_c
+    separates x from u. The colors are independent and uniform, so this
+    happens with probability at least (1 - 1/(k+2))^(2k) >= e^-2, as
+    ln(1 - 1/(k+2)) >= -1/(k+1). Rounds are independent, so after
+    r = _default_budget(n) rounds the expected number of uncovered
+    non-edges is at most (n(n-1)/2) * (1 - e^-2)^r < 1, and each one left
+    gets one dedicated two-blocks dimension. A hub dimension is emitted only
+    when it separates a pair that is still uncovered, so at most (k+2)*r
+    hub dimensions are emitted. Complete graphs take a single universal
+    dimension and edgeless graphs a single dimension of distinct points.
+
+    Vertices are renumbered by position. The uncovered non-edges are one int
+    bitmask per vertex, n^2/8 bytes in all: bit j of `unc[i]` is set while
+    the pair at positions i and j is unseparated, and `left` counts the set
+    bits, two per uncovered non-edge. With bm the mask of B, t(x) is
+    `(nbrs[x] & bm).bit_length()`, so one hub dimension costs O(n) mask
+    operations: x loses the members of B at t(x) and after, and each w in B
+    loses the x with t(x) <= pos(w), collected in a prefix mask over B.
+    Colors are drawn one scalar `rng.below` call per vertex, in vertex id
+    order, so the seeded stream, and with it every output, is fixed by the
+    seed alone.
     """
     strategy = strategy or DegenerateStrategy()
     order = list(order)
@@ -190,52 +222,74 @@ def degenerate_rep(g: Graph, order, k: int,
         raise InvalidOrder(f"k must be an integer, got {k!r}") from exc
     if k < 0:
         raise InvalidOrder("k must be nonnegative")
-    pos = {v: i for i, v in enumerate(order)}
-    forward = [[w for w in g.neighbors(v) if pos[w] > pos[v]]
-               for v in range(g.n)]
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    forward = [[pos[w] for w in g.neighbors(v) if pos[w] > i]
+               for i, v in enumerate(order)]
     if any(len(f) > k for f in forward):
         raise InvalidOrder("some vertex has more than k later neighbors")
 
-    nbrs = g.neighbor_masks()
+    nbrs = [sum(1 << pos[w] for w in g.neighbors(v)) for v in order]
     full = (1 << g.n) - 1
-    unc = [full & ~nbrs[v] & ~(1 << v) for v in range(g.n)]
+    unc = [full & ~nbrs[i] & ~(1 << i) for i in range(g.n)]
     left = sum(mask.bit_count() for mask in unc)
     if left == 0:
         return _universal(g.n, rounds_used=0, round_dims=0, fallback_dims=0,
                           size_bound=1)
-    place = np.array([pos[v] + 1 for v in range(g.n)], dtype=np.int64)
+    place = np.array(pos, dtype=np.int64) + 1
     if g.m == 0:
         return BoxRepresentation(g.n, place[None, :], place[None, :],
                                  {"rounds_used": 0, "round_dims": 1,
                                   "fallback_dims": 0, "size_bound": 1})
 
-    budget = _default_budget(k, g.n)
+    budget = _default_budget(g.n)
     colors_count = k + 2
     below = SplitMix64(strategy.seed).below
-    blocks = []
+    hubs = []  # the positions of B, ascending, of each emitted hub dimension
+    live = range(g.n)
     rounds_used = 0
     while left and rounds_used < budget:
         rounds_used += 1
-        color = [below(colors_count) for _ in range(g.n)]
+        drawn = [below(colors_count) for _ in range(g.n)]  # by vertex id
+        color = [drawn[v] for v in order]
         good = [[] for _ in range(colors_count)]
-        for v, c in enumerate(color):
-            for w in forward[v]:
-                if color[w] == c:
+        for i, c in enumerate(color):
+            for j in forward[i]:
+                if color[j] == c:
                     break
             else:
-                good[c].append(v)
+                good[c].append(i)
+        live = [x for x in live if unc[x]]
         for members in good:
-            if len(members) < 2:
+            if not members:
                 continue
             bm = 0
-            for x in members:
-                bm |= 1 << x
-            for x in members:
-                assert not nbrs[x] & bm, "good same-color set must be independent"
-                hit = unc[x] & bm
-                left -= hit.bit_count()
-                unc[x] ^= hit
-            blocks.append(members)
+            for w in members:
+                bm |= 1 << w
+            gained = 0
+            # bit x of into[j] is set when x was just separated from members[j:]
+            into = [0] * len(members)
+            for x in live:
+                mine = unc[x] & bm
+                if mine:
+                    t = (nbrs[x] & bm).bit_length()
+                    hit = mine >> t << t
+                    if hit:
+                        unc[x] ^= hit
+                        gained += hit.bit_count()
+                        into[bisect_left(members, t)] |= 1 << x
+            if not gained:
+                continue
+            cut = 0
+            for w, more in zip(members, into):
+                cut |= more
+                hit = unc[w] & cut
+                if hit:
+                    unc[w] ^= hit
+                    gained += hit.bit_count()
+            left -= gained
+            hubs.append(members)
             if not left:
                 break
     pairs = []
@@ -243,26 +297,36 @@ def degenerate_rep(g: Graph, order, k: int,
         rest = unc[a] >> (a + 1)
         while rest:
             low = rest & -rest
-            pairs.append((a, a + low.bit_length()))
+            u, v = order[a], order[a + low.bit_length()]
+            pairs.append((u, v) if u < v else (v, u))
             rest ^= low
+    pairs.sort()
     size_bound = colors_count * budget + len(pairs)
-    assert len(blocks) + len(pairs) <= size_bound
+    assert len(hubs) + len(pairs) <= size_bound
 
-    d = len(blocks) + len(pairs)
+    d = len(hubs) + len(pairs)
     lo = np.zeros((d, g.n), dtype=np.int64)
-    hi = np.full((d, g.n), g.n + 1, dtype=np.int64)
-    if blocks:
-        rows = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-        cols = np.fromiter(chain.from_iterable(blocks), np.intp, len(rows))
+    hi = np.zeros((d, g.n), dtype=np.int64)
+    if hubs:
+        # t(x) is the largest point of a neighbor of x in B: one maximum per
+        # edge end, where the other end is in B
+        at = np.array(order, dtype=np.intp)
+        for row, members in zip(hi, hubs):
+            inside = np.zeros(g.n, dtype=bool)
+            inside[at[members]] = True
+            for x, y in (g.edge_index, g.edge_index[::-1]):
+                np.maximum.at(row, x, np.where(inside[y], place[y], 0))
+        rows = np.repeat(np.arange(len(hubs)), [len(b) for b in hubs])
+        cols = at[np.fromiter(chain.from_iterable(hubs), np.intp, len(rows))]
         lo[rows, cols] = hi[rows, cols] = place[cols]
     if pairs:
         # u's interval [0, 1] and v's [2, 3] part; everyone else spans [0, 3]
-        rows = np.arange(len(blocks), d)
+        rows = np.arange(len(hubs), d)
         ends = np.array(pairs, dtype=np.intp)
-        hi[len(blocks):] = 3
+        hi[len(hubs):] = 3
         hi[rows, ends[:, 0]] = 1
         lo[rows, ends[:, 1]] = 2
-    stats = {"rounds_used": rounds_used, "round_dims": len(blocks),
+    stats = {"rounds_used": rounds_used, "round_dims": len(hubs),
              "fallback_dims": len(pairs), "size_bound": size_bound}
     return BoxRepresentation(g.n, lo, hi, stats)
 

@@ -11,6 +11,7 @@ from typing import Iterable
 
 from .builders import (
     DegenerateStrategy,
+    _default_budget,
     _points,
     _universal,
     acyclic_rep,
@@ -96,11 +97,12 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     """Build a representation whose size scales with the edge count.
 
     Per component: peel vertices with at most theta surviving neighbors
-    (paper mode theta = sqrt(m/ln n); reference mode theta = (m/ln n)^(1/3),
-    rebalanced for the randomized cover's quadratic k-dependence,
-    giving O(m^(2/3) (ln n)^(1/3)) dimensions overall). The peel order
-    witnesses that the graph minus survivor-internal edges has forward
-    degeneracy at most ceil(theta); that graph gets the degenerate cover, the
+    (paper mode theta = sqrt(m/ln n), the paper's balance; reference mode
+    theta = (m/ln n)^(1/3), a smaller theta that leaves more survivors to
+    the pairing construction). The peel order witnesses that the graph h
+    minus survivor-internal edges has degeneracy at most ceil(theta), the
+    `k_bound` of the trace. h gets the degenerate cover along its own
+    degeneracy order, whose k (at most k_bound) is the trace's `k`; the
     survivors get the pairing construction, and split_compose recombines.
     Components merge at the end, and the result is oracle-checked unless
     split_compose has already certified it.
@@ -132,8 +134,9 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
                     raise StructuralCheckFailed(
                         f"survivor count {len(survivors)} exceeds 2*sqrt(m*ln n)={cap}")
             h = comp.remove_edges_inside(survivors)
-            order = list(pr.removal_order) + survivors
-            k = math.ceil(theta)
+            order, k = degeneracy_order(h)
+            k_bound = math.ceil(theta)
+            assert k <= k_bound
             r_h = degenerate_rep(h, order, k,
                                  DegenerateStrategy(seed=comp_seed))
             gs, _ = comp.induced(survivors)
@@ -142,7 +145,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
             rep = split_compose(r_h, r_s, survivors, comp) if composed else r_h
             entry = {
                 "n": n_c, "m": m_c, "theta": round(theta_f, 6),
-                "k": k, "survivors": len(survivors),
+                "k": k, "k_bound": k_bound, "survivors": len(survivors),
                 "h_dims": r_h.d,
                 "s_dims": r_s.d if r_s is not None else 0,
                 "dims": rep.d,
@@ -365,8 +368,8 @@ def bound_report(n: int, m: int, genus: int | None = None,
     rows.append(("euler_genus_upper", "m + 2", euler_genus_upper(m)))
     rows.append(("poset_dim_via_pairing", "2*(n/2) + n + 4", n + n + 4))
     if k is not None:
-        rows.append(("degenerate_cover", "(k+2)*ceil(2e*ln(n))",
-                     (k + 2) * math.ceil(2 * math.e * math.log(n))))
+        rows.append(("degenerate_cover", "(k+2)*ceil(e^2*ln(n(n-1)/2))",
+                     (k + 2) * _default_budget(n)))
         rows.append(("acyclic_color_pairs", "k*(k-1)", k * (k - 1)))
     if genus is not None:
         rows.append(("heawood_degeneracy", "(5 + sqrt(1+24g))/2",

@@ -15,6 +15,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        # below's last n and its rejection limit, reused while n repeats
+        self._below_n = None
+        self._below_limit = 0
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -29,9 +32,12 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = _MASK64 + 1 - (_MASK64 + 1) % n
+        if n != self._below_n:
+            if n <= 0:
+                raise ValueError("n must be positive")
+            self._below_n = n
+            self._below_limit = _MASK64 + 1 - (_MASK64 + 1) % n
+        limit = self._below_limit
         while True:
             u = self.next_u64()
             if u < limit:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -261,10 +262,12 @@ def test_criterion_08_degenerate_builder_statistics():
         rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
         if rep.metadata["fallback_dims"] == 0:
             no_fallback += 1
-        full = (0, g.n + 1)
         round_dims = rep.metadata["round_dims"]
         for lo, hi in zip(rep.lo[:round_dims].tolist(), rep.hi[:round_dims].tolist()):
-            members = [v for v in range(g.n) if (lo[v], hi[v]) != full]
+            # a hub dimension's members are points at pos+1 >= 1; the other
+            # vertices' intervals start at 0
+            members = [v for v in range(g.n) if lo[v] > 0]
+            ok &= all(lo[v] == hi[v] for v in members)
             for i, u in enumerate(members):
                 for v in members[i + 1:]:
                     ok &= not g.has_edge(u, v)
@@ -342,3 +345,27 @@ def test_criterion_11_determinism(tmp_path):
         ok &= first == second
     _report(11, ok, f"{len(invocations)} seeded invocations byte-identical",
             time.time() - started, 60)
+
+
+def cored150():
+    """kdegen150 (seed 1) plus a planted clique on every fifth vertex minus
+    a perfect matching of it: 30 vertices of degree about 28."""
+    core = range(0, 150, 5)
+    base = generate("kdegen", n=150, k=3, seed=1)
+    matching = {(u, u + 5) for u in range(0, 150, 10)}
+    planted = set(combinations(core, 2)) - matching
+    return Graph.from_edges(150, base.edges | planted)
+
+
+def test_criterion_12_paper_mode_within_the_paper_bound():
+    started = time.time()
+    ok = True
+    details = []
+    for name, g in (("kdegen300", generate("kdegen", n=300, k=3, seed=1)),
+                    ("cored150", cored150()),
+                    ("kdegen600", generate("kdegen", n=600, k=3, seed=1))):
+        rep, _ = edge_pipeline(g, mode="paper", seed=1)
+        bound = (15 * math.e + 1) * math.sqrt(g.m * math.log(g.n))
+        ok &= rep.d <= bound and verify_representation(g, rep).valid
+        details.append(f"{name} d={rep.d} <= {bound:.0f}")
+    _report(12, ok, ", ".join(details), time.time() - started, 30)

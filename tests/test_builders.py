@@ -41,11 +41,46 @@ def roberts_pairs_by_restart(g):
         pool.difference_update(found)
 
 
-def degenerate_by_tuples(g, order, k, seed):
-    """degenerate_rep's cover kept as a set of non-edge tuples, discarding
-    every pair of each block; returns (lo, hi, metadata)."""
+def good_classes(g, order, k, color):
+    """The good vertices of each colour, by ascending position: those with no
+    later neighbour of their own colour."""
     pos = {v: i for i, v in enumerate(order)}
-    forward = [[w for w in g.neighbors(v) if pos[w] > pos[v]] for v in range(g.n)]
+    return [[v for v in order if color[v] == c
+             and all(color[w] != c for w in g.neighbors(v) if pos[w] > pos[v])]
+            for c in range(k + 2)]
+
+
+def separated(lo, hi):
+    """The pairs u < v whose intervals in one dimension are disjoint."""
+    n = len(lo)
+    return {(u, v) for u in range(n) for v in range(u + 1, n)
+            if hi[u] < lo[v] or hi[v] < lo[u]}
+
+
+def point_round(g, order, k, seed):
+    """The first round of the cover that hub dimensions replaced, on the same
+    colour stream: each good colour class B with at least two members
+    becomes a dimension placing B at its positions and everyone else across
+    the whole line [0, n+1], which separates only the pairs inside B.
+    Returns the (lo, hi) rows."""
+    pos = {v: i for i, v in enumerate(order)}
+    rng = SplitMix64(seed)
+    color = [rng.below(k + 2) for _ in range(g.n)]
+    rows = []
+    for members in good_classes(g, order, k, color):
+        if len(members) >= 2:
+            lo, hi = [0] * g.n, [g.n + 1] * g.n
+            for v in members:
+                lo[v] = hi[v] = pos[v] + 1
+            rows.append((lo, hi))
+    return rows
+
+
+def hub_by_pairs(g, order, k, seed):
+    """degenerate_rep's cover kept as a set of non-edge tuples: each hub
+    dimension is built interval by interval from its definition and kept
+    when it separates a pair still in the set; returns (lo, hi, metadata)."""
+    pos = {v: i for i, v in enumerate(order)}
     uncovered = set(g.nonedges())
     if not uncovered:
         return [[0] * g.n], [[1] * g.n], {"rounds_used": 0, "round_dims": 0,
@@ -54,32 +89,28 @@ def degenerate_by_tuples(g, order, k, seed):
         points = [pos[v] + 1 for v in range(g.n)]
         return [points], [points], {"rounds_used": 0, "round_dims": 1,
                                     "fallback_dims": 0, "size_bound": 1}
-    budget = builders._default_budget(k, g.n)
-    colors_count = k + 2
+    budget = builders._default_budget(g.n)
     rng = SplitMix64(seed)
     lo_rows, hi_rows = [], []
     rounds_used = 0
-    done = False
-    for _ in range(budget):
-        if done:
-            break
+    while uncovered and rounds_used < budget:
         rounds_used += 1
-        color = [rng.below(colors_count) for _ in range(g.n)]
-        for c in range(colors_count):
-            members = [v for v in range(g.n)
-                       if color[v] == c and all(color[w] != c for w in forward[v])]
-            if len(members) < 2:
+        color = [rng.below(k + 2) for _ in range(g.n)]
+        for members in good_classes(g, order, k, color):
+            if not members or not uncovered:
                 continue
-            for x, y in combinations(members, 2):
-                uncovered.discard((x, y))
-            lo, hi = [0] * g.n, [g.n + 1] * g.n
-            for v in members:
-                lo[v] = hi[v] = pos[v] + 1
-            lo_rows.append(lo)
-            hi_rows.append(hi)
-            if not uncovered:
-                done = True
-                break
+            lo, hi = [0] * g.n, [0] * g.n
+            for v in range(g.n):
+                if v in members:
+                    lo[v] = hi[v] = pos[v] + 1
+                else:
+                    hi[v] = max((pos[w] + 1 for w in g.neighbors(v) if w in members),
+                                default=0)
+            hit = uncovered & separated(lo, hi)
+            if hit:
+                uncovered -= hit
+                lo_rows.append(lo)
+                hi_rows.append(hi)
     fallback = 0
     for u, v in sorted(uncovered):
         lo, hi = [0] * g.n, [3] * g.n
@@ -91,7 +122,7 @@ def degenerate_by_tuples(g, order, k, seed):
     return lo_rows, hi_rows, {"rounds_used": rounds_used,
                               "round_dims": len(lo_rows) - fallback,
                               "fallback_dims": fallback,
-                              "size_bound": colors_count * budget + fallback}
+                              "size_bound": (k + 2) * budget + fallback}
 
 
 @st.composite
@@ -261,7 +292,7 @@ class TestDegenerate:
         g = cycle_graph(5)
         order, k = degeneracy_order(g)
         assert k == 2
-        s_ref = (k + 2) * _default_budget(k, g.n)
+        s_ref = (k + 2) * _default_budget(g.n)
         no_fallback = 0
         for seed in range(100):
             rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
@@ -274,7 +305,7 @@ class TestDegenerate:
 
     def test_budget_one_forces_fallback(self, monkeypatch):
         # no rounds at all: every non-edge takes a fallback dimension
-        monkeypatch.setattr(builders, "_default_budget", lambda k, n: 0)
+        monkeypatch.setattr(builders, "_default_budget", lambda n: 0)
         g = cycle_graph(5)
         order, k = degeneracy_order(g)
         rep = degenerate_rep(g, order, k)
@@ -286,12 +317,12 @@ class TestDegenerate:
         g = generate("kdegen", n=25, k=3, seed=4)
         order, k = degeneracy_order(g)
         rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=9))
-        full = (0, g.n + 1)
         round_dims = rep.metadata["round_dims"]
         assert round_dims >= 1
         for lo, hi in zip(rep.lo[:round_dims].tolist(), rep.hi[:round_dims].tolist()):
-            members = [v for v in range(g.n) if (lo[v], hi[v]) != full]
-            assert len(members) >= 2
+            # members sit at points pos+1 >= 1; everyone else starts at 0
+            members = [v for v in range(g.n) if lo[v] > 0]
+            assert members and all(lo[v] == hi[v] for v in members)
             for i, u in enumerate(members):
                 for v in members[i + 1:]:
                     assert not g.has_edge(u, v)
@@ -356,12 +387,12 @@ class TestDegenerate:
 
 
 class TestDegenerateAgainstTuples:
-    """The bitmask cover against the set-of-tuples cover it replaced."""
+    """The bitmask cover against a pair-by-pair one on a set of tuples."""
 
     @staticmethod
     def assert_same(g, order, k, seed):
         rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
-        lo, hi, metadata = degenerate_by_tuples(g, order, k, seed)
+        lo, hi, metadata = hub_by_pairs(g, order, k, seed)
         assert rep.lo.tolist() == lo
         assert rep.hi.tolist() == hi
         assert rep.metadata == metadata
@@ -371,8 +402,31 @@ class TestDegenerateAgainstTuples:
         if budget is None:
             self.assert_same(*case)
         else:
-            with mock.patch.object(builders, "_default_budget", lambda k, n: budget):
+            with mock.patch.object(builders, "_default_budget", lambda n: budget):
                 self.assert_same(*case)
+
+    @given(cover_inputs())
+    def test_hub_round_separates_what_point_round_did(self, case):
+        # one round of one colouring: each point dimension's class has a hub
+        # dimension separating at least its pairs, unless the round's
+        # earlier hub dimensions had already separated every pair
+        g, order, k, seed = case
+        with mock.patch.object(builders, "_default_budget", lambda n: 1):
+            rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
+        hubs = {}
+        for lo, hi in zip(rep.lo[:rep.metadata["round_dims"]].tolist(),
+                          rep.hi[:rep.metadata["round_dims"]].tolist()):
+            members = frozenset(v for v in range(g.n) if lo[v] > 0)
+            hubs[members] = separated(lo, hi)
+        covered = set().union(*hubs.values())
+        for lo, hi in point_round(g, order, k, seed):
+            pairs = separated(lo, hi)
+            members = frozenset(v for v in range(g.n) if hi[v] <= g.n)
+            if members in hubs:
+                assert pairs <= hubs[members]
+            else:
+                assert rep.metadata["fallback_dims"] == 0
+            assert pairs <= covered
 
     @pytest.mark.parametrize("n", [1, 2, 7, 70])
     @pytest.mark.parametrize("dense", [False, True], ids=["edgeless", "complete"])
@@ -382,7 +436,8 @@ class TestDegenerateAgainstTuples:
         self.assert_same(g, order, forward_degeneracy(g, order), 3)
 
     def test_peak_memory_near_output_size(self, monkeypatch):
-        # the tuple set and per-row lists took about 3 times the output
+        # the cover must hold two lists of n masks of n bits (uncovered pairs
+        # and neighbours), O(n + m) lists and index arrays, and the output
         g = generate("kdegen", n=1000, k=3, seed=1)
         order, k = degeneracy_order(g)
         rep = degenerate_rep(g, order, k)
@@ -407,7 +462,10 @@ class TestDegenerateAgainstTuples:
         finally:
             tracemalloc.stop()
         assert np.array_equal(again.lo, rep.lo) and np.array_equal(again.hi, rep.hi)
-        assert peak <= 2 * (rep.lo.nbytes + rep.hi.nbytes)
+        # an int of n bits takes n/8 bytes, its header and list slot 36 more
+        masks = 2 * g.n * (g.n // 8 + 36)
+        linear = 128 * (g.n + 2 * g.m)
+        assert peak <= masks + linear + rep.lo.nbytes + rep.hi.nbytes
 
 
 class TestTrivial:

@@ -16,19 +16,19 @@ GOLDEN = {
     "gen_kdegen60":
         "a5f28d952aed85467c7ce72e8714f7293a8b0b7ab68862f021865cd34f04284a",
     "build_edge_paper":
-        "98ad767c34a84e3b8148370e342f585d348049a7d8273efb22cc3ae0cf621857",
+        "97bfbd7cee37c43fce4688a9ed6e873836a97d7a6e5a2de73bf19c32ea9cde5f",
     "build_edge_reference":
-        "81d3ed24d82e1d3f235e73b5dbe30438d4600c804129977fb24e7d30396dacee",
+        "97bfbd7cee37c43fce4688a9ed6e873836a97d7a6e5a2de73bf19c32ea9cde5f",
     "gen_kdegen14":
         "41bcdaa7dce179cd2af3c845f88b884c0d50cb38c52980d95b307b1af985a28a",
     "build_surface":
-        "3cd9351262c9c43288b1ee57f12de5cbdef641f801ea98979247730e448a4198",
+        "84f3246dad8070a96710f2148c2c07c1fd2470df1400c7231d851f110448f87d",
     "verify":
         "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
     "report":
-        "5eb61e4093690160b0beb33c3d6a1feb80fa7a813d50c208547cbeb30596b216",
+        "840c6186f47c171c671ff975b57bc84deaa8a508645775618a7baa58be86f9c9",
     "report_csv":
-        "a3926d4cc8464128aaf81030cb75f824284f9010b89508e618c3e8a3df242ff2",
+        "abd4c8311a2eaf29990f320551aad34451f975e3a476df6ac37f57b07b08e89f",
     "gen_copm2":
         "72a88baa3dc2fbae5972a468a69da63c882efb6f209da9cb08ee1a7662bf3f55",
     "exact_poset_copm2":

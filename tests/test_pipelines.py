@@ -253,7 +253,7 @@ class TestBoundReport:
 
     def test_degenerate_bound_example(self):
         rows = {name: value for name, _, value in bound_report(100, 50, k=3)}
-        assert rows["degenerate_cover"] == 130
+        assert rows["degenerate_cover"] == 315
 
     def test_heawood_example(self):
         rows = {name: value for name, _, value in bound_report(10, 5, genus=2)}

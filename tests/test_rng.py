@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep.rng import SplitMix64
@@ -27,3 +28,29 @@ def test_sample_costs_k_not_population():
     assert len(values) == 3 and len(set(values)) == 3
     assert values == sorted(values)
     assert all(0 <= v < 2**62 for v in values)
+
+
+def below_uncached(rng, n):
+    """SplitMix64.below with its rejection limit worked out on every call."""
+    limit = 2**64 - 2**64 % n
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return u % n
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.integers(1, 2**64), min_size=1, max_size=50))
+def test_below_matches_the_uncached_limit(seed, ns):
+    cached, plain = SplitMix64(seed), SplitMix64(seed)
+    # each n twice in a row, so the cached limit is both set and reused
+    assert ([cached.below(n) for n in ns for _ in range(2)]
+            == [below_uncached(plain, n) for n in ns for _ in range(2)])
+
+
+def test_below_rejects_nonpositive_n_after_a_cached_one():
+    rng = SplitMix64(0)
+    rng.below(5)
+    for n in (0, -1, -5):
+        with pytest.raises(ValueError):
+            rng.below(n)
