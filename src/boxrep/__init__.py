@@ -21,7 +21,6 @@ from .combinators import quotient_lift, split_compose
 from .exact import SolveLimits, exact_boxicity, exact_poset_dimension
 from .graph import (
     Graph,
-    PeelResult,
     assert_k3k,
     components,
     degeneracy_order,

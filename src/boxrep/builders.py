@@ -15,10 +15,10 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .coloring import Coloring, validate_acyclic
-from .errors import InvalidOrder, NotAForest
-from .graph import Graph, is_forest
-from .intervals import BoxRepresentation, extend_universal, interval_order
+from .coloring import Coloring
+from .errors import InvalidColoring, InvalidOrder, NotAForest
+from .graph import Graph, forest_walk
+from .intervals import BoxRepresentation, interval_order
 from .rng import SplitMix64
 
 
@@ -81,39 +81,19 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
 def forest_rep(forest: Graph) -> BoxRepresentation:
     """Two dimensions for a forest: depth bands and nested DFS ranges.
 
-    Dimension 1 gives each vertex [depth, depth+1], so only vertices whose
-    depths differ by at most one can meet. Dimension 2 gives [entry, exit]
-    from one global DFS counter, so exactly ancestor-descendant pairs meet
-    (and trees occupy disjoint ranges). The intersection keeps precisely the
-    parent-child pairs, i.e. the forest's edges.
+    One `forest_walk` over all vertices, trees rooted at each unreached
+    vertex in ascending id, numbers them. Dimension 1 gives each vertex
+    [depth, depth+1], so only vertices whose depths differ by at most one can
+    meet. Dimension 2 gives [entry, exit] from the walk's one counter, so
+    exactly ancestor-descendant pairs meet (and trees occupy disjoint
+    ranges). The intersection keeps precisely the parent-child pairs, i.e.
+    the forest's edges.
     """
-    if not is_forest(forest):
+    walk = forest_walk(forest, [0] * forest.n, (0,), range(forest.n))
+    if walk is None:
         raise NotAForest("input graph contains a cycle")
-    depth = [0] * forest.n
-    pre = [0] * forest.n
-    post = [0] * forest.n
-    counter = 0
-    seen = [False] * forest.n
-    for root in range(forest.n):
-        if seen[root]:
-            continue
-        stack = [(root, 0, False)]
-        seen[root] = True
-        while stack:
-            v, d, done = stack.pop()
-            if done:
-                post[v] = counter
-                counter += 1
-                continue
-            depth[v] = d
-            pre[v] = counter
-            counter += 1
-            stack.append((v, d, True))
-            for w in sorted(forest.neighbors(v), reverse=True):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, d + 1, False))
-    ends = np.array([depth, pre, [d + 1 for d in depth], post], dtype=np.int64)
+    depth, entry, leave = ([m[v] for v in range(forest.n)] for m in walk)
+    ends = np.array([depth, entry, [d + 1 for d in depth], leave], dtype=np.int64)
     return BoxRepresentation(forest.n, ends[:2], ends[2:])
 
 
@@ -121,26 +101,42 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     """k(k-1) dimensions from an acyclic coloring using k >= 2 colors.
 
     k counts the colors the coloring uses, which may be fewer than it
-    declares. Each unordered color pair contributes the 2-dimensional forest
-    representation of the subgraph it induces, extended to all other vertices
-    with full-span intervals. A coloring using at most one color means the
-    graph is edgeless and a single dimension of pairwise-disjoint points
-    suffices.
+    declares. Each unordered color pair contributes the two dimensions of
+    `forest_rep` on the forest it induces, from one `forest_walk` rooted at
+    the pair's vertices in ascending id; every other vertex spans each of the
+    two rows, so it meets everything there. A walk that finds a cycle raises
+    InvalidColoring, as does a coloring that misses a vertex, names one
+    outside the graph, or gives two adjacent vertices one color. A coloring
+    using at most one color means the graph is edgeless and a single
+    dimension of pairwise-disjoint points suffices.
     """
-    validate_acyclic(g, coloring)
+    color = coloring.color
+    if set(color) != set(range(g.n)):
+        raise InvalidColoring("coloring must assign every vertex")
+    if any(color[u] == color[v] for u, v in g.edges):
+        raise InvalidColoring("coloring is not proper")
     classes = {}
-    for v, c in coloring.color.items():
+    for v, c in color.items():
         classes.setdefault(c, []).append(v)
     k = len(classes)
     if k <= 1:
         return _points(g.n, colors=k)
-    lifted = []
-    for ci, cj in combinations(sorted(classes), 2):
-        verts = sorted(set(classes[ci]) | set(classes[cj]))
-        sub, members = g.induced(verts)
-        lifted.append(extend_universal(forest_rep(sub), members, g.n))
-    lo = np.concatenate([r.lo for r in lifted])
-    hi = np.concatenate([r.hi for r in lifted])
+    label = [color[v] for v in range(g.n)]
+    pairs = list(combinations(sorted(classes), 2))
+    lo = np.zeros((2 * len(pairs), g.n), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for row, pair in zip(range(0, len(lo), 2), pairs):
+        roots = sorted(classes[pair[0]] + classes[pair[1]])
+        walk = forest_walk(g, label, pair, roots)
+        if walk is None:
+            raise InvalidColoring("two color classes induce a cycle")
+        depth, entry, leave = walk
+        hi[row] = max(depth.values()) + 1
+        hi[row + 1] = 2 * len(roots) - 1
+        lo[row, roots] = [depth[v] for v in roots]
+        hi[row, roots] = lo[row, roots] + 1
+        lo[row + 1, roots] = [entry[v] for v in roots]
+        hi[row + 1, roots] = [leave[v] for v in roots]
     assert len(lo) == k * (k - 1)
     return BoxRepresentation(g.n, lo, hi, {"colors": k})
 

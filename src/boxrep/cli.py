@@ -33,7 +33,10 @@ from .rng import ALGORITHM
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _emit(text: str, out: str) -> None:

@@ -1,16 +1,18 @@
 """Exact coloring routines: chromatic number and acyclic colorings.
 
 Both are backtracking searches guarded by explicit size limits; they exist to
-feed the builders and pipelines at desk scale, not to scale.
+feed the builders and pipelines at desk scale, not to scale. A coloring is
+acyclic when every two color classes induce a forest; the acyclic search
+checks that with `forest_walk`, the same walk that `acyclic_rep` runs on each
+color pair, so the question has one home.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import InvalidColoring, SizeLimitExceeded
-from .graph import Graph, is_forest
+from .errors import SizeLimitExceeded
+from .graph import Graph, forest_walk
 
 CHROMATIC_LIMIT = 20
 ACYCLIC_LIMIT = 16
@@ -20,33 +22,6 @@ ACYCLIC_LIMIT = 16
 class Coloring:
     color: dict
     k: int
-
-
-def is_proper(g: Graph, color: dict) -> bool:
-    return all(color[u] != color[v] for u, v in g.edges)
-
-
-def pair_classes_induce_forests(g: Graph, color: dict) -> bool:
-    """Independent verifier: every two color classes must induce a forest."""
-    classes = {}
-    for v, c in color.items():
-        classes.setdefault(c, []).append(v)
-    for ci, cj in combinations(sorted(classes), 2):
-        verts = set(classes[ci]) | set(classes[cj])
-        sub, _ = g.induced(verts)
-        if not is_forest(sub):
-            return False
-    return True
-
-
-def validate_acyclic(g: Graph, coloring: Coloring) -> None:
-    color = coloring.color
-    if set(color) != set(range(g.n)):
-        raise InvalidColoring("coloring must assign every vertex")
-    if not is_proper(g, color):
-        raise InvalidColoring("coloring is not proper")
-    if not pair_classes_induce_forests(g, color):
-        raise InvalidColoring("two color classes induce a cycle")
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -96,8 +71,11 @@ def chromatic_number(g: Graph) -> int:
 def acyclic_coloring(g: Graph, k_max: int) -> Coloring | None:
     """Proper coloring with <= k_max colors whose class pairs induce forests.
 
-    Exact backtracking in vertex-id order with a per-pair cycle check after
-    each assignment; returns None when no such coloring exists.
+    Exact backtracking in vertex-id order; returns None when no such coloring
+    exists. Colors are used in order, so the vertices before v carry exactly
+    the colors 0..used-1. Those vertices were acyclically colored, so giving
+    v the color c can close a cycle only through v: one `forest_walk` from v
+    alone per other color o in use checks the pair {c, o}.
     """
     if g.n > ACYCLIC_LIMIT:
         raise SizeLimitExceeded(f"acyclic_coloring limited to n <= {ACYCLIC_LIMIT}")
@@ -105,50 +83,26 @@ def acyclic_coloring(g: Graph, k_max: int) -> Coloring | None:
         return None
     if g.n == 0:
         return Coloring({}, 0)
-    color = {}
-
-    def creates_bichromatic_cycle(v: int, c: int) -> bool:
-        # check each pair {c, other} restricted to vertices colored so far
-        others = {color[w] for w in color if color[w] != c}
-        for other in others:
-            verts = [w for w in color if color[w] in (c, other)]
-            parent = {w: w for w in verts}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for x, y in g.edges:
-                if x in parent and y in parent:
-                    rx, ry = find(x), find(y)
-                    if rx == ry:
-                        ok = False
-                        break
-                    parent[rx] = ry
-            if not ok:
-                return True
-        return False
+    label = [None] * g.n  # the color of each vertex, None before it has one
 
     def extend(v: int, used: int) -> bool:
         if v == g.n:
             return True
-        banned = {color[w] for w in g.neighbors(v) if w in color}
+        banned = {label[w] for w in g.neighbors(v)}
         for c in range(min(k_max, used + 1)):
             if c in banned:
                 continue
-            color[v] = c
-            if not creates_bichromatic_cycle(v, c):
+            label[v] = c
+            if all(forest_walk(g, label, (c, o), [v]) is not None
+                   for o in range(used) if o != c):
                 if extend(v + 1, max(used, c + 1)):
                     return True
-            del color[v]
+        label[v] = None
         return False
 
     if not extend(0, 0):
         return None
-    return Coloring(dict(color), len(set(color.values())))
+    return Coloring(dict(enumerate(label)), len(set(label)))
 
 
 def smallest_acyclic_coloring(g: Graph) -> Coloring:

@@ -167,14 +167,8 @@ def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     return order, k
 
 
-@dataclass(frozen=True)
-class PeelResult:
-    survivors: frozenset
-    removal_order: tuple
-
-
-def peel(g: Graph, theta) -> PeelResult:
-    """Repeatedly delete low-degree vertices from the surviving set.
+def peel(g: Graph, theta) -> frozenset:
+    """The survivors of repeatedly deleting low-degree vertices.
 
     Starting from all vertices, any vertex with at most `theta` neighbors
     among the current survivors is removed (smallest id first) until every
@@ -194,17 +188,15 @@ def peel(g: Graph, theta) -> PeelResult:
     deg = [g.degree(v) for v in range(g.n)]
     alive = set(range(g.n))
     low = [v for v in range(g.n) if deg[v] <= limit]  # ascending, so a heap
-    order = []
     while low:
         v = heapq.heappop(low)
         alive.remove(v)
-        order.append(v)
         for w in g.neighbors(v):
             if w in alive:
                 deg[w] -= 1
                 if deg[w] == limit:
                     heapq.heappush(low, w)
-    return PeelResult(frozenset(alive), tuple(order))
+    return frozenset(alive)
 
 
 def forward_degeneracy(g: Graph, order: Iterable[int]) -> int:
@@ -241,21 +233,44 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     return out
 
 
-def is_forest(g: Graph) -> bool:
-    parent = list(range(g.n))
+def forest_walk(g: Graph, label: list, pair: tuple,
+                roots: Iterable[int]) -> tuple[dict, dict, dict] | None:
+    """Depth-first walk of the subgraph on the vertices v with label[v] in pair.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    Trees grow from `roots` in order, skipping roots already reached, and a
+    vertex's children are entered in ascending id; one counter numbers the
+    entries and exits. Returns the (depth, entry, exit) dicts of the reached
+    vertices, or None as soon as a vertex being entered has a reached
+    neighbour other than its parent: in a forest the parent is the only one,
+    so a second one closes a cycle. A vertex counts as reached once pushed.
+    """
+    depth, entry, leave = {}, {}, {}
+    counter = 0
+    for root in roots:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [(root, -1)]
+        while stack:
+            v, parent = stack.pop()
+            if parent is None:  # every child of v is finished
+                leave[v] = counter
+                counter += 1
+                continue
+            entry[v] = counter
+            counter += 1
+            stack.append((v, None))
+            children = []
+            for w in g.adj[v]:
+                if w != parent and label[w] in pair:
+                    if w in depth:
+                        return None
+                    children.append(w)
+            children.sort(reverse=True)
+            for w in children:
+                depth[w] = depth[v] + 1
+                stack.append((w, v))
+    return depth, entry, leave
 
 
 # ---------------------------------------------------------------------------

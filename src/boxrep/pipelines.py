@@ -126,8 +126,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
             ratio = m_c / math.log(n_c)
             theta_f = math.sqrt(ratio) if mode == "paper" else ratio ** (1.0 / 3.0)
             theta = Fraction(theta_f)
-            pr = peel(comp, theta)
-            survivors = sorted(pr.survivors)
+            survivors = sorted(peel(comp, theta))
             if mode == "paper":
                 cap = 2.0 * math.sqrt(m_c * math.log(n_c))
                 if len(survivors) > cap:
@@ -354,7 +353,8 @@ def bound_report(n: int, m: int, genus: int | None = None,
                  k: int | None = None) -> list[tuple[str, str, object]]:
     """Evaluate the closed-form size bounds for the given parameters.
 
-    Returns (name, formula, value) rows; all logarithms are natural.
+    Returns (name, formula, value) rows; all logarithms are natural. A value
+    too large for a float raises InvalidParams.
     """
     if n < 2 or m < 0:
         raise InvalidParams("need n >= 2 and m >= 0")
@@ -363,19 +363,22 @@ def bound_report(n: int, m: int, genus: int | None = None,
     if k is not None and k < 0:
         raise InvalidParams("k must be nonnegative")
     rows: list[tuple[str, str, object]] = []
-    rows.append(("roberts_pairing", "n/2", n / 2))
-    rows.append(("edge_sqrt", EDGE_BOUND_FORMULA, _edge_bound(n, m)))
-    rows.append(("euler_genus_upper", "m + 2", euler_genus_upper(m)))
-    rows.append(("poset_dim_via_pairing", "2*(n/2) + n + 4", n + n + 4))
-    if k is not None:
-        rows.append(("degenerate_cover", "(k+2)*ceil(e^2*ln(n(n-1)/2))",
-                     (k + 2) * _default_budget(n)))
-        rows.append(("acyclic_color_pairs", "k*(k-1)", k * (k - 1)))
-    if genus is not None:
-        rows.append(("heawood_degeneracy", "(5 + sqrt(1+24g))/2",
-                     _heawood_bound(genus)))
-        rows.append(("quotient_class_relaxed_cap", "1e9 * g^4",
-                     _relaxed_class_cap(genus)))
+    try:
+        rows.append(("roberts_pairing", "n/2", n / 2))
+        rows.append(("edge_sqrt", EDGE_BOUND_FORMULA, _edge_bound(n, m)))
+        rows.append(("euler_genus_upper", "m + 2", euler_genus_upper(m)))
+        rows.append(("poset_dim_via_pairing", "2*(n/2) + n + 4", n + n + 4))
+        if k is not None:
+            rows.append(("degenerate_cover", "(k+2)*ceil(e^2*ln(n(n-1)/2))",
+                         (k + 2) * _default_budget(n)))
+            rows.append(("acyclic_color_pairs", "k*(k-1)", k * (k - 1)))
+        if genus is not None:
+            rows.append(("heawood_degeneracy", "(5 + sqrt(1+24g))/2",
+                         _heawood_bound(genus)))
+            rows.append(("quotient_class_relaxed_cap", "1e9 * g^4",
+                         _relaxed_class_cap(genus)))
+    except OverflowError as exc:
+        raise InvalidParams(f"a bound overflows a float: {exc}") from exc
     return rows
 
 

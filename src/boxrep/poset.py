@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, InvalidParams
+from .errors import InvalidParams
 from .graph import Graph
 
 
@@ -71,22 +71,3 @@ def write_poset(p: FinitePoset) -> str:
     lines.extend(f"{a} {b}" for a, b in sorted(p.strict))
     return "\n".join(lines) + "\n"
 
-
-def parse_poset(text: str) -> FinitePoset:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("poset "):
-        raise FormatError("missing 'poset N' header")
-    try:
-        size = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
-    if size < 0:
-        raise FormatError(f"bad header {lines[0]!r}")
-    strict = set()
-    for ln in lines[1:]:
-        try:
-            a, b = map(int, ln.split())
-        except ValueError as exc:  # a non-integer or not exactly two of them
-            raise FormatError(f"bad relation line {ln!r}") from exc
-        strict.add((a, b))
-    return FinitePoset(size, frozenset(strict))

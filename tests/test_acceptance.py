@@ -29,9 +29,7 @@ from boxrep.graph import (
     assert_k3k,
     components,
     degeneracy_order,
-    forward_degeneracy,
     generate,
-    is_forest,
     peel,
     quotient_by_a_neighborhood,
 )
@@ -41,6 +39,7 @@ from boxrep.poset import adjacency_poset
 from boxrep.rng import SplitMix64
 
 from conftest import all_graphs_upto, complete_graph, cycle_graph, random_graph
+from test_forest_walk import is_forest
 
 SEEDS = range(10)
 
@@ -196,11 +195,10 @@ def test_criterion_05_edge_pipeline_paper_mode():
             if comp.m == 0:
                 continue
             theta_f = math.sqrt(comp.m / math.log(comp.n))
-            pr = peel(comp, Fraction(theta_f))
-            ok &= len(pr.survivors) <= 2 * math.sqrt(comp.m * math.log(comp.n))
-            h = comp.remove_edges_inside(pr.survivors)
-            order = list(pr.removal_order) + sorted(pr.survivors)
-            ok &= forward_degeneracy(h, order) <= math.ceil(theta_f)
+            survivors = peel(comp, Fraction(theta_f))
+            ok &= len(survivors) <= 2 * math.sqrt(comp.m * math.log(comp.n))
+            h = comp.remove_edges_inside(survivors)
+            ok &= degeneracy_order(h)[1] <= math.ceil(theta_f)
         rep, trace = edge_pipeline(g, mode="paper", seed=3)
         ok &= verify_representation(g, rep).valid
         for comp_entry in trace.get_all("component"):

@@ -24,6 +24,7 @@ from boxrep.intervals import verify_representation
 from boxrep.rng import SplitMix64
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from test_forest_walk import is_forest
 from test_graph_core import graphs_strategy
 
 
@@ -207,8 +208,6 @@ class TestForest:
 
     @given(graphs_strategy(8))
     def test_every_forest_verifies(self, g):
-        from boxrep.graph import is_forest
-
         if not is_forest(g):
             return
         rep = forest_rep(g)

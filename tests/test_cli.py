@@ -8,7 +8,6 @@ from boxrep import cli
 from boxrep.errors import BoxrepError
 from boxrep.graph import parse_graph
 from boxrep.intervals import parse_representation, verify_representation
-from boxrep.poset import parse_poset
 
 
 def run_cli(*args, timeout=None):
@@ -175,6 +174,25 @@ class TestBuildVerify:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ("verify", "--graph", "{bad}", "--rep", "{bad}"),
+        ("verify", "--graph", "{g}", "--rep", "{bad}"),
+        ("exact", "--graph", "{bad}"),
+        ("poset", "--graph", "{bad}"),
+        ("build", "--graph", "{bad}", "--pipeline", "edge"),
+        ("build", "--graph", "{g}", "--pipeline", "surface", "--A", "{bad}"),
+        ("build", "--graph", "{g}", "--pipeline", "surface", "--coloring", "{bad}"),
+    ], ids=["verify_graph", "verify_rep", "exact", "poset", "build_graph",
+            "build_A", "build_coloring"])
+    def test_non_utf8_file_exit_2(self, tmp_path, args):
+        gfile, bad = tmp_path / "g.g", tmp_path / "bad.txt"
+        run_cli("gen", "--model", "copm", "--k", "2", "--out", str(gfile))
+        bad.write_bytes(b"4 0\n\xff\n")
+        res = run_cli(*(a.format(g=gfile, bad=bad) for a in args))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_directory_as_graph_exit_2(self, tmp_path):
         res = run_cli("verify", "--graph", str(tmp_path), "--rep", str(tmp_path))
         assert res.returncode == 2
@@ -195,6 +213,14 @@ class TestPosetReportExperiment:
         assert "826.246" in res.stdout
         res = run_cli("report", "--n", "100", "--m", "50", "--k", "3", "--csv")
         assert "degenerate_cover" in res.stdout
+
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--g"])
+    def test_report_overflow_exit_2(self, flag):
+        args = {"--n": "10", "--m": "5", flag: str(10**400)}
+        res = run_cli("report", *(x for item in args.items() for x in item))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
     def test_experiment(self):
         res = run_cli("experiment", "--n", "32", "--trials", "5", "--seed", "3")
@@ -255,7 +281,7 @@ _TEXTS = st.one_of(
               ).map(lambda t: t[0] + "\n".join(t[1])))
 
 
-@pytest.mark.parametrize("parse", [parse_graph, parse_representation, parse_poset,
+@pytest.mark.parametrize("parse", [parse_graph, parse_representation,
                                    cli._parse_vertex_set, cli._parse_coloring],
                          ids=lambda f: f.__name__)
 @settings(max_examples=300)

@@ -1,19 +1,18 @@
 import pytest
 from hypothesis import given
 
+from boxrep.builders import acyclic_rep
 from boxrep.coloring import (
     Coloring,
     acyclic_coloring,
     chromatic_number,
-    is_proper,
-    pair_classes_induce_forests,
     smallest_acyclic_coloring,
-    validate_acyclic,
 )
 from boxrep.errors import InvalidColoring, SizeLimitExceeded
 from boxrep.graph import Graph
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen_graph
+from test_forest_walk import is_proper, pair_classes_induce_forests, validate_acyclic
 from test_graph_core import graphs_strategy
 
 
@@ -54,15 +53,16 @@ class TestAcyclicColoring:
         with pytest.raises(SizeLimitExceeded):
             acyclic_coloring(Graph(17, frozenset()), 3)
 
+    # acyclic_rep validates the colorings it is given
     def test_validator_rejects_improper(self):
         g = path_graph(2)
-        with pytest.raises(InvalidColoring):
-            validate_acyclic(g, Coloring({0: 0, 1: 0}, 1))
+        with pytest.raises(InvalidColoring, match="not proper"):
+            acyclic_rep(g, Coloring({0: 0, 1: 0}, 1))
 
     def test_validator_rejects_bichromatic_cycle(self):
         g = cycle_graph(4)
-        with pytest.raises(InvalidColoring):
-            validate_acyclic(g, Coloring({0: 0, 1: 1, 2: 0, 3: 1}, 2))
+        with pytest.raises(InvalidColoring, match="cycle"):
+            acyclic_rep(g, Coloring({0: 0, 1: 1, 2: 0, 3: 1}, 2))
 
     @given(graphs_strategy(6))
     def test_output_passes_independent_verifier(self, g):

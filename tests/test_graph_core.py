@@ -145,18 +145,16 @@ def peel_by_min(g, theta):
     deg = [g.degree(v) for v in range(g.n)]
     alive = set(range(g.n))
     low = {v for v in alive if deg[v] <= theta}
-    order = []
     while low:
         v = min(low)
         low.remove(v)
         alive.remove(v)
-        order.append(v)
         for w in g.neighbors(v):
             if w in alive:
                 deg[w] -= 1
                 if deg[w] <= theta:
                     low.add(w)
-    return frozenset(alive), tuple(order)
+    return frozenset(alive)
 
 
 class TestDegeneracy:
@@ -205,27 +203,23 @@ class TestHeapOrders:
            st.fractions(min_value=0, max_value=12))
     def test_peel_matches(self, n, p_percent, seed, theta):
         g = random_graph(n, p_percent, seed)
-        pr = peel(g, theta)
-        assert (pr.survivors, pr.removal_order) == peel_by_min(g, theta)
+        assert peel(g, theta) == peel_by_min(g, theta)
         assert degeneracy_order(g) == degeneracy_order_by_min(g)
 
 
 class TestPeel:
     def test_c4_theta1_keeps_everything(self):
-        pr = peel(cycle_graph(4), 1)
-        assert pr.survivors == frozenset({0, 1, 2, 3})
-        assert pr.removal_order == ()
+        assert peel(cycle_graph(4), 1) == frozenset({0, 1, 2, 3})
 
     def test_c4_theta2_removes_everything(self):
-        pr = peel(cycle_graph(4), 2)
-        assert pr.survivors == frozenset()
-        assert len(pr.removal_order) == 4
+        assert peel(cycle_graph(4), 2) == frozenset()
 
     def test_star_theta1_hand_simulation(self):
-        # leaves 1..4 go first; then the center (id 0) ties with leaf 5 and wins
-        pr = peel(star_graph(5), 1)
-        assert pr.survivors == frozenset()
-        assert pr.removal_order == (1, 2, 3, 4, 0, 5)
+        # leaves 1..4 go first; then the center goes, and leaf 5 after it
+        assert peel(star_graph(5), 1) == frozenset()
+        # a triangle with a pendant: the pendant goes, the triangle stays
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert peel(g, 1) == frozenset({0, 1, 2})
 
     def test_rejects_negative_theta(self):
         with pytest.raises(InvalidParams):
@@ -239,37 +233,32 @@ class TestPeel:
 
     @given(graphs_strategy(), st.fractions(min_value=0, max_value=6))
     def test_postconditions_and_replay(self, g, theta):
-        pr = peel(g, theta)
-        assert set(pr.survivors) | set(pr.removal_order) == set(range(g.n))
-        assert len(pr.removal_order) + len(pr.survivors) == g.n
+        nx = pytest.importorskip("networkx")
+        survivors = peel(g, theta)
         # every survivor keeps more than theta surviving neighbors
-        for v in pr.survivors:
-            assert len(g.neighbors(v) & pr.survivors) > theta
-        # replay: each removed vertex had <= theta neighbors among the not
-        # yet removed vertices at its removal time
-        remaining = set(range(g.n))
-        for v in pr.removal_order:
-            assert len(g.neighbors(v) & remaining) <= theta
-            remaining.remove(v)
-        assert remaining == set(pr.survivors)
+        for v in survivors:
+            assert len(g.neighbors(v) & survivors) > theta
+        # and they are the (floor(theta) + 1)-core, the largest such set
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        assert survivors == frozenset(nx.k_core(h, math.floor(theta) + 1))
 
     @given(graphs_strategy())
     def test_survivor_count_bound_at_sqrt_threshold(self, g):
         if g.m == 0 or g.n < 2:
             return
         theta = Fraction(math.sqrt(g.m / math.log(g.n)))
-        pr = peel(g, theta)
-        assert len(pr.survivors) <= 2 * math.sqrt(g.m * math.log(g.n)) + 1e-9
+        assert len(peel(g, theta)) <= 2 * math.sqrt(g.m * math.log(g.n)) + 1e-9
 
     @given(graphs_strategy())
     def test_order_witnesses_forward_degeneracy(self, g):
         if g.m == 0 or g.n < 2:
             return
+        # the peeling order, then the survivors, is an order of h in which
+        # no vertex has more than ceil(theta) later neighbors
         theta = Fraction(math.sqrt(g.m / math.log(g.n)))
-        pr = peel(g, theta)
-        h = g.remove_edges_inside(pr.survivors)
-        order = list(pr.removal_order) + sorted(pr.survivors)
-        assert forward_degeneracy(h, order) <= math.ceil(theta)
+        h = g.remove_edges_inside(peel(g, theta))
+        assert degeneracy_order(h)[1] <= math.ceil(theta)
 
 
 class TestComponents:

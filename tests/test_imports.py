@@ -56,20 +56,40 @@ def _reads(node: ast.AST) -> Counter:
     return names
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_`-prefixed functions, classes and constants that no
-    module reads, as a name or an attribute, outside their own definition."""
+def _unread_names(sources: dict[str, str], checked) -> list[str]:
+    """Module-level functions, classes and constants named so that
+    checked(name) holds, which no module reads, as a name or an attribute,
+    outside their own definition."""
     trees = {name: ast.parse(text) for name, text in sorted(sources.items())}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
     return [f"{module}: {name}" for module, tree in trees.items()
             for name, node in _top_level_names(tree)
-            if name.startswith("_") and not name.startswith("__")
-            and reads[name] == _reads(node)[name]]
+            if checked(name) and reads[name] == _reads(node)[name]]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`_`-prefixed names that no module reads."""
+    return _unread_names(
+        sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public names that no module reads and `__init__.py` does not export."""
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(sources["__init__.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return _unread_names(
+        sources, lambda name: not name.startswith("_") and name not in exported)
 
 
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_no_unread_public_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_public_names(sources) == []
 
 
 def test_dead_code_guard_sees_attribute_reads_and_skips_self_reads():
@@ -81,3 +101,15 @@ def test_dead_code_guard_sees_attribute_reads_and_skips_self_reads():
         "b.py": "import a\nclass C(a._Base):\n    f = a._helper\nprint(_USED)\n",
     }
     assert unread_private_names(sources) == ["a.py: _DEAD", "a.py: _recursive"]
+
+
+def test_public_guard_skips_exports_and_names_read_elsewhere():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    pass\n"
+                 "def used():\n    pass\n"
+                 "def dead():\n    return dead\n"
+                 "LIMIT = 3\n"),
+        "b.py": "from .a import used\nused()\n",
+    }
+    assert unread_public_names(sources) == ["a.py: dead", "a.py: LIMIT"]

@@ -271,6 +271,14 @@ class TestBoundReport:
         with pytest.raises(InvalidParams):
             bound_report(4, -1)
 
+    @pytest.mark.parametrize("args", [
+        {"n": 10**400, "m": 5}, {"n": 10, "m": 10**400},
+        {"n": 10, "m": 5, "genus": 10**400},
+    ], ids=["n", "m", "genus"])
+    def test_rejects_values_that_overflow_a_float(self, args):
+        with pytest.raises(InvalidParams, match="overflows a float"):
+            bound_report(**args)
+
     def test_render_text_and_csv(self):
         rows = bound_report(50, 100, genus=1, k=2)
         text = format_bound_table(rows)

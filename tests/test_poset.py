@@ -8,7 +8,6 @@ from boxrep.graph import Graph
 from boxrep.poset import (
     FinitePoset,
     adjacency_poset,
-    parse_poset,
     poset_dim_upper,
     write_poset,
 )
@@ -65,42 +64,20 @@ class TestDimUpper:
 
 
 class TestPosetIO:
-    def test_round_trip(self):
-        p = adjacency_poset(path_graph(3))
-        text = write_poset(p)
-        assert text.splitlines()[0] == "poset 6"
-        again = parse_poset(text)
-        assert again.ground_size == 6
-        assert again.strict == p.strict
-        assert write_poset(again) == text
-
-    def test_validation_on_parse(self):
-        from boxrep.errors import FormatError
-
-        with pytest.raises(FormatError):
-            parse_poset("not a poset\n")
-        with pytest.raises(InvalidParams):
-            parse_poset("poset 2\n0 1\n1 0\n")
-
-    def test_negative_size_is_format_error(self):
-        from boxrep.errors import FormatError
-
-        with pytest.raises(FormatError, match="bad header"):
-            parse_poset("poset -3\n")
-
-    @pytest.mark.parametrize("text", ["poset 2\n0 x\n", "poset 2\n0 1 1\n"],
-                             ids=["non_integer", "three_fields"])
-    def test_bad_relation_line_is_format_error(self, text):
-        from boxrep.errors import FormatError
-
-        with pytest.raises(FormatError):
-            parse_poset(text)
+    def test_writes_p3(self):
+        # u < v' for each ordered adjacent pair of the path 0-1-2
+        assert write_poset(adjacency_poset(path_graph(3))) == \
+            "poset 6\n0 4\n1 3\n1 5\n2 4\n"
 
 
 class TestFinitePoset:
     def test_rejects_intransitive(self):
         with pytest.raises(InvalidParams):
             FinitePoset(3, frozenset({(0, 1), (1, 2)}))
+
+    def test_rejects_antisymmetry_violation(self):
+        with pytest.raises(InvalidParams, match="antisymmetry"):
+            FinitePoset(2, frozenset({(0, 1), (1, 0)}))
 
     def test_accepts_closed_chain(self):
         FinitePoset(3, frozenset({(0, 1), (1, 2), (0, 2)}))
