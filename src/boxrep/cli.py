@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .coloring import ACYCLIC_LIMIT, Coloring, smallest_acyclic_coloring
+from .coloring import Coloring
 from .errors import BoxrepError, FormatError, InvalidParams, SizeLimitExceeded
 from .exact import SolveLimits, exact_boxicity, exact_poset_dimension
 from .graph import generate, parse_graph, write_graph
@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["paper", "reference"], default="paper")
     p.add_argument("--g", type=int, default=0, help="declared Euler genus (surface)")
     p.add_argument("--A", dest="a_file", help="vertex-set file, one id per line")
-    p.add_argument("--coloring", help="coloring file, 'v color' per line")
+    p.add_argument("--coloring", help="coloring file, 'v color' per line "
+                   "(default: a smallest acyclic coloring of G-A)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
 
@@ -143,17 +144,7 @@ def _cmd_build(args) -> int:
         rep, trace = edge_pipeline(g, mode=args.mode, seed=args.seed)
     else:
         a = _parse_vertex_set(_read(args.a_file)) if args.a_file else frozenset()
-        if args.coloring:
-            coloring = _parse_coloring(_read(args.coloring))
-        else:
-            outside = [v for v in range(g.n) if v not in a]
-            sub, members = g.induced(outside)
-            if sub.n > ACYCLIC_LIMIT:
-                raise InvalidParams(
-                    "graph too large to compute an acyclic coloring; pass --coloring")
-            local = smallest_acyclic_coloring(sub)
-            coloring = Coloring({members[i]: c for i, c in local.color.items()},
-                                local.k)
+        coloring = _parse_coloring(_read(args.coloring)) if args.coloring else None
         rep, trace = surface_pipeline(g, args.g, a, coloring, seed=args.seed)
     sys.stderr.write(trace.to_text(include_timings=True))
     _emit(write_representation(rep), args.out)

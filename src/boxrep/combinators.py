@@ -58,25 +58,19 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult,
                   target: Graph) -> BoxRepresentation:
-    """Give every vertex the box of its class representative.
+    """Give every vertex v the box of quotient vertex `q.cols[v]`.
 
-    `rep_q` must verify for the quotient graph with a clique added on the
-    class representatives (vertices sharing an A-neighborhood are adjacent in
-    the target, so they may share one box). `target` is the original graph
-    with all edges added between vertices outside A; the lifted
-    representation is oracle-checked against it.
+    `rep_q` must verify for the quotient graph with a clique added on
+    `q.reps` (vertices sharing an A-neighborhood are adjacent in the target,
+    so they may share one box). `target` is the original graph with all
+    edges added between vertices outside A; the lifted representation is
+    oracle-checked against it.
     """
-    reps_local = [q.local_id[cls[0]] for cls in q.classes]
-    certify(q.quotient_graph.add_clique(reps_local), rep_q,
+    certify(q.quotient_graph.add_clique(q.reps), rep_q,
             "rep_q for the quotient plus a clique on the representatives",
             InvalidInputRep)
-    if target.n != len(q.rep_of):
-        raise ClassMapIncomplete("quotient does not cover the target vertex set")
-    cols = []
-    for v in range(target.n):
-        rep_vertex = q.rep_of.get(v)
-        if rep_vertex is None or rep_vertex not in q.local_id:
-            raise ClassMapIncomplete(f"no representative box for vertex {v}")
-        cols.append(q.local_id[rep_vertex])
-    out = BoxRepresentation(target.n, rep_q.lo[:, cols], rep_q.hi[:, cols])
+    if target.n != len(q.cols):
+        raise ClassMapIncomplete(
+            f"the quotient maps {len(q.cols)} vertices, the target has {target.n}")
+    out = BoxRepresentation(target.n, rep_q.lo[:, q.cols], rep_q.hi[:, q.cols])
     return certify(target, out, "the lifted representation")

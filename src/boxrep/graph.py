@@ -277,45 +277,48 @@ def forest_walk(g: Graph, label: list, pair: tuple,
 # quotients and embedding-driven checks
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientResult:
-    a_set: frozenset
-    classes: tuple
-    rep_of: dict
+    """The A-neighborhood quotient as a vertex map.
+
+    `reps` holds the ascending quotient ids of the class representatives, and
+    `cols[v]` is the quotient id whose box vertex v takes: its own for v in
+    A, its class representative's otherwise.
+    """
+
     quotient_graph: Graph
-    local_id: dict
+    reps: tuple
+    cols: tuple
 
 
 def quotient_by_a_neighborhood(g: Graph, a: Iterable[int]) -> QuotientResult:
     """Collapse vertices outside `a` that share the same neighborhood in `a`.
 
-    All edges between pairs of vertices outside `a` are deleted first, then
-    each class keeps its lowest-id representative. The quotient graph is the
-    induced graph on `a` plus the representatives (so it has no edges between
-    representatives), relabeled 0..q-1 with a back-map.
+    One pass in ascending id: a vertex of `a` keeps itself, and the first
+    vertex seen with a given A-neighborhood represents its class. The kept
+    vertices are numbered 0..q-1 in the order they are met, so ascending. The
+    quotient graph is the induced graph on them with every edge between two
+    vertices outside `a` deleted, so the representatives are independent.
     """
     a_set = frozenset(a)
     if any(not (0 <= v < g.n) for v in a_set):
         raise InvalidParams("A contains a vertex outside the graph")
-    outside = [v for v in range(g.n) if v not in a_set]
-    groups = {}
-    for v in outside:
-        key = frozenset(g.neighbors(v) & a_set)
-        groups.setdefault(key, []).append(v)
-    classes = tuple(tuple(sorted(members)) for members in
-                    sorted(groups.values(), key=lambda ms: min(ms)))
-    rep_of = {}
-    for v in a_set:
-        rep_of[v] = v
-    for members in classes:
-        rep = members[0]
-        for v in members:
-            rep_of[v] = rep
-    kept = sorted(a_set | {members[0] for members in classes})
-    stripped = g.remove_edges_inside(set(outside))
-    qg, members = stripped.induced(kept)
-    local_id = {v: i for i, v in enumerate(members)}
-    return QuotientResult(a_set, classes, rep_of, qg, local_id)
+    ids = {}  # quotient id of each vertex of A and each representative
+    head = {}  # quotient id of the class of each A-neighborhood
+    reps, cols = [], []
+    for v in range(g.n):
+        if v in a_set:
+            ids[v] = len(ids)
+            cols.append(ids[v])
+            continue
+        key = g.neighbors(v) & a_set
+        if key not in head:
+            ids[v] = head[key] = len(ids)
+            reps.append(ids[v])
+        cols.append(head[key])
+    edges = frozenset((ids[u], ids[v]) for u, v in g.edges
+                      if u in ids and v in ids and (u in a_set or v in a_set))
+    return QuotientResult(Graph._trusted(len(ids), edges), tuple(reps), tuple(cols))
 
 
 @dataclass

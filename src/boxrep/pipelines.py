@@ -6,7 +6,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from .builders import (
@@ -18,14 +17,9 @@ from .builders import (
     degenerate_rep,
     roberts_rep,
 )
-from .coloring import Coloring
+from .coloring import Coloring, smallest_acyclic_coloring
 from .combinators import quotient_lift, split_compose
-from .errors import (
-    InvalidColoring,
-    InvalidParams,
-    SizeLimitExceeded,
-    StructuralCheckFailed,
-)
+from .errors import InvalidParams, SizeLimitExceeded, StructuralCheckFailed
 from .exact import exact_boxicity
 from .graph import (
     Graph,
@@ -124,8 +118,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
         else:
             n_c, m_c = comp.n, comp.m
             ratio = m_c / math.log(n_c)
-            theta_f = math.sqrt(ratio) if mode == "paper" else ratio ** (1.0 / 3.0)
-            theta = Fraction(theta_f)
+            theta = math.sqrt(ratio) if mode == "paper" else ratio ** (1.0 / 3.0)
             survivors = sorted(peel(comp, theta))
             if mode == "paper":
                 cap = 2.0 * math.sqrt(m_c * math.log(n_c))
@@ -143,7 +136,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
             composed = bool(survivors)
             rep = split_compose(r_h, r_s, survivors, comp) if composed else r_h
             entry = {
-                "n": n_c, "m": m_c, "theta": round(theta_f, 6),
+                "n": n_c, "m": m_c, "theta": round(theta, 6),
                 "k": k, "k_bound": k_bound, "survivors": len(survivors),
                 "h_dims": r_h.d,
                 "s_dims": r_s.d if r_s is not None else 0,
@@ -172,38 +165,41 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     return merged, trace
 
 
-def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
-                     seed: int = 0):
+def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
+                     coloring: Coloring | None = None, seed: int = 0):
     """Build a representation from a deletion set and an acyclic coloring.
 
     `a` is a vertex set whose removal leaves a graph acyclically colorable by
-    `coloring` (keyed by original vertex ids); `genus` is the declared Euler
-    genus, used only for structural assertions. Two supergraphs are
-    represented and stacked: one completes everything outside `a` (handled
-    through the A-neighborhood quotient, the degenerate cover, a one-clique
-    split_compose and a lift), the other makes every vertex of `a` universal
-    over the acyclic-coloring representation. Every non-edge of the input
-    lies in one of the two, so the concatenation is a representation of the
-    input; the final and all intermediate representations are oracle-checked.
+    `coloring` (keyed by original vertex ids; colors of vertices in `a` are
+    ignored). With `coloring` None, G-A gets `smallest_acyclic_coloring`,
+    exact and size-limited. `genus` is the declared Euler genus, used only
+    for structural assertions. Two supergraphs are represented and stacked:
+    one completes everything outside `a` (handled through the A-neighborhood
+    quotient, the degenerate cover, a one-clique split_compose and a lift),
+    the other makes every vertex of `a` universal over the acyclic-coloring
+    representation. Every non-edge of the input lies in one of the two, so
+    the concatenation is a representation of the input; the final and all
+    intermediate representations are oracle-checked, and each input check
+    is made once, by the callee that needs it.
     """
     if genus < 0:
         raise InvalidParams("genus must be nonnegative")
     trace = PipelineTrace(seed)
     started = time.perf_counter()
     a_set = frozenset(a)
-    if any(not (0 <= v < g.n) for v in a_set):
-        raise InvalidParams("A contains a vertex outside the graph")
+    q = quotient_by_a_neighborhood(g, a_set)  # rejects an A outside the graph
     outside = [v for v in range(g.n) if v not in a_set]
 
     # supergraph 2: the subgraph outside A plus |A| universal vertices
     if outside:
         sub, members = g.induced(outside)
-        local_coloring = Coloring(
-            {i: coloring.color[members[i]] for i in range(sub.n)
-             if members[i] in coloring.color},
-            coloring.k)
-        if len(local_coloring.color) != sub.n:
-            raise InvalidColoring("coloring must assign every vertex outside A")
+        if coloring is None:
+            local_coloring = smallest_acyclic_coloring(sub)
+        else:
+            local_coloring = Coloring(
+                {i: coloring.color[v] for i, v in enumerate(members)
+                 if v in coloring.color},
+                coloring.k)
         r_inner = acyclic_rep(sub, local_coloring)
         r_g2 = extend_universal(r_inner, members, g.n)
     else:
@@ -211,7 +207,6 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
     trace.record("g2_dims", r_g2.d)
 
     # structural checks for the quotient stage
-    q = quotient_by_a_neighborhood(g, a_set)
     k3k = assert_k3k(g, a_set, genus)
     trace.record("k3k_max_count", k3k.max_count)
     trace.record("k3k_bound", k3k.bound)
@@ -221,12 +216,12 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
             f"neighbors outside A, above the bound {k3k.bound}", k3k)
     a_size = len(a_set)
     class_cap = (1 + a_size + math.comb(a_size, 2)
-                 + (2 * genus + 2) * math.comb(a_size, 3))
-    trace.record("quotient_classes", len(q.classes))
+                 + k3k.bound * math.comb(a_size, 3))
+    trace.record("quotient_classes", len(q.reps))
     trace.record("quotient_class_cap", class_cap)
-    if len(q.classes) > class_cap:
+    if len(q.reps) > class_cap:
         raise StructuralCheckFailed(
-            f"{len(q.classes)} neighborhood classes exceed the cap {class_cap}")
+            f"{len(q.reps)} neighborhood classes exceed the cap {class_cap}")
     if genus >= 1:
         trace.record("quotient_class_cap_relaxed", _relaxed_class_cap(genus))
 
@@ -247,10 +242,9 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int], coloring: Coloring,
                          DegenerateStrategy(seed=seeder.next_u64()))
     trace.record("quotient_dims", r_q.d)
 
-    reps_local = sorted(q.local_id[cls[0]] for cls in q.classes)
-    h1 = q.quotient_graph.add_clique(reps_local)
-    if reps_local:
-        r_h1 = split_compose(r_q, _universal(len(reps_local)), reps_local, h1)
+    h1 = q.quotient_graph.add_clique(q.reps)
+    if q.reps:
+        r_h1 = split_compose(r_q, _universal(len(q.reps)), q.reps, h1)
     else:
         r_h1 = r_q
     trace.record("h1_dims", r_h1.d)
@@ -354,7 +348,8 @@ def bound_report(n: int, m: int, genus: int | None = None,
     """Evaluate the closed-form size bounds for the given parameters.
 
     Returns (name, formula, value) rows; all logarithms are natural. A value
-    too large for a float raises InvalidParams.
+    too large for a float, or an integer past Python's int-to-str digit
+    limit, raises InvalidParams.
     """
     if n < 2 or m < 0:
         raise InvalidParams("need n >= 2 and m >= 0")
@@ -377,8 +372,13 @@ def bound_report(n: int, m: int, genus: int | None = None,
                          _heawood_bound(genus)))
             rows.append(("quotient_class_relaxed_cap", "1e9 * g^4",
                          _relaxed_class_cap(genus)))
+        for _, _, value in rows:
+            if isinstance(value, int):
+                str(value)  # raises ValueError past sys.get_int_max_str_digits()
     except OverflowError as exc:
         raise InvalidParams(f"a bound overflows a float: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidParams(f"a bound has too many digits to print: {exc}") from exc
     return rows
 
 

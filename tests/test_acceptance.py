@@ -230,7 +230,7 @@ def test_criterion_06_surface_pipeline():
         q = quotient_by_a_neighborhood(g, a)
         cap = (1 + len(a) + math.comb(len(a), 2)
                + (2 * declared + 2) * math.comb(len(a), 3))
-        ok &= len(q.classes) <= cap
+        ok &= len(q.reps) <= cap
     _report(6, ok, "K_7 trace is 42+3=45 and 50 random (G, A) instances satisfy "
             "the common-neighbor and class-count formulas",
             time.time() - started, 60)

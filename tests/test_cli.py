@@ -123,6 +123,18 @@ class TestBuildVerify:
                       "--rep", str(tmp_path / "r.br"))
         assert res.stdout == "valid\n"
 
+    def test_surface_coloring_over_the_size_limit_exit_3(self, tmp_path):
+        # without --coloring, G-A (18 vertices) gets the exact search, capped at 16
+        gfile, afile = tmp_path / "g.g", tmp_path / "a.txt"
+        run_cli("gen", "--model", "kdegen", "--n", "20", "--k", "2",
+                "--out", str(gfile))
+        afile.write_text("0\n1\n")
+        res = run_cli("build", "--graph", str(gfile), "--pipeline", "surface",
+                      "--g", "1", "--A", str(afile))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("flag, text", [("--A", "x\n"), ("--coloring", "0 a\n")],
                              ids=["vertex_set", "coloring"])
     def test_malformed_side_file_exit_2(self, tmp_path, flag, text):
@@ -218,6 +230,12 @@ class TestPosetReportExperiment:
     def test_report_overflow_exit_2(self, flag):
         args = {"--n": "10", "--m": "5", flag: str(10**400)}
         res = run_cli("report", *(x for item in args.items() for x in item))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+    def test_report_integer_row_too_long_exit_2(self):
+        res = run_cli("report", "--n", "10", "--m", "5", "--k", str(10**2200))
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr

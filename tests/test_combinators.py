@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from boxrep.builders import degenerate_rep, roberts_rep, trivial_rep
 from boxrep.combinators import quotient_lift, split_compose
-from boxrep.errors import InvalidInputRep, PreconditionViolation
+from boxrep.errors import ClassMapIncomplete, InvalidInputRep, PreconditionViolation
 from boxrep.graph import Graph, degeneracy_order, quotient_by_a_neighborhood
 from boxrep.intervals import verify_representation
 
@@ -117,8 +117,7 @@ class TestQuotientLift:
     def test_star_leaves_share_one_box(self):
         g = star_graph(4)
         q = quotient_by_a_neighborhood(g, {0})
-        reps_local = [q.local_id[cls[0]] for cls in q.classes]
-        h1 = q.quotient_graph.add_clique(reps_local)
+        h1 = q.quotient_graph.add_clique(q.reps)
         r_q = _rep_for(h1)
         target = g.add_clique([1, 2, 3, 4])
         out = quotient_lift(r_q, q, target)
@@ -136,8 +135,7 @@ class TestQuotientLift:
     def test_k23_two_side(self):
         g = complete_bipartite(2, 3)
         q = quotient_by_a_neighborhood(g, {0, 1})
-        reps_local = [q.local_id[cls[0]] for cls in q.classes]
-        h1 = q.quotient_graph.add_clique(reps_local)
+        h1 = q.quotient_graph.add_clique(q.reps)
         r_q = _rep_for(h1)
         target = g.add_clique([2, 3, 4])
         out = quotient_lift(r_q, q, target)
@@ -147,7 +145,7 @@ class TestQuotientLift:
         # two classes outside A: rep of the bare quotient (no clique) fails
         g = Graph.from_edges(4, [(0, 1), (0, 2), (3, 2)])
         q = quotient_by_a_neighborhood(g, {0})
-        assert len(q.classes) == 2
+        assert len(q.reps) == 2
         r_bare = _rep_for(q.quotient_graph)
         target = g.add_clique([1, 2, 3])
         with pytest.raises(InvalidInputRep):
@@ -158,13 +156,23 @@ class TestQuotientLift:
         a = {v for v in range(g.n) if (a_mask >> v) & 1}
         outside = [v for v in range(g.n) if v not in a]
         q = quotient_by_a_neighborhood(g, a)
-        reps_local = [q.local_id[cls[0]] for cls in q.classes]
-        h1 = q.quotient_graph.add_clique(reps_local)
+        h1 = q.quotient_graph.add_clique(q.reps)
         r_q = _rep_for(h1)
         target = g.add_clique(outside)
         out = quotient_lift(r_q, q, target)
         assert verify_representation(target, out).valid
         # equal A-neighborhoods mean bit-identical boxes
-        for cls in q.classes:
+        classes = {}
+        for v in outside:
+            classes.setdefault(g.neighbors(v) & a, []).append(v)
+        for cls in classes.values():
             for j in range(out.d):
                 assert len({(out.lo[j, v], out.hi[j, v]) for v in cls}) == 1
+
+    def test_rejects_a_target_of_the_wrong_size(self):
+        g = star_graph(4)
+        q = quotient_by_a_neighborhood(g, {0})
+        r_q = _rep_for(q.quotient_graph.add_clique(q.reps))
+        for target in (star_graph(3), star_graph(5)):
+            with pytest.raises(ClassMapIncomplete):
+                quotient_lift(r_q, q, target.add_clique(range(1, target.n)))

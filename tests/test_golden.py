@@ -1,9 +1,11 @@
 """Golden CLI outputs: seeded commands must keep their exact bytes.
 
 Each case runs one command and compares the sha256 of its stdout (or of its
---out file) with a constant recorded from an earlier release. A change that
-alters any of these bytes is a change of output, not a refactor; when it is
-intended, record the new digests in the same change.
+--out file) with a constant recorded from an earlier release.
+`build_surface_trace` hashes that build's stderr trace without its
+`wall_time_s` line, so the order and values of the trace lines are pinned
+too. A change that alters any of these bytes is a change of output, not a
+refactor; when it is intended, record the new digests in the same change.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ GOLDEN = {
         "41bcdaa7dce179cd2af3c845f88b884c0d50cb38c52980d95b307b1af985a28a",
     "build_surface":
         "84f3246dad8070a96710f2148c2c07c1fd2470df1400c7231d851f110448f87d",
+    "build_surface_trace":
+        "a2833c2ffb56e93e6b34b170876f78950918ea8d9585080bc12e17f13205aac4",
     "verify":
         "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
     "report":
@@ -66,6 +70,7 @@ def outputs(tmp_path_factory):
     def run(key, *args, to_file=None):
         res = _cli(*args, *(("--out", str(to_file)) if to_file else ()))
         out[key] = (res.returncode, to_file.read_bytes() if to_file else res.stdout)
+        return res
 
     g60, g14, a = tmp / "kdegen60.g", tmp / "kdegen14.g", tmp / "a.txt"
     c2, c3 = tmp / "copm2.g", tmp / "copm3.g"
@@ -78,8 +83,11 @@ def outputs(tmp_path_factory):
         "--mode", "reference", "--seed", "1")
     run("gen_kdegen14", "gen", "--model", "kdegen", "--n", "14", "--k", "2",
         "--seed", "5", to_file=g14)
-    run("build_surface", "build", "--graph", str(g14), "--pipeline", "surface",
-        "--g", "1", "--A", str(a), to_file=tmp / "surface.br")
+    res = run("build_surface", "build", "--graph", str(g14), "--pipeline",
+              "surface", "--g", "1", "--A", str(a), to_file=tmp / "surface.br")
+    trace = [ln for ln in res.stderr.splitlines(keepends=True)
+             if not ln.startswith(b"wall_time_s = ")]
+    out["build_surface_trace"] = (res.returncode, b"".join(trace))
     run("verify", "verify", "--graph", str(g60), "--rep", str(tmp / "paper.br"))
     run("report", "report", "--n", "50", "--m", "100", "--g", "1", "--k", "2")
     run("report_csv", "report", "--n", "50", "--m", "100", "--g", "1", "--k", "2",

@@ -290,43 +290,82 @@ class TestComponents:
         assert total_m == g.m
 
 
+def reference_quotient(g, a):
+    """The earlier class-list quotient: (classes, rep_of, quotient graph, local_id).
+
+    Classes are the vertices outside `a` grouped by their neighborhood in
+    `a`, each sorted and listed by its smallest member, its representative.
+    The quotient graph is g minus every edge outside `a`, induced on `a` plus
+    the representatives and relabeled by ascending id (`local_id`).
+    """
+    a_set = frozenset(a)
+    outside = [v for v in range(g.n) if v not in a_set]
+    groups = {}
+    for v in outside:
+        groups.setdefault(frozenset(g.neighbors(v) & a_set), []).append(v)
+    classes = tuple(tuple(sorted(members)) for members in
+                    sorted(groups.values(), key=min))
+    rep_of = {v: v for v in a_set}
+    for members in classes:
+        for v in members:
+            rep_of[v] = members[0]
+    kept = sorted(a_set | {members[0] for members in classes})
+    qg, members = g.remove_edges_inside(set(outside)).induced(kept)
+    return classes, rep_of, qg, {v: i for i, v in enumerate(members)}
+
+
 class TestQuotient:
     def test_star_center(self):
         q = quotient_by_a_neighborhood(star_graph(4), {0})
-        assert len(q.classes) == 1
-        assert q.classes[0] == (1, 2, 3, 4)
+        assert q.reps == (1,)
+        assert q.cols == (0, 1, 1, 1, 1)
         assert q.quotient_graph.n == 2
         assert q.quotient_graph.m == 1
 
     def test_a_equals_v(self):
         g = cycle_graph(4)
         q = quotient_by_a_neighborhood(g, range(4))
-        assert q.classes == ()
+        assert q.reps == ()
+        assert q.cols == (0, 1, 2, 3)
         assert q.quotient_graph.edges == g.edges
 
     def test_k23_two_side(self):
         g = complete_bipartite(2, 3)
         q = quotient_by_a_neighborhood(g, {0, 1})
-        assert len(q.classes) == 1
-        assert q.classes[0] == (2, 3, 4)
+        assert q.reps == (2,)
+        assert q.cols == (0, 1, 2, 2, 2)
+
+    def test_rejects_a_outside_the_graph(self):
+        with pytest.raises(InvalidParams, match="outside the graph"):
+            quotient_by_a_neighborhood(cycle_graph(4), {4})
 
     @given(graphs_strategy(6), st.integers(0, 63))
     def test_class_key_is_a_neighborhood(self, g, a_mask):
         a = {v for v in range(g.n) if (a_mask >> v) & 1}
         q = quotient_by_a_neighborhood(g, a)
-        # same class iff equal A-neighborhood
-        key = {}
-        for cls in q.classes:
-            for v in cls:
-                key[v] = frozenset(g.neighbors(v) & q.a_set)
-        for ci in q.classes:
-            for cj in q.classes:
-                same = ci == cj
-                assert (key[ci[0]] == key[cj[0]]) == same
+        outside = [v for v in range(g.n) if v not in a]
+        # cols[u] == cols[v] iff u and v have the same A-neighborhood
+        for u in outside:
+            for v in outside:
+                same_key = g.neighbors(u) & a == g.neighbors(v) & a
+                assert (q.cols[u] == q.cols[v]) == same_key
+        # A keeps its own distinct boxes, apart from the classes
+        assert len({q.cols[v] for v in a}) == len(a)
+        assert not {q.cols[v] for v in a} & set(q.reps)
+        assert {q.cols[v] for v in outside} == set(q.reps)
         # no edges between representatives
-        reps = {q.local_id[cls[0]] for cls in q.classes}
         for u, v in q.quotient_graph.edges:
-            assert not (u in reps and v in reps)
+            assert not (u in q.reps and v in q.reps)
+
+    @given(graphs_strategy(9), st.integers(0, 511))
+    def test_matches_the_class_list_reference(self, g, a_mask):
+        a = {v for v in range(g.n) if (a_mask >> v) & 1}
+        q = quotient_by_a_neighborhood(g, a)
+        classes, rep_of, qg, local_id = reference_quotient(g, a)
+        assert q.quotient_graph.n == qg.n
+        assert q.quotient_graph.edges == qg.edges
+        assert q.reps == tuple(sorted(local_id[cls[0]] for cls in classes))
+        assert q.cols == tuple(local_id[rep_of[v]] for v in range(g.n))
 
 
 class TestK3K:

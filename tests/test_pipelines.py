@@ -181,6 +181,55 @@ class TestSurfacePipeline:
         assert trace.get("final_dims") == trace.get("g1_dims") + trace.get("g2_dims")
 
 
+class TestSurfaceInputChecks:
+    """Each faulty input is rejected, by the one callee that checks it."""
+
+    @pytest.mark.parametrize("a, coloring, error, message", [
+        ({0, 4}, {1: 0, 2: 1, 3: 0}, InvalidParams, "outside the graph"),
+        ({0}, {1: 0, 2: 1}, InvalidColoring, "must assign every vertex"),
+        (set(), {0: 0, 1: 1, 2: 0, 3: 1}, InvalidColoring, "induce a cycle"),
+    ], ids=["a_outside", "missing_color", "cyclic"])
+    def test_single_fault(self, c4, a, coloring, error, message):
+        with pytest.raises(error, match=message):
+            surface_pipeline(c4, 0, a, Coloring(coloring, 2))
+
+    def test_class_cap_reads_the_k3k_bound(self, monkeypatch):
+        # A = {0, 1, 2} and one vertex outside A per subset of A: 8 classes.
+        # With a reported K_{3,k} bound of 0 the cap is 1 + 3 + 3 = 7.
+        edges = [(a, 3 + mask) for mask in range(8) for a in range(3)
+                 if mask >> a & 1]
+        g = Graph.from_edges(11, edges)
+        coloring = Coloring({v: 0 for v in range(3, 11)}, 1)
+        monkeypatch.setattr(pipelines, "assert_k3k",
+                            lambda *args: graph.K3kReport(True, 0, 0, None))
+        with pytest.raises(StructuralCheckFailed, match="8 neighborhood classes "
+                           "exceed the cap 7"):
+            surface_pipeline(g, 5, {0, 1, 2}, coloring)
+
+    @given(graphs_strategy(7), st.integers(0, 127), st.integers(0, 3))
+    @settings(max_examples=40)
+    def test_none_coloring_is_the_smallest_of_g_minus_a(self, g, a_mask, genus):
+        a = {v for v in range(g.n) if (a_mask >> v) & 1}
+        sub, members = g.induced(v for v in range(g.n) if v not in a)
+        local = smallest_acyclic_coloring(sub)
+        coloring = Coloring({members[i]: c for i, c in local.color.items()}, local.k)
+        try:
+            given_rep, given_trace = surface_pipeline(g, genus, a, coloring, seed=2)
+        except StructuralCheckFailed:
+            with pytest.raises(StructuralCheckFailed):
+                surface_pipeline(g, genus, a, seed=2)
+            return
+        rep, trace = surface_pipeline(g, genus, a, seed=2)
+        assert np.array_equal(rep.lo, given_rep.lo)
+        assert np.array_equal(rep.hi, given_rep.hi)
+        assert trace.values == given_trace.values
+
+    def test_none_coloring_over_the_size_limit(self):
+        g = generate("kdegen", n=20, k=2, seed=1)
+        with pytest.raises(SizeLimitExceeded):
+            surface_pipeline(g, 1, {0, 1})
+
+
 class TestTraceText:
     """The `key = value` lines that benchmark scripts read back from to_text."""
 
@@ -278,6 +327,11 @@ class TestBoundReport:
     def test_rejects_values_that_overflow_a_float(self, args):
         with pytest.raises(InvalidParams, match="overflows a float"):
             bound_report(**args)
+
+    def test_rejects_an_integer_row_too_long_to_print(self):
+        # k*(k-1) has 4,401 digits, past Python's 4,300-digit str() limit
+        with pytest.raises(InvalidParams, match="too many digits"):
+            bound_report(10, 5, k=10**2200)
 
     def test_render_text_and_csv(self):
         rows = bound_report(50, 100, genus=1, k=2)
