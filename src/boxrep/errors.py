@@ -49,10 +49,6 @@ class InvalidOrder(BoxrepError):
     """A vertex order does not witness the claimed forward degeneracy."""
 
 
-class ClassMapIncomplete(BoxrepError):
-    """A quotient lift is missing the box for some vertex class."""
-
-
 class EmptyInput(BoxrepError):
     """An aggregate operation received no items."""
 

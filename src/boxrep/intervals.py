@@ -140,10 +140,12 @@ def certify(g: Graph, rep: BoxRepresentation, what: str,
             error: type[BoxrepError] | None = None) -> BoxRepresentation:
     """Return `rep` when the oracle accepts it for `g`, raise otherwise.
 
-    The one gate of every combinator, for its inputs and its output. A
-    rejected `rep` raises `error`, naming `what` and both witnesses; with no
-    `error`, a separated edge raises PreconditionViolation and an unseparated
-    non-edge raises UncoveredNonedge.
+    The one gate of every combinator, for each representation it is handed.
+    Its output is covered by its docstring's proof, except `concat`'s, whose
+    soundness rests on the supergraphs covering the non-edges between them.
+    A rejected `rep` raises `error`, naming `what` and both witnesses; with
+    no `error`, a separated edge raises PreconditionViolation and an
+    unseparated non-edge raises UncoveredNonedge.
     """
     report = verify_representation(g, rep)
     if report.valid:

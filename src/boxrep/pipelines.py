@@ -19,7 +19,7 @@ from .builders import (
 )
 from .coloring import Coloring, smallest_acyclic_coloring
 from .combinators import quotient_lift, split_compose
-from .errors import InvalidParams, SizeLimitExceeded, StructuralCheckFailed
+from .errors import InvalidColoring, InvalidParams, SizeLimitExceeded, StructuralCheckFailed
 from .exact import exact_boxicity
 from .graph import (
     Graph,
@@ -98,8 +98,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     `k_bound` of the trace. h gets the degenerate cover along its own
     degeneracy order, whose k (at most k_bound) is the trace's `k`; the
     survivors get the pairing construction, and split_compose recombines.
-    Components merge at the end, and the result is oracle-checked unless
-    split_compose has already certified it.
+    Components merge at the end, and the result is oracle-checked once.
     """
     if g.n < 2:
         raise InvalidParams("edge_pipeline needs n >= 2")
@@ -113,7 +112,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     for comp, mapping in components(g):
         comp_seed = seeder.next_u64()
         if comp.m == 0:
-            rep, composed = _points(comp.n), False
+            rep = _points(comp.n)
             trace.record("component", {"n": comp.n, "m": 0, "dims": 1})
         else:
             n_c, m_c = comp.n, comp.m
@@ -133,8 +132,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
                                  DegenerateStrategy(seed=comp_seed))
             gs, _ = comp.induced(survivors)
             r_s = roberts_rep(gs) if survivors else None
-            composed = bool(survivors)
-            rep = split_compose(r_h, r_s, survivors, comp) if composed else r_h
+            rep = split_compose(r_h, r_s, survivors, comp) if survivors else r_h
             entry = {
                 "n": n_c, "m": m_c, "theta": round(theta, 6),
                 "k": k, "k_bound": k_bound, "survivors": len(survivors),
@@ -150,12 +148,10 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
         reps.append(rep)
         maps.append(mapping)
     merged = merge_components(reps, maps) if len(reps) > 1 else reps[0]
-    # split_compose has certified a lone component's output against comp == g
-    if len(reps) > 1 or not composed:
-        report = verify_representation(g, merged)
-        if not report.valid:
-            raise StructuralCheckFailed(
-                f"pipeline output failed verification: {report}", report)
+    report = verify_representation(g, merged)
+    if not report.valid:
+        raise StructuralCheckFailed(
+            f"pipeline output failed verification: {report}", report)
     trace.record("mode", mode)
     trace.record("final_dims", merged.d)
     trace.record("edge_bound_formula", EDGE_BOUND_FORMULA)
@@ -171,16 +167,18 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
 
     `a` is a vertex set whose removal leaves a graph acyclically colorable by
     `coloring` (keyed by original vertex ids; colors of vertices in `a` are
-    ignored). With `coloring` None, G-A gets `smallest_acyclic_coloring`,
-    exact and size-limited. `genus` is the declared Euler genus, used only
-    for structural assertions. Two supergraphs are represented and stacked:
-    one completes everything outside `a` (handled through the A-neighborhood
+    ignored, and an id outside the graph raises InvalidColoring). With
+    `coloring` None, G-A gets `smallest_acyclic_coloring`, exact and
+    size-limited. `genus` is the declared Euler genus, used only for
+    structural assertions. Two supergraphs are represented and stacked: one,
+    G1, completes everything outside `a` (handled through the A-neighborhood
     quotient, the degenerate cover, a one-clique split_compose and a lift),
     the other makes every vertex of `a` universal over the acyclic-coloring
     representation. Every non-edge of the input lies in one of the two, so
-    the concatenation is a representation of the input; the final and all
-    intermediate representations are oracle-checked, and each input check
-    is made once, by the callee that needs it.
+    the concatenation is a representation of the input. The combinators
+    certify what they are handed, `concat` certifies the result, and no
+    representation is certified twice; G1 itself is never built. Each input
+    check is made once, by the callee that needs it.
     """
     if genus < 0:
         raise InvalidParams("genus must be nonnegative")
@@ -189,6 +187,8 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     a_set = frozenset(a)
     q = quotient_by_a_neighborhood(g, a_set)  # rejects an A outside the graph
     outside = [v for v in range(g.n) if v not in a_set]
+    if coloring is not None and any(v not in range(g.n) for v in coloring.color):
+        raise InvalidColoring("coloring names a vertex outside the graph")
 
     # supergraph 2: the subgraph outside A plus |A| universal vertices
     if outside:
@@ -214,14 +214,13 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
         raise StructuralCheckFailed(
             f"three vertices of A {k3k.witness} have {k3k.max_count} common "
             f"neighbors outside A, above the bound {k3k.bound}", k3k)
+    # Never exceeded once assert_k3k passes: at most 1 + |A| + C(|A|,2) classes
+    # have < 3 A-neighbours, and each other class's representative is a common
+    # neighbour outside A of a triple of A, at most k3k.bound per triple.
     a_size = len(a_set)
-    class_cap = (1 + a_size + math.comb(a_size, 2)
-                 + k3k.bound * math.comb(a_size, 3))
     trace.record("quotient_classes", len(q.reps))
-    trace.record("quotient_class_cap", class_cap)
-    if len(q.reps) > class_cap:
-        raise StructuralCheckFailed(
-            f"{len(q.reps)} neighborhood classes exceed the cap {class_cap}")
+    trace.record("quotient_class_cap", 1 + a_size + math.comb(a_size, 2)
+                 + k3k.bound * math.comb(a_size, 3))
     if genus >= 1:
         trace.record("quotient_class_cap_relaxed", _relaxed_class_cap(genus))
 
@@ -249,8 +248,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
         r_h1 = r_q
     trace.record("h1_dims", r_h1.d)
 
-    g1 = g.add_clique(outside)
-    r_g1 = quotient_lift(r_h1, q, g1)
+    r_g1 = quotient_lift(r_h1, q)  # represents G1, g plus a clique outside A
     trace.record("g1_dims", r_g1.d)
 
     result = concat(r_g1, r_g2, g)  # concat certifies the result against g

@@ -135,6 +135,19 @@ class TestBuildVerify:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
+    def test_surface_coloring_naming_a_vertex_outside_the_graph_exit_1(self, tmp_path):
+        # an acyclic colouring of G-A on the 6-vertex copm graph, plus vertex 9
+        gfile, afile, cfile = tmp_path / "g.g", tmp_path / "a.txt", tmp_path / "c.txt"
+        run_cli("gen", "--model", "copm", "--k", "3", "--out", str(gfile))
+        afile.write_text("0\n1\n")
+        cfile.write_text("2 0\n3 0\n4 1\n5 2\n9 0\n")
+        res = run_cli("build", "--graph", str(gfile), "--pipeline", "surface",
+                      "--g", "1", "--A", str(afile), "--coloring", str(cfile))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert "outside the graph" in res.stderr
+
     @pytest.mark.parametrize("flag, text", [("--A", "x\n"), ("--coloring", "0 a\n")],
                              ids=["vertex_set", "coloring"])
     def test_malformed_side_file_exit_2(self, tmp_path, flag, text):

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from boxrep.builders import degenerate_rep, roberts_rep, trivial_rep
 from boxrep.combinators import quotient_lift, split_compose
-from boxrep.errors import ClassMapIncomplete, InvalidInputRep, PreconditionViolation
+from boxrep.errors import InvalidInputRep, PreconditionViolation
 from boxrep.graph import Graph, degeneracy_order, quotient_by_a_neighborhood
 from boxrep.intervals import verify_representation
 
@@ -119,9 +119,8 @@ class TestQuotientLift:
         q = quotient_by_a_neighborhood(g, {0})
         h1 = q.quotient_graph.add_clique(q.reps)
         r_q = _rep_for(h1)
-        target = g.add_clique([1, 2, 3, 4])
-        out = quotient_lift(r_q, q, target)
-        assert verify_representation(target, out).valid
+        out = quotient_lift(r_q, q)
+        assert verify_representation(g.add_clique([1, 2, 3, 4]), out).valid
         for j in range(out.d):
             boxes = {(out.lo[j, v], out.hi[j, v]) for v in (1, 2, 3, 4)}
             assert len(boxes) == 1
@@ -129,7 +128,7 @@ class TestQuotientLift:
     def test_a_equals_v_identity(self, c4):
         q = quotient_by_a_neighborhood(c4, range(4))
         r_q = _rep_for(q.quotient_graph)
-        out = quotient_lift(r_q, q, c4)
+        out = quotient_lift(r_q, q)
         assert np.array_equal(out.lo, r_q.lo) and np.array_equal(out.hi, r_q.hi)
 
     def test_k23_two_side(self):
@@ -137,9 +136,8 @@ class TestQuotientLift:
         q = quotient_by_a_neighborhood(g, {0, 1})
         h1 = q.quotient_graph.add_clique(q.reps)
         r_q = _rep_for(h1)
-        target = g.add_clique([2, 3, 4])
-        out = quotient_lift(r_q, q, target)
-        assert verify_representation(target, out).valid
+        out = quotient_lift(r_q, q)
+        assert verify_representation(g.add_clique([2, 3, 4]), out).valid
 
     def test_rejects_rep_missing_the_clique(self):
         # two classes outside A: rep of the bare quotient (no clique) fails
@@ -147,9 +145,8 @@ class TestQuotientLift:
         q = quotient_by_a_neighborhood(g, {0})
         assert len(q.reps) == 2
         r_bare = _rep_for(q.quotient_graph)
-        target = g.add_clique([1, 2, 3])
         with pytest.raises(InvalidInputRep):
-            quotient_lift(r_bare, q, target)
+            quotient_lift(r_bare, q)
 
     @given(graphs_strategy(7), st.integers(0, 127))
     def test_random_instances(self, g, a_mask):
@@ -158,9 +155,9 @@ class TestQuotientLift:
         q = quotient_by_a_neighborhood(g, a)
         h1 = q.quotient_graph.add_clique(q.reps)
         r_q = _rep_for(h1)
-        target = g.add_clique(outside)
-        out = quotient_lift(r_q, q, target)
-        assert verify_representation(target, out).valid
+        out = quotient_lift(r_q, q)
+        # the proof in quotient_lift's docstring: the lift represents G1
+        assert verify_representation(g.add_clique(outside), out).valid
         # equal A-neighborhoods mean bit-identical boxes
         classes = {}
         for v in outside:
@@ -168,11 +165,3 @@ class TestQuotientLift:
         for cls in classes.values():
             for j in range(out.d):
                 assert len({(out.lo[j, v], out.hi[j, v]) for v in cls}) == 1
-
-    def test_rejects_a_target_of_the_wrong_size(self):
-        g = star_graph(4)
-        q = quotient_by_a_neighborhood(g, {0})
-        r_q = _rep_for(q.quotient_graph.add_clique(q.reps))
-        for target in (star_graph(3), star_graph(5)):
-            with pytest.raises(ClassMapIncomplete):
-                quotient_lift(r_q, q, target.add_clique(range(1, target.n)))

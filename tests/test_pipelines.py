@@ -125,7 +125,63 @@ class TestEdgePipeline:
             assert verify_representation(g, rep).valid
 
 
+def _count_oracle_calls(mp):
+    """Count oracle calls per (graph, lo, hi) while `mp` is active."""
+    real = intervals.verify_representation
+    checked = Counter()
+    alive = []  # keeps checked arrays alive, so their ids stay distinct
+
+    def counting(g, rep):
+        alive.append(rep)
+        checked[g, id(rep.lo), id(rep.hi)] += 1
+        return real(g, rep)
+
+    mp.setattr(intervals, "verify_representation", counting)
+    mp.setattr(pipelines, "verify_representation", counting)
+    return checked
+
+
+def apex_style_graph():
+    """4 apexes over a 60-vertex kdegen tree, with a 2-colouring of the tree.
+
+    Tree vertex t (vertex t + 4) is joined to apex a iff bit a of t is set,
+    so 16 classes; any three apexes share at most 8 tree neighbours, the
+    K_{3,k} bound of Euler genus 3.
+    """
+    tree = generate("kdegen", n=60, k=1, seed=1)
+    edges = [(u + 4, v + 4) for u, v in tree.edges]
+    edges += [(a, t + 4) for t in range(tree.n) for a in range(4) if t >> a & 1]
+    color = {}
+    for t in range(tree.n):  # each tree vertex has at most one earlier neighbour
+        earlier = [color[u + 4] for u in tree.neighbors(t) if u < t]
+        color[t + 4] = 1 - earlier[0] if earlier else 0
+    return Graph.from_edges(tree.n + 4, edges), set(range(4)), Coloring(color, 2)
+
+
 class TestSurfacePipeline:
+    @given(graphs_strategy(7), st.integers(0, 127))
+    @settings(max_examples=30)
+    def test_certifies_each_representation_once(self, g, a_mask):
+        a = {v for v in range(g.n) if (a_mask >> v) & 1}
+        with pytest.MonkeyPatch.context() as mp:
+            checked = _count_oracle_calls(mp)
+            rep, _ = surface_pipeline(g, 3, a, seed=1)
+        assert checked[g, id(rep.lo), id(rep.hi)] == 1
+        assert max(checked.values()) == 1
+
+    def test_apex_style_graph_builds_nothing_larger_than_g_or_h1(self, monkeypatch):
+        g, a, coloring = apex_style_graph()
+        checked = _count_oracle_calls(monkeypatch)
+        rep, trace = surface_pipeline(g, 3, a, coloring)
+        q = graph.quotient_by_a_neighborhood(g, a)
+        h1 = q.quotient_graph.add_clique(q.reps)
+        assert trace.get("quotient_classes") == 16
+        # the quotient, the clique on the representatives, H1 and g
+        assert sum(checked.values()) == 4
+        assert max(checked.values()) == 1
+        assert max(seen.m for seen, _, _ in checked) <= max(g.m, h1.m)
+        assert verify_representation(g, rep).valid
+
     def test_k7_hand_trace(self):
         k7 = complete_graph(7)
         rep, trace = surface_pipeline(k7, 2, frozenset(), identity_coloring(7))
@@ -188,23 +244,33 @@ class TestSurfaceInputChecks:
         ({0, 4}, {1: 0, 2: 1, 3: 0}, InvalidParams, "outside the graph"),
         ({0}, {1: 0, 2: 1}, InvalidColoring, "must assign every vertex"),
         (set(), {0: 0, 1: 1, 2: 0, 3: 1}, InvalidColoring, "induce a cycle"),
-    ], ids=["a_outside", "missing_color", "cyclic"])
+        ({0}, {1: 0, 2: 1, 3: 0, 9: 0}, InvalidColoring, "outside the graph"),
+    ], ids=["a_outside", "missing_color", "cyclic", "coloring_outside"])
     def test_single_fault(self, c4, a, coloring, error, message):
         with pytest.raises(error, match=message):
             surface_pipeline(c4, 0, a, Coloring(coloring, 2))
 
-    def test_class_cap_reads_the_k3k_bound(self, monkeypatch):
-        # A = {0, 1, 2} and one vertex outside A per subset of A: 8 classes.
-        # With a reported K_{3,k} bound of 0 the cap is 1 + 3 + 3 = 7.
-        edges = [(a, 3 + mask) for mask in range(8) for a in range(3)
-                 if mask >> a & 1]
-        g = Graph.from_edges(11, edges)
-        coloring = Coloring({v: 0 for v in range(3, 11)}, 1)
-        monkeypatch.setattr(pipelines, "assert_k3k",
-                            lambda *args: graph.K3kReport(True, 0, 0, None))
-        with pytest.raises(StructuralCheckFailed, match="8 neighborhood classes "
-                           "exceed the cap 7"):
-            surface_pipeline(g, 5, {0, 1, 2}, coloring)
+    @given(st.integers(0, 5), st.lists(st.integers(0, 31), min_size=1, max_size=14),
+           st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_class_cap_holds_whenever_k3k_passes(self, a_size, masks, genus):
+        # A = {0, ..., a_size-1}; outside vertex a_size+i has A-neighbourhood
+        # masks[i], and the vertices outside A are independent
+        edges = [(a, a_size + i) for i, mask in enumerate(masks)
+                 for a in range(a_size) if mask >> a & 1]
+        g = Graph.from_edges(a_size + len(masks), edges)
+        a = set(range(a_size))
+        coloring = Coloring({v: 0 for v in range(a_size, g.n)}, 1)
+        k3k = graph.assert_k3k(g, a, genus)
+        if not k3k.passed:
+            with pytest.raises(StructuralCheckFailed, match="common neighbors"):
+                surface_pipeline(g, genus, a, coloring)
+            return
+        _, trace = surface_pipeline(g, genus, a, coloring)
+        cap = (1 + a_size + math.comb(a_size, 2)
+               + trace.get("k3k_bound") * math.comb(a_size, 3))
+        assert trace.get("quotient_class_cap") == cap
+        assert trace.get("quotient_classes") <= cap
 
     @given(graphs_strategy(7), st.integers(0, 127), st.integers(0, 3))
     @settings(max_examples=40)
