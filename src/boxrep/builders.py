@@ -111,7 +111,9 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     dimension of pairwise-disjoint points suffices.
     """
     color = coloring.color
-    if set(color) != set(range(g.n)):
+    if any(v not in range(g.n) for v in color):
+        raise InvalidColoring("coloring names a vertex outside the graph")
+    if len(color) != g.n:
         raise InvalidColoring("coloring must assign every vertex")
     if any(color[u] == color[v] for u, v in g.edges):
         raise InvalidColoring("coloring is not proper")

@@ -1,9 +1,14 @@
 """Ground truth: exact boxicity and exact poset dimension.
 
 Boxicity is a dynamic program over vertex orderings followed by an exact
-set cover; poset dimension is a depth-first search for a realizer that
-starts at a clique lower bound on critical pairs no extension can reverse
-together. Both have hard size limits that fail loudly; there is no
+set cover. Poset dimension first keeps one element of each twin class
+(elements with the same strict down-set and up-set), which changes the
+answer only by max(2, .), then runs a depth-first search for a realizer
+that starts at a clique lower bound on critical pairs no extension can
+reverse together. The search is incremental: each node passes its
+uncovered pairs and their feasible-slot masks down, and a child tests them
+against the one slot it changed, since reach sets only grow along a
+branch. Both solvers have hard size limits that fail loudly; there is no
 approximate fallback here.
 """
 
@@ -37,7 +42,7 @@ def _min_cover(universe: int, sets: list[int]) -> int:
     best = 0
     left = universe
     while left:
-        pick = max(sets, key=lambda s: bin(s & left).count("1"))
+        pick = max(sets, key=lambda s: (s & left).bit_count())
         gained = pick & left
         assert gained, "sets do not cover the universe"
         left &= ~pick
@@ -49,7 +54,7 @@ def _min_cover(universe: int, sets: list[int]) -> int:
         e = u & -u
         u &= u - 1
         by_element[e] = [s for s in sets if s & e]
-    max_size = max(bin(s).count("1") for s in sets)
+    max_size = max(s.bit_count() for s in sets)
     memo = {}
 
     def dfs(left: int, used: int) -> None:
@@ -57,7 +62,7 @@ def _min_cover(universe: int, sets: list[int]) -> int:
         if left == 0:
             best = min(best, used)
             return
-        lower = used + math.ceil(bin(left).count("1") / max_size)
+        lower = used + math.ceil(left.bit_count() / max_size)
         if lower >= best:
             return
         seen = memo.get(left)
@@ -73,7 +78,7 @@ def _min_cover(universe: int, sets: list[int]) -> int:
             cs = [s for s in by_element[e] if s & left]
             if cands is None or len(cs) < len(cands):
                 e_best, cands = e, cs
-        for s in sorted(cands, key=lambda s: -bin(s & left).count("1")):
+        for s in sorted(cands, key=lambda s: -(s & left).bit_count()):
             dfs(left & ~s, used + 1)
 
     dfs(universe, 0)
@@ -210,11 +215,25 @@ def _critical_pairs(n: int, below: list[int], above: list[int]) -> list[tuple[in
 
 def _conflict_masks(crit: list[tuple[int, int]], above: list[int]) -> list[int]:
     """Bit j of entry i is set iff critical pairs i and j conflict: with
-    i = (a, b) and j = (c, d), a <= d and c <= b in the poset."""
-    up = [above[x] | 1 << x for x in range(len(above))]  # up[x]: elements >= x
-    return [sum(1 << j for j, (c, d) in enumerate(crit)
-                if (up[a] >> d) & 1 and (up[c] >> b) & 1)
-            for a, b in crit]
+    i = (a, b) and j = (c, d), a <= d and c <= b in the poset.
+
+    Per element x, ends_above[x] holds the pairs j whose d is >= x and
+    starts_below[x] those whose c is <= x, so entry i is one AND."""
+    n = len(above)
+    starts = [0] * n  # starts[x]: pairs (x, _)
+    ends = [0] * n    # ends[x]: pairs (_, x)
+    for j, (c, d) in enumerate(crit):
+        starts[c] |= 1 << j
+        ends[d] |= 1 << j
+    ends_above, starts_below = ends[:], starts[:]
+    for x in range(n):
+        up = above[x]
+        while up:
+            y = (up & -up).bit_length() - 1
+            up &= up - 1
+            ends_above[x] |= ends[y]
+            starts_below[y] |= starts[x]
+    return [ends_above[a] & starts_below[b] for a, b in crit]
 
 
 def _max_clique(adj: list[int]) -> list[int]:
@@ -236,37 +255,24 @@ def _max_clique(adj: list[int]) -> list[int]:
     return best
 
 
-def exact_poset_dimension(p: FinitePoset) -> int:
-    """Minimum number of linear extensions whose intersection is the poset.
+def _twin_free(below: list[int], above: list[int]) -> tuple[list[int], list[int]]:
+    """The order masks of the subposet that keeps the first element of each
+    twin class (same strict down-set and up-set), renumbered in order."""
+    first = {}
+    for x, key in enumerate(zip(below, above)):
+        first.setdefault(key, x)
+    keep = list(first.values())
 
-    A family of linear extensions realizes the poset exactly when every
-    critical pair (a, b) is reversed (b before a) in some extension, so the
-    search covers critical pairs: each of d slots holds an acyclic set of
-    precedence constraints (the poset's order plus chosen reversals), and
-    depth-first search assigns reversals to slots with transitive-closure
-    propagation and pruning on infeasible pairs. It tries d upwards from a
-    proven lower bound, so the only exhaustive failures are at the values
-    of d between the bound and the answer.
+    def gather(mask: int) -> int:
+        return sum(1 << i for i, x in enumerate(keep) if (mask >> x) & 1)
 
-    - Lower bound. Critical pairs (a, b) and (c, d) conflict when a <= d and
-      c <= b. No linear extension reverses both: it would place
-      b < a <= d < c <= b. So in any realizer the pairs of a clique C of
-      this conflict graph are reversed in |C| distinct extensions, and the
-      dimension is at least |C|; at least 2 besides, since the poset is not
-      a chain. `_max_clique` finds a largest C.
-    - Symmetry breaking. Given a realizer with d >= |C| extensions, pick for
-      the i-th pair of C an extension reversing it; these are distinct by
-      the above, so relabelling the extensions puts them in slots 0..|C|-1
-      in order. Hence a realizer of size d exists iff one exists with the
-      i-th pair of C reversed in slot i, and the search starts from there.
-      Each of those slots takes one reversal on top of the poset's order,
-      which never cycles because the pair is incomparable.
-    """
-    n = p.ground_size
-    if n > POSET_GROUND_LIMIT:
-        raise SizeLimitExceeded(
-            f"poset ground set {n} exceeds limit {POSET_GROUND_LIMIT}")
-    below, above = _order_masks(p)
+    return [gather(below[x]) for x in keep], [gather(above[x]) for x in keep]
+
+
+def _realizer_size(below: list[int], above: list[int]) -> int:
+    """The dimension of the poset with these order masks; see
+    `exact_poset_dimension`."""
+    n = len(above)
     crit = _critical_pairs(n, below, above)
     if not crit:  # a chain: any incomparable pair gives a critical pair
         return 1
@@ -274,59 +280,107 @@ def exact_poset_dimension(p: FinitePoset) -> int:
 
     base = tuple(above)  # reach[x] = elements forced after x
 
-    def closed_add(reach: tuple, before: int, after: int) -> tuple | None:
-        # add constraint: `before` precedes `after`; None when it cycles
-        if (reach[after] >> before) & 1:
-            return None
-        new = list(reach)
-        gained = (1 << after) | new[after]
-        for x in range(n):
-            if x == before or (new[x] >> before) & 1:
-                if (new[x] | gained) != new[x]:
-                    new[x] |= gained
-        new[before] |= gained
-        return tuple(new)
-
-    def covered(reach: tuple, a: int, b: int) -> bool:
-        # pair (a, b) is reversed when b is forced before a
-        return bool((reach[b] >> a) & 1)
+    def closed_add(reach: tuple, before: int, after: int) -> tuple:
+        # add constraint: `before` precedes `after`, which the caller
+        # knows is not already forced before `before`
+        gained = (1 << after) | reach[after]
+        return tuple(r | gained if x == before or (r >> before) & 1 else r
+                     for x, r in enumerate(reach))
 
     def search(d: int) -> bool:
         slots = [closed_add(base, b, a) for a, b in clique]
         slots += [base] * (d - len(clique))
+        # live: the uncovered pairs (a, b), each with the mask of the slots
+        # where a is not forced before b, so b can still go before a
+        live = [(a, b, sum(1 << i for i, s in enumerate(slots)
+                           if not (s[a] >> b) & 1))
+                for a, b in crit if not any((s[b] >> a) & 1 for s in slots)]
 
-        def dfs(uncovered: list) -> bool:
-            live = [(a, b) for a, b in uncovered
-                    if not any(covered(s, a, b) for s in slots)]
+        def dfs(live: list) -> bool:
             if not live:
                 return True
-            # fail-first: the pair with the fewest feasible slots
-            options = []
-            for a, b in live:
-                feas = [i for i in range(d) if not (slots[i][a] >> b) & 1]
-                options.append(((a, b), feas))
-                if not feas:
-                    return False
-            options.sort(key=lambda t: len(t[1]))
-            (a, b), feas = options[0]
+            # fail-first: the first pair with the fewest feasible slots;
+            # none feasible leaves `feas` empty and the node fails
+            a, b, feas = min(live, key=lambda t: t[2].bit_count())
             tried = set()
-            for i in feas:
-                if slots[i] in tried:
-                    continue
-                tried.add(slots[i])
-                new = closed_add(slots[i], b, a)
-                if new is None:
-                    continue
+            while feas:
+                bit = feas & -feas
+                feas ^= bit
+                i = bit.bit_length() - 1
                 old = slots[i]
-                slots[i] = new
-                if dfs(live):
+                if old in tried:
+                    continue
+                tried.add(old)
+                new = slots[i] = closed_add(old, b, a)
+                # only slot i changed, and its reach sets only grew
+                nxt = [(c, e, f ^ bit if f & bit and (new[c] >> e) & 1 else f)
+                       for c, e, f in live if not (new[e] >> c) & 1]
+                if dfs(nxt):
                     return True
                 slots[i] = old
             return False
 
-        return dfs(crit)
+        return dfs(live)
 
     d = max(2, len(clique))
     while not search(d):  # d = len(crit) succeeds: one pair per slot
         d += 1
     return d
+
+
+def exact_poset_dimension(p: FinitePoset) -> int:
+    """Minimum number of linear extensions whose intersection is the poset.
+
+    The ground-set limit applies to the input, before any reduction.
+
+    - Twins. Elements with the same strict down-set and up-set are twins
+      (they are incomparable). Keeping one element of each twin class gives
+      a subposet Q, and if any element was dropped the answer is
+      max(2, dim Q). A subposet never has larger dimension, and P is not a
+      chain then, so dim P >= max(2, dim Q). Conversely, let y be a twin of
+      x and take a realizer of P - y, padded to at least 2 extensions if
+      P - y is a chain. Put y just after x in one extension and just before
+      x in the others. Each is a linear extension of P, since y sits next
+      to x and compares with everything else as x does; their intersection
+      orders y against every z != x as P does, and leaves x, y
+      incomparable. So dim P <= max(2, dim(P - y)); dropping twins one at a
+      time gives the claim.
+    - Realizers. A family of linear extensions realizes the poset exactly
+      when every critical pair (a, b) is reversed (b before a) in some
+      extension, so the search covers critical pairs: each of d slots
+      holds an acyclic set of precedence constraints (the poset's order
+      plus chosen reversals), and depth-first search assigns reversals to
+      slots with transitive-closure propagation. It tries d upwards from a
+      proven lower bound, so the only exhaustive failures are at the
+      values of d between the bound and the answer.
+    - Lower bound. Critical pairs (a, b) and (c, d) conflict when a <= d
+      and c <= b. No linear extension reverses both: it would place
+      b < a <= d < c <= b. So in any realizer the pairs of a clique C of
+      this conflict graph are reversed in |C| distinct extensions, and the
+      dimension is at least |C|; at least 2 besides, since the poset is
+      not a chain. `_max_clique` finds a largest C.
+    - Symmetry breaking. Given a realizer with d >= |C| extensions, pick
+      for the i-th pair of C an extension reversing it; these are distinct
+      by the above, so relabelling the extensions puts them in slots
+      0..|C|-1 in order. Hence a realizer of size d exists iff one exists
+      with the i-th pair of C reversed in slot i, and the search starts
+      from there. Each of those slots takes one reversal on top of the
+      poset's order, which never cycles because the pair is incomparable.
+    - Incremental search. Each node of the search holds the live pairs,
+      those no slot reverses yet, each with the mask of the slots where it
+      can still be reversed (a is not forced before b). It branches on the
+      first live pair with the fewest feasible slots, over those slots in
+      ascending order, skipping a slot equal to one already tried. Adding
+      b before a to slot i changes slot i alone, and its reach sets only
+      grow: a covered pair stays covered and an infeasible slot stays
+      infeasible. So the child's live pairs and masks come from testing
+      each live pair against slot i alone: drop it when slot i now
+      reverses it, clear bit i when slot i now forces a before b.
+    """
+    n = p.ground_size
+    if n > POSET_GROUND_LIMIT:
+        raise SizeLimitExceeded(
+            f"poset ground set {n} exceeds limit {POSET_GROUND_LIMIT}")
+    below, above = _twin_free(*_order_masks(p))
+    dim = _realizer_size(below, above)
+    return dim if len(below) == n else max(2, dim)

@@ -257,6 +257,14 @@ class TestAcyclicRep:
         with pytest.raises(InvalidColoring):
             acyclic_rep(c4, Coloring({0: 0, 1: 1, 2: 0, 3: 1}, 2))
 
+    @pytest.mark.parametrize("color, message", [
+        ({0: 0, 1: 1, 2: 0, 5: 1}, "names a vertex outside the graph"),
+        ({0: 0, 1: 1}, "must assign every vertex"),
+    ], ids=["outside", "missing"])
+    def test_names_each_coloring_fault(self, color, message):
+        with pytest.raises(InvalidColoring, match=message):
+            acyclic_rep(path_graph(3), Coloring(color, 2))
+
     @given(graphs_strategy(7))
     def test_exact_dimension_count(self, g):
         col = smallest_acyclic_coloring(g)

@@ -3,11 +3,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boxrep import exact
 from boxrep.builders import degenerate_rep, roberts_rep
 from boxrep.errors import SizeLimitExceeded
-from boxrep.exact import (SolveLimits, _conflict_masks, _critical_pairs,
-                          _max_clique, _maximal_keepable, _order_masks,
-                          exact_boxicity, exact_poset_dimension)
+from boxrep.exact import (POSET_GROUND_LIMIT, SolveLimits, _conflict_masks,
+                          _critical_pairs, _max_clique, _maximal_keepable,
+                          _order_masks, exact_boxicity, exact_poset_dimension)
 from boxrep.graph import Graph, components, degeneracy_order, generate
 from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
@@ -186,6 +187,74 @@ def search_from_two(p):
     return n
 
 
+def pairwise_conflict_masks(crit, above):
+    """Reference for `_conflict_masks`: bit j of entry i is set iff critical
+    pairs i = (a, b) and j = (c, d) have a <= d and c <= b, tested pair by
+    pair."""
+    up = [above[x] | 1 << x for x in range(len(above))]  # up[x]: elements >= x
+    return [sum(1 << j for j, (c, d) in enumerate(crit)
+                if (up[a] >> d) & 1 and (up[c] >> b) & 1)
+            for a, b in crit]
+
+
+def rescanning_poset_dimension(p):
+    """Reference for `exact_poset_dimension`: the same clique-seeded search
+    with no twin reduction, which rescans every uncovered pair against
+    every slot at each node."""
+    n = p.ground_size
+    below, above = _order_masks(p)
+    crit = _critical_pairs(n, below, above)
+    if not crit:
+        return 1
+    clique = [crit[i] for i in _max_clique(pairwise_conflict_masks(crit, above))]
+
+    base = tuple(above)
+
+    def closed_add(reach, before, after):
+        new = list(reach)
+        gained = (1 << after) | new[after]
+        for x in range(n):
+            if x == before or (new[x] >> before) & 1:
+                new[x] |= gained
+        return tuple(new)
+
+    def search(d):
+        slots = [closed_add(base, b, a) for a, b in clique]
+        slots += [base] * (d - len(clique))
+
+        def dfs(uncovered):
+            live = [(a, b) for a, b in uncovered
+                    if not any((s[b] >> a) & 1 for s in slots)]
+            if not live:
+                return True
+            options = []
+            for a, b in live:
+                feas = [i for i in range(d) if not (slots[i][a] >> b) & 1]
+                if not feas:
+                    return False
+                options.append(((a, b), feas))
+            options.sort(key=lambda t: len(t[1]))
+            (a, b), feas = options[0]
+            tried = set()
+            for i in feas:
+                if slots[i] in tried:
+                    continue
+                tried.add(slots[i])
+                old = slots[i]
+                slots[i] = closed_add(old, b, a)
+                if dfs(live):
+                    return True
+                slots[i] = old
+            return False
+
+        return dfs(crit)
+
+    d = max(2, len(clique))
+    while not search(d):
+        d += 1
+    return d
+
+
 def clique_bound(p):
     """The size of the largest set of pairwise conflicting critical pairs."""
     below, above = _order_masks(p)
@@ -213,6 +282,29 @@ def posets_strategy(draw, max_n=8):
                 above[i] |= above[j]
     return FinitePoset(n, frozenset((order[i], order[j]) for i in range(n)
                                     for j in range(n) if (above[i] >> j) & 1))
+
+
+@st.composite
+def posets_with_twins_strategy(draw):
+    """A `posets_strategy` poset with random elements duplicated, each copy
+    a twin of its original (same strict down-set and up-set), relabelled
+    at random; at most POSET_GROUND_LIMIT elements in all."""
+    p = draw(posets_strategy())
+    n = p.ground_size
+    count = draw(st.integers(1, POSET_GROUND_LIMIT - n))
+    p = with_twins(p, draw(st.lists(st.integers(0, n - 1),
+                                    min_size=count, max_size=count)))
+    perm = draw(st.permutations(range(p.ground_size)))
+    return FinitePoset(p.ground_size,
+                       frozenset((perm[a], perm[b]) for a, b in p.strict))
+
+
+def with_twins(p, originals):
+    """The poset with a new element n + i, a twin of originals[i], for each i."""
+    twin_of = list(range(p.ground_size)) + list(originals)
+    return FinitePoset(len(twin_of), frozenset(
+        (x, y) for x, a in enumerate(twin_of)
+        for y, b in enumerate(twin_of) if (a, b) in p.strict))
 
 
 def chain(n):
@@ -245,6 +337,7 @@ class TestExactPosetDimension:
     def test_matches_search_from_two_on_random_posets(self, p):
         dim = exact_poset_dimension(p)
         assert dim == search_from_two(p)
+        assert dim == rescanning_poset_dimension(p)
         assert clique_bound(p) <= dim
 
     def test_matches_search_from_two_on_small_adjacency_posets(self):
@@ -293,3 +386,46 @@ class TestExactPosetDimension:
                 brute = k
                 break
         assert exact_poset_dimension(p) == brute
+
+
+class TestTwinReduction:
+    def test_edgeless_adjacency_poset_is_two(self):
+        # ten pairwise incomparable elements, all twins of each other
+        p = adjacency_poset(Graph(5, frozenset()))
+        assert p.ground_size == 10 and not p.strict
+        assert exact_poset_dimension(p) == 2
+
+    def test_chain_plus_a_twin_is_two(self):
+        assert exact_poset_dimension(with_twins(chain(4), [1])) == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_doubled_standard_examples_keep_their_dimension(self, n, monkeypatch):
+        # 4n elements exceed the ground-set limit, so the check is made with
+        # a raised limit; the reduction gets back adjacency_poset(K_n)
+        p = adjacency_poset(complete_graph(n))
+        p = with_twins(p, range(p.ground_size))
+        with pytest.raises(SizeLimitExceeded):
+            exact_poset_dimension(p)
+        monkeypatch.setattr(exact, "POSET_GROUND_LIMIT", p.ground_size)
+        assert exact_poset_dimension(p) == n
+
+    def test_limit_reads_the_ground_set_before_reduction(self):
+        # eleven twins reduce to one element, but the input is over the limit
+        with pytest.raises(SizeLimitExceeded, match="ground set 11"):
+            exact_poset_dimension(FinitePoset(11, frozenset()))
+        p = with_twins(adjacency_poset(path_graph(5)), [0])
+        with pytest.raises(SizeLimitExceeded, match="ground set 11"):
+            exact_poset_dimension(p)
+
+
+class TestAgainstRescanningSearch:
+    @given(posets_with_twins_strategy())
+    @settings(max_examples=200)
+    def test_random_posets_with_twins(self, p):
+        assert exact_poset_dimension(p) == rescanning_poset_dimension(p)
+
+    @given(posets_with_twins_strategy())
+    def test_conflict_masks_match_pairwise(self, p):
+        below, above = _order_masks(p)
+        crit = _critical_pairs(p.ground_size, below, above)
+        assert _conflict_masks(crit, above) == pairwise_conflict_masks(crit, above)

@@ -56,6 +56,8 @@ def pair_classes_induce_forests(g, color):
 
 def validate_acyclic(g, coloring):
     color = coloring.color
+    if not set(color) <= set(range(g.n)):
+        raise InvalidColoring("coloring names a vertex outside the graph")
     if set(color) != set(range(g.n)):
         raise InvalidColoring("coloring must assign every vertex")
     if not is_proper(g, color):
