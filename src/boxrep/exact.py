@@ -1,25 +1,33 @@
 """Ground truth: exact boxicity and exact poset dimension.
 
-Boxicity is a dynamic program over vertex orderings followed by an exact
-set cover. Poset dimension first keeps one element of each twin class
-(elements with the same strict down-set and up-set), which changes the
-answer only by max(2, .), then runs a depth-first search for a realizer
-that starts at a clique lower bound on critical pairs no extension can
-reverse together. The search is incremental: each node passes its
-uncovered pairs and their feasible-slot masks down, and a child tests them
-against the one slot it changed, since reach sets only grow along a
-branch. Both solvers have hard size limits that fail loudly; there is no
-approximate fallback here.
+Boxicity is settled per component by two proven bounds where they meet,
+and otherwise by a dynamic program over vertex orderings followed by an
+exact set cover. A component has boxicity 1 exactly when it has an
+umbrella-free vertex order (Olariu, IPL 1991), which `interval_order`
+searches for; any graph on n vertices has boxicity at most n // 2
+(Roberts, 1969), by the pairing `roberts_rep` builds. So a component that
+is not interval and has at most 5 vertices has boxicity 2. The size limits
+apply before either shortcut.
+
+Poset dimension first keeps one element of each twin class (elements with
+the same strict down-set and up-set), which changes the answer only by
+max(2, .), then runs a depth-first search for a realizer that starts at a
+clique lower bound on critical pairs no extension can reverse together.
+The search is incremental: each node passes its uncovered pairs and their
+feasible-slot masks down, and a child tests them against the one slot it
+changed, since reach sets only grow along a branch. Both solvers have hard
+size limits that fail loudly; there is no approximate fallback here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParams, SizeLimitExceeded
 from .graph import Graph, components
-from .intervals import RECOGNITION_LIMIT
+from .intervals import RECOGNITION_LIMIT, interval_order
 from .poset import FinitePoset
 
 POSET_GROUND_LIMIT = 10
@@ -31,6 +39,11 @@ class SolveLimits:
     max_vertices: int = 10
 
     def __post_init__(self):
+        try:
+            self.max_nonedges = operator.index(self.max_nonedges)
+            self.max_vertices = operator.index(self.max_vertices)
+        except TypeError as exc:
+            raise InvalidParams("limits must be integers") from exc
         if min(self.max_nonedges, self.max_vertices) <= 0:
             raise InvalidParams("limits must be positive")
 
@@ -143,6 +156,10 @@ def _component_boxicity(comp: Graph, limits: SolveLimits) -> int:
     if kk > limits.max_nonedges:
         raise SizeLimitExceeded(
             f"component has {kk} non-edges, limit {limits.max_nonedges}")
+    if interval_order(comp) is not None:
+        return 1
+    if comp.n // 2 <= 2:  # not interval, so 2 <= boxicity <= n // 2
+        return 2
     return _min_cover((1 << kk) - 1, _maximal_keepable(comp, nonedges))
 
 
@@ -173,6 +190,20 @@ def exact_boxicity(g: Graph, limits: SolveLimits | None = None) -> int:
     H(G, v), and each of those non-edge sets is such an F: the maximal sets
     F are exactly the maximal non-edge sets of the graphs H(G, v), which
     `_maximal_keepable` enumerates without listing the orderings.
+
+    Two bounds settle most components before the set cover runs; the size
+    limits are checked first all the same.
+
+    - Boxicity 1 exactly when the component is interval, that is when it
+      has an umbrella-free order (Olariu, IPL 1991, as above), which
+      `interval_order` finds or rules out.
+    - Boxicity at most n // 2 (Roberts, 1969). `roberts_rep` pairs each
+      vertex with an unused non-neighbour until the unused vertices form a
+      clique, so every non-edge has an endpoint in some pair, and gives
+      each pair (a, b) one interval supergraph of G in which a and b miss
+      all their non-neighbours. The pairs are disjoint, so there are at
+      most n // 2 of them. A component that is not interval has boxicity at
+      least 2, so for n <= 5 it has boxicity exactly 2.
     """
     limits = limits or SolveLimits()
     best = 1

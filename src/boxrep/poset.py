@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParams
@@ -13,16 +14,24 @@ class FinitePoset:
     """A finite partial order on ground elements 0..ground_size-1.
 
     `strict` holds the strict comparabilities (a, b) meaning a < b; it must be
-    irreflexive, antisymmetric and transitively closed.
+    irreflexive, antisymmetric and transitively closed. `ground_size` and the
+    elements are converted with `operator.index`; anything else raises
+    InvalidParams.
     """
 
     ground_size: int
     strict: frozenset
 
     def __post_init__(self):
+        try:
+            self.ground_size = operator.index(self.ground_size)
+            self.strict = frozenset((operator.index(a), operator.index(b))
+                                    for a, b in self.strict)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams("ground_size must be an integer and strict "
+                                "pairs of integers") from exc
         if self.ground_size < 0:
             raise InvalidParams("ground set size must be nonnegative")
-        self.strict = frozenset(self.strict)
         rel = self.strict
         above: dict[int, list[int]] = {}
         for a, b in rel:

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from boxrep import cli
 from boxrep.errors import BoxrepError
-from boxrep.graph import parse_graph
+from boxrep.graph import parse_graph, write_graph
 from boxrep.intervals import parse_representation, verify_representation
+
+from conftest import path_graph
 
 
 def run_cli(*args, timeout=None):
@@ -64,6 +66,16 @@ class TestExact:
                 "--out", str(tmp_path / "g"))
         res = run_cli("exact", "--graph", str(tmp_path / "g"))
         assert res.returncode == 3
+
+    def test_interval_graph_over_the_nonedge_limit_exit_3(self, tmp_path):
+        # P8 is interval, but its 21 non-edges exceed the default 20: the
+        # limits are checked before the interval shortcut answers 1
+        gfile = tmp_path / "p8.g"
+        gfile.write_text(write_graph(path_graph(8)))
+        res = run_cli("exact", "--graph", str(gfile))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "21 non-edges" in res.stderr
 
     def test_env_limits_override(self, tmp_path):
         # copm(6): 12 vertices (over the default cap) but only 6 non-edges

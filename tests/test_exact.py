@@ -1,14 +1,16 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import exact
 from boxrep.builders import degenerate_rep, roberts_rep
-from boxrep.errors import SizeLimitExceeded
+from boxrep.errors import InvalidParams, SizeLimitExceeded
 from boxrep.exact import (POSET_GROUND_LIMIT, SolveLimits, _conflict_masks,
                           _critical_pairs, _max_clique, _maximal_keepable,
-                          _order_masks, exact_boxicity, exact_poset_dimension)
+                          _min_cover, _order_masks, exact_boxicity,
+                          exact_poset_dimension)
 from boxrep.graph import Graph, components, degeneracy_order, generate
 from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
@@ -36,6 +38,93 @@ def subset_maximal_keepable(comp, nonedges):
         if not any(m | kept == kept for kept in maximal):
             maximal.append(m)
     return maximal
+
+
+def dp_boxicity(g):
+    """Reference for `exact_boxicity` with no shortcut: per component, the
+    minimum cover of its non-edges by the ordering program's maximal sets."""
+    best = 1
+    for comp, _ in components(g):
+        nonedges = list(comp.nonedges())
+        if nonedges:
+            best = max(best, _min_cover((1 << len(nonedges)) - 1,
+                                        _maximal_keepable(comp, nonedges)))
+    return best
+
+
+def counting_maximal_keepable(monkeypatch):
+    """Wrap `exact._maximal_keepable` so each call is counted; returns the
+    list the calls are appended to."""
+    calls = []
+    inner = exact._maximal_keepable
+
+    def counted(comp, nonedges):
+        calls.append(comp.n)
+        return inner(comp, nonedges)
+
+    monkeypatch.setattr(exact, "_maximal_keepable", counted)
+    return calls
+
+
+@st.composite
+def near_complete_graphs(draw, max_n=7):
+    """K_n for 6 <= n <= max_n minus a random matching and up to two more
+    pairs. K6 minus a perfect matching is copm(3), of boxicity 3, so about
+    one draw in seven has boxicity 3, where the bounds settle nothing."""
+    n = draw(st.integers(6, max_n))
+    pairs = list(combinations(range(n), 2))
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n // 2))
+    missing = {tuple(sorted(perm[2 * i:2 * i + 2])) for i in range(k)}
+    missing |= draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return Graph(n, frozenset(pairs) - missing)
+
+
+class TestSolveLimits:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_nonedges": "5"},
+        {"max_nonedges": 5.0},
+        {"max_vertices": None},
+        {"max_vertices": 2.5},
+        {"max_vertices": 0},
+        {"max_nonedges": -1},
+    ], ids=["str nonedges", "float nonedges", "None vertices",
+            "float vertices", "zero vertices", "negative nonedges"])
+    def test_bad_limits_raise_invalid_params(self, kwargs):
+        with pytest.raises(InvalidParams):
+            SolveLimits(**kwargs)
+
+    def test_integer_like_limits_become_int(self):
+        limits = SolveLimits(max_nonedges=np.int64(7), max_vertices=np.int32(9))
+        assert (limits.max_nonedges, limits.max_vertices) == (7, 9)
+        assert type(limits.max_nonedges) is int
+        assert type(limits.max_vertices) is int
+
+
+class TestBoundShortcuts:
+    @given(graphs_strategy(7))
+    def test_matches_dp_on_random_graphs(self, g):
+        assert exact_boxicity(g) == dp_boxicity(g)
+
+    @given(near_complete_graphs())
+    def test_matches_dp_on_near_complete_graphs(self, g):
+        assert exact_boxicity(g) == dp_boxicity(g)
+
+    def test_matches_dp_on_every_graph_up_to_five_vertices(self):
+        for g in all_graphs_upto(5):
+            assert exact_boxicity(g) == dp_boxicity(g), sorted(g.edges)
+
+    def test_no_dp_up_to_five_vertices_or_on_p6(self, monkeypatch):
+        calls = counting_maximal_keepable(monkeypatch)
+        for g in all_graphs_upto(5):
+            exact_boxicity(g)
+        assert exact_boxicity(path_graph(6)) == 1
+        assert calls == []
+
+    def test_dp_runs_when_no_bound_settles(self, monkeypatch):
+        calls = counting_maximal_keepable(monkeypatch)
+        assert exact_boxicity(generate("copm", k=3)) == 3
+        assert calls == [6]
 
 
 class TestExactBoxicity:

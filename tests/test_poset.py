@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -85,3 +86,24 @@ class TestFinitePoset:
     def test_rejects_negative_ground_size(self):
         with pytest.raises(InvalidParams, match="nonnegative"):
             FinitePoset(-3, frozenset())
+
+    @pytest.mark.parametrize("n, strict", [
+        ("3", frozenset()),
+        (2.5, frozenset()),
+        (None, frozenset()),
+        (3, {(0, 1, 2)}),
+        (3, {(0,)}),
+        (3, {(0.0, 1)}),
+        (3, {(0, "1")}),
+        (3, None),
+    ], ids=["str n", "float n", "None n", "triple", "single", "float id",
+            "str id", "None strict"])
+    def test_bad_input_raises_invalid_params(self, n, strict):
+        with pytest.raises(InvalidParams):
+            FinitePoset(n, strict)
+
+    def test_integer_like_input_becomes_int(self):
+        p = FinitePoset(np.int64(3), {(np.int64(0), np.int32(1))})
+        assert type(p.ground_size) is int
+        assert p.strict == {(0, 1)}
+        assert all(type(x) is int for pair in p.strict for x in pair)
