@@ -35,11 +35,11 @@ from .graph import (
 from .intervals import (
     BoxRepresentation,
     VerifyReport,
-    concat,
     extend_universal,
     is_interval_graph,
     merge_components,
     parse_representation,
+    prune_dims,
     verify_representation,
     write_representation,
 )

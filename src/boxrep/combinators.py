@@ -72,7 +72,7 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentat
     So the lift represents G1 exactly when `rep_q` represents H1, and it is
     returned uncertified; G1 is never built.
     """
-    certify(q.quotient_graph.add_clique(q.reps), rep_q,
+    certify(q.h1, rep_q,
             "rep_q for the quotient plus a clique on the representatives",
             InvalidInputRep)
     return BoxRepresentation(len(q.cols), rep_q.lo[:, q.cols], rep_q.hi[:, q.cols])

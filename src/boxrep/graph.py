@@ -290,6 +290,13 @@ class QuotientResult:
     reps: tuple
     cols: tuple
 
+    @cached_property
+    def h1(self) -> Graph:
+        """H1, the quotient graph with a clique on `reps`, built on first use:
+        the surface pipeline represents it and `quotient_lift` certifies
+        against it."""
+        return self.quotient_graph.add_clique(self.reps)
+
 
 def quotient_by_a_neighborhood(g: Graph, a: Iterable[int]) -> QuotientResult:
     """Collapse vertices outside `a` that share the same neighborhood in `a`.
@@ -434,7 +441,8 @@ def write_graph(g: Graph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# vertices in a parsed graph; `verify` at this n peaks near 320 MiB: the
+# vertices in a parsed graph; at this n a kdegen graph (k = 3) peaks near
+# 430 MiB in `build --pipeline edge` and 350 MiB in `verify`, mostly the
 # oracle's (n, n) bool matrices
 GRAPH_VERTEX_LIMIT = 10_000
 

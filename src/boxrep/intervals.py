@@ -1,4 +1,4 @@
-"""Box representations and the oracle that certifies them.
+"""Box representations, the oracle that certifies them, and their pruning.
 
 A box representation is an ordered list of interval assignments over the same
 vertex set; its meaning is the intersection of the corresponding interval
@@ -7,9 +7,15 @@ intersect. A representation stores its endpoints as two int64 arrays `lo`
 and `hi` of shape (d, n): row j is dimension j+1 and column v is vertex v.
 The arrays are read-only, so representations and the combinators below share
 rows without copying them. Endpoints must lie in the int64 range, and every
-combinator below keeps them integral. Interval graphs on at most
-RECOGNITION_LIMIT vertices are recognised by a search for an umbrella-free
-vertex order.
+combinator below keeps them integral.
+
+The oracle and `prune_dims` only compare endpoints of one row with each
+other, so both read them narrowed by `_narrowed`: each row shifted to start
+at 0 and cast to the smallest unsigned type that holds it, which keeps their
+order. `prune_dims` drops, last row first, every row whose separated pairs
+other rows separate; its docstring proves that the oracle's report does not
+change. Interval graphs on at most RECOGNITION_LIMIT vertices are recognised
+by a search for an umbrella-free vertex order.
 """
 
 from __future__ import annotations
@@ -36,6 +42,15 @@ RECOGNITION_LIMIT = 12
 # bytes of the oracle's per-chunk temporary; bounds its memory for any d
 ORACLE_CHUNK_BYTES = 1 << 24
 
+# bytes that prune_dims may allocate; a larger call raises SizeLimitExceeded
+PRUNE_MEMORY_LIMIT = 1 << 30
+
+# pairs per compare in prune_dims, few enough to stay in cache
+_PRUNE_TILE = 1 << 18
+
+# d * n * n from which `_narrowed` pays for itself
+_NARROW_FROM = 1 << 14
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -47,6 +62,28 @@ def _endpoints(values, what: str) -> np.ndarray:
         arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _narrowed(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`lo` and `hi` shifted so that each row starts at 0, in the smallest
+    unsigned integer type that holds every shifted endpoint.
+
+    A shift and a cast keep the order of the endpoints within a row, which is
+    all that the oracle and `prune_dims` compare. The differences are taken
+    in int64 and read as uint64: for int64 values x >= base, x - base wraps
+    to its exact value modulo 2**64, which lies in [0, 2**64), so no span
+    overflows, not even from the int64 minimum to the maximum. Below
+    _NARROW_FROM compared pairs, d * n * n, these numpy calls cost more than
+    the narrow compare saves, so such arrays are returned as they are.
+    """
+    d, n = lo.shape
+    if d * n * n < _NARROW_FROM:
+        return lo, hi
+    base = lo.min(axis=1, keepdims=True)
+    lo = (lo - base).view(np.uint64)
+    hi = (hi - base).view(np.uint64)
+    dtype = np.min_scalar_type(hi.max())
+    return lo.astype(dtype, copy=False), hi.astype(dtype, copy=False)
 
 
 @dataclass
@@ -105,18 +142,22 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
     first condition, read against its transpose, gives the symmetric matrix
     `met` of the pairs that meet. It is accumulated over chunks of
     dimensions whose (chunk, n, n) comparison stays within
-    ORACLE_CHUNK_BYTES. Every vertex meets itself, so the representation is
-    valid iff every edge is met and `met` holds exactly n + 2m true entries.
-    Otherwise, with the edges and the diagonal cleared, the first true entry
-    of `met` in row-major order is the smallest uncovered non-edge: if it
-    were (a, b) with b < a, then `met[b, a]` would be true and come first.
-    `argmax` finds it without building an index array.
+    ORACLE_CHUNK_BYTES. The comparison reads the endpoints narrowed by
+    `_narrowed`, which keeps their order within each dimension, so it
+    decides exactly what the int64 endpoints decide while reading a quarter
+    or less of their bytes. Every vertex meets itself, so the representation
+    is valid iff every edge is met and `met` holds exactly n + 2m true
+    entries. Otherwise, with the edges and the diagonal cleared, the first
+    true entry of `met` in row-major order is the smallest uncovered
+    non-edge: if it were (a, b) with b < a, then `met[b, a]` would be true
+    and come first. `argmax` finds it without building an index array.
     """
     if rep.n != g.n:
         raise DimensionMismatch(f"representation over {rep.n} vertices, graph has {g.n}")
     if g.n < 2:
         return VerifyReport(True, None, None)  # no pair to check
-    lo, hi = rep.lo[:, :, None], rep.hi[:, None, :]
+    lo, hi = _narrowed(rep.lo, rep.hi)
+    lo, hi = lo[:, :, None], hi[:, None, :]
     step = max(1, ORACLE_CHUNK_BYTES // (g.n * g.n))
     below = np.ones((g.n, g.n), dtype=bool)
     for start in range(0, rep.d, step):
@@ -140,12 +181,12 @@ def certify(g: Graph, rep: BoxRepresentation, what: str,
             error: type[BoxrepError] | None = None) -> BoxRepresentation:
     """Return `rep` when the oracle accepts it for `g`, raise otherwise.
 
-    The one gate of every combinator, for each representation it is handed.
-    Its output is covered by its docstring's proof, except `concat`'s, whose
-    soundness rests on the supergraphs covering the non-edges between them.
-    A rejected `rep` raises `error`, naming `what` and both witnesses; with
-    no `error`, a separated edge raises PreconditionViolation and an
-    unseparated non-edge raises UncoveredNonedge.
+    The one gate of every combinator, for each representation it is handed,
+    and of the surface pipeline for its result. A combinator's output is
+    covered by its docstring's proof. A rejected `rep` raises `error`,
+    naming `what` and both witnesses; with no `error`, a separated edge
+    raises PreconditionViolation and an unseparated non-edge raises
+    UncoveredNonedge.
     """
     report = verify_representation(g, rep)
     if report.valid:
@@ -155,6 +196,139 @@ def certify(g: Graph, rep: BoxRepresentation, what: str,
     raise (error or PreconditionViolation)(
         f"{what} fails the oracle (missing_edge={report.missing_edge}, "
         f"uncovered_nonedge={report.uncovered_nonedge})")
+
+
+# ---------------------------------------------------------------------------
+# pruning
+
+
+def _prune_bytes(d: int, n: int) -> int:
+    """An upper bound on the bytes `prune_dims` allocates for d rows over n
+    vertices, where one set of n*n bits takes `bits` bytes: the sets of a
+    chunk, their prefix unions and the previous chunk's sets, at most
+    max(ORACLE_CHUNK_BYTES, bits) each; the d.bit_length() count planes and
+    eight more sets in flight; one tile's two boolean compares and its packed
+    bits, under 3 * _PRUNE_TILE; and the narrowed and the kept endpoints,
+    at most 32 bytes a vertex and row."""
+    bits = (n * n + 7) // 8
+    return (3 * max(ORACLE_CHUNK_BYTES, bits) + (d.bit_length() + 8) * bits
+            + 3 * _PRUNE_TILE + 32 * d * n)
+
+
+def _separated_sets(lo: np.ndarray, hi: np.ndarray, start: int, stop: int) -> list[int]:
+    """Bitsets of the pairs rows start..stop-1 separate: bit u*n + v of entry
+    i is set iff the intervals of u and v are disjoint in row start + i.
+
+    Each compare covers at most _PRUNE_TILE pairs: several rows when n*n is
+    that small, else blocks of a multiple of 8 vertices of one row, whose
+    packed bits then join at byte boundaries.
+    """
+    n = lo.shape[1]
+    rows = max(1, _PRUNE_TILE // (n * n))
+    block = n if n * n <= _PRUNE_TILE else max(8, _PRUNE_TILE // n // 8 * 8)
+    sets = []
+    for first in range(start, stop, rows):
+        a, b = lo[first:min(stop, first + rows)], hi[first:min(stop, first + rows)]
+        packed = []
+        for top in range(0, n, block):
+            apart = a[:, None, :] > b[:, top:top + block, None]
+            apart |= a[:, top:top + block, None] > b[:, None, :]
+            packed.append(np.packbits(apart.reshape(len(a), -1), axis=1,
+                                      bitorder="little"))
+        packed = np.concatenate(packed, axis=1)
+        raw, width = packed.tobytes(), packed.shape[1]
+        sets.extend(int.from_bytes(raw[i * width:(i + 1) * width], "little")
+                    for i in range(len(a)))
+    return sets
+
+
+def _count(planes: list[int], pairs: int, step: int) -> None:
+    """Add `step` (1 or -1) to the bit-sliced count of every pair in `pairs`,
+    `planes[k]` holding bit k of every count; a pair is only taken off a
+    count it was added to."""
+    for k, plane in enumerate(planes):
+        if not pairs:
+            return
+        # a carry goes on where the bit was set, a borrow where it was clear
+        planes[k] = plane ^ pairs
+        pairs &= plane if step > 0 else planes[k]
+    if pairs:
+        planes.append(pairs)
+
+
+def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
+    """Drop, last row first, each row whose separated pairs other rows separate.
+
+    Row j is dropped when every pair it separates is also separated by an
+    earlier row or by a later row already kept. At least one row stays: when
+    no row separates anything, as on a complete graph, row 1 is kept. The
+    kept rows keep their order, and `rep` itself is returned when no row
+    drops.
+
+    The union U of the separated pairs is invariant. Before row j is visited,
+    rows 1..j+1 and the kept rows together separate every pair of U: this
+    holds before the first visit, and a dropped row only takes away pairs
+    that rows 1..j or the kept rows still separate. So at the end the kept
+    rows separate U, and being input rows they separate nothing else. The
+    oracle reads a representation only through the pairs that meet in every
+    dimension, the complement of U, so `verify_representation(g,
+    prune_dims(rep)) == verify_representation(g, rep)` for every graph g on
+    rep.n vertices, valid or not; a certificate stays a certificate and its
+    d only falls.
+
+    The separated sets are Python-int bitsets over the n*n ordered pairs,
+    made one chunk of rows at a time by `_separated_sets` from the narrowed
+    endpoints; a chunk's sets take at most ORACLE_CHUNK_BYTES, or one set
+    when a set is larger. Within a chunk the rule reads prefix unions: the
+    union of the rows before the chunk, extended by one row at a time. That
+    union comes from bit-sliced counts, `planes[k]` holding bit k of the
+    number of rows before the chunk that separate each pair: a first pass
+    counts every chunk but the last, and the backward pass takes each
+    earlier chunk's rows off the counts as it reaches it. One chunk, the
+    common case, needs no counts. Memory is at most `_prune_bytes(d, n)`;
+    above PRUNE_MEMORY_LIMIT the call raises SizeLimitExceeded before
+    allocating.
+    """
+    d, n = rep.lo.shape
+    if d == 1:
+        return rep
+    if n < 2:  # no pair to separate
+        return BoxRepresentation(n, rep.lo[:1], rep.hi[:1])
+    need = _prune_bytes(d, n)
+    if need > PRUNE_MEMORY_LIMIT:
+        raise SizeLimitExceeded(
+            f"pruning {d} rows over {n} vertices needs {need} bytes, "
+            f"limit {PRUNE_MEMORY_LIMIT}")
+    lo, hi = _narrowed(rep.lo, rep.hi)
+    step = max(1, 8 * ORACLE_CHUNK_BYTES // (n * n))
+    chunks = [(start, min(d, start + step)) for start in range(0, d, step)]
+    planes = []
+    for start, stop in chunks[:-1]:
+        for pairs in _separated_sets(lo, hi, start, stop):
+            _count(planes, pairs, 1)
+
+    keep, kept = [], 0
+    for start, stop in reversed(chunks):
+        sets = _separated_sets(lo, hi, start, stop)
+        if stop < d:
+            for pairs in sets:
+                _count(planes, pairs, -1)
+        before = 0
+        for plane in planes:
+            before |= plane
+        prefixes = []
+        for pairs in sets:
+            prefixes.append(before)
+            before |= pairs
+        for j in range(stop - 1, start - 1, -1):
+            pairs = sets[j - start]
+            if pairs & (prefixes[j - start] | kept) != pairs or (j == 0 and not keep):
+                keep.append(j)
+                kept |= pairs
+    if len(keep) == d:
+        return rep
+    keep.reverse()
+    return BoxRepresentation(n, rep.lo[keep], rep.hi[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +383,6 @@ def is_interval_graph(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # combinators
-
-
-def concat(r1: BoxRepresentation, r2: BoxRepresentation, g: Graph) -> BoxRepresentation:
-    """Stack the dimensions of two supergraph representations.
-
-    Sound for `g` whenever every non-edge of `g` is missing from at least one
-    of the two supergraphs; the result is oracle-checked and the call fails
-    with a witness otherwise.
-    """
-    if r1.n != r2.n or r1.n != g.n:
-        raise DimensionMismatch("representations must share the vertex set of g")
-    out = BoxRepresentation(g.n, np.concatenate((r1.lo, r2.lo)),
-                            np.concatenate((r1.hi, r2.hi)))
-    return certify(g, out, "the concatenation of two supergraph representations")
 
 
 def extend_universal(rep: BoxRepresentation, members: Iterable[int],

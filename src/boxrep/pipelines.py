@@ -8,6 +8,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .builders import (
     DegenerateStrategy,
     _default_budget,
@@ -33,9 +35,11 @@ from .graph import (
     quotient_by_a_neighborhood,
 )
 from .intervals import (
-    concat,
+    BoxRepresentation,
+    certify,
     extend_universal,
     merge_components,
+    prune_dims,
     verify_representation,
 )
 from .rng import SplitMix64
@@ -98,7 +102,9 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     `k_bound` of the trace. h gets the degenerate cover along its own
     degeneracy order, whose k (at most k_bound) is the trace's `k`; the
     survivors get the pairing construction, and split_compose recombines.
-    Components merge at the end, and the result is oracle-checked once.
+    Components merge at the end; the merged representation, whose d the
+    trace keeps as `dims_unpruned`, is pruned by `prune_dims`, and the
+    result is oracle-checked once.
     """
     if g.n < 2:
         raise InvalidParams("edge_pipeline needs n >= 2")
@@ -148,17 +154,19 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
         reps.append(rep)
         maps.append(mapping)
     merged = merge_components(reps, maps) if len(reps) > 1 else reps[0]
-    report = verify_representation(g, merged)
+    result = prune_dims(merged)
+    report = verify_representation(g, result)
     if not report.valid:
         raise StructuralCheckFailed(
             f"pipeline output failed verification: {report}", report)
     trace.record("mode", mode)
-    trace.record("final_dims", merged.d)
+    trace.record("dims_unpruned", merged.d)
+    trace.record("final_dims", result.d)
     trace.record("edge_bound_formula", EDGE_BOUND_FORMULA)
     if g.n >= 2 and g.m >= 1:
         trace.record("edge_bound_value", round(_edge_bound(g.n, g.m), 3))
     trace.wall_time = time.perf_counter() - started
-    return merged, trace
+    return result, trace
 
 
 def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
@@ -175,10 +183,12 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     quotient, the degenerate cover, a one-clique split_compose and a lift),
     the other makes every vertex of `a` universal over the acyclic-coloring
     representation. Every non-edge of the input lies in one of the two, so
-    the concatenation is a representation of the input. The combinators
-    certify what they are handed, `concat` certifies the result, and no
-    representation is certified twice; G1 itself is never built. Each input
-    check is made once, by the callee that needs it.
+    their stacked rows represent the input. The stack, whose d the trace
+    keeps as `dims_unpruned`, is pruned by `prune_dims` and the result
+    certified against the input. The combinators certify what they are
+    handed, and no representation is certified twice; G1 itself is never
+    built, and H1 once. Each input check is made once, by the callee that
+    needs it.
     """
     if genus < 0:
         raise InvalidParams("genus must be nonnegative")
@@ -241,9 +251,8 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
                          DegenerateStrategy(seed=seeder.next_u64()))
     trace.record("quotient_dims", r_q.d)
 
-    h1 = q.quotient_graph.add_clique(q.reps)
     if q.reps:
-        r_h1 = split_compose(r_q, _universal(len(q.reps)), q.reps, h1)
+        r_h1 = split_compose(r_q, _universal(len(q.reps)), q.reps, q.h1)
     else:
         r_h1 = r_q
     trace.record("h1_dims", r_h1.d)
@@ -251,8 +260,11 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     r_g1 = quotient_lift(r_h1, q)  # represents G1, g plus a clique outside A
     trace.record("g1_dims", r_g1.d)
 
-    result = concat(r_g1, r_g2, g)  # concat certifies the result against g
-    assert result.d == r_g1.d + r_g2.d
+    stacked = BoxRepresentation(g.n, np.concatenate((r_g1.lo, r_g2.lo)),
+                                np.concatenate((r_g1.hi, r_g2.hi)))
+    result = certify(g, prune_dims(stacked),
+                     "the pruned stack of the G1 and G2 representations")
+    trace.record("dims_unpruned", stacked.d)
     trace.record("final_dims", result.d)
     trace.wall_time = time.perf_counter() - started
     return result, trace

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from boxrep.graph import Graph
+from boxrep.graph import Graph, generate
 from boxrep.intervals import BoxRepresentation
 from boxrep.rng import SplitMix64
 
@@ -59,6 +59,16 @@ def random_graph(n, p_percent, seed):
     edges = [e for e in combinations(range(n), 2)
              if rng.below(100) < p_percent]
     return Graph.from_edges(n, edges)
+
+
+def cored150():
+    """kdegen150 (seed 1) plus a planted clique on every fifth vertex minus
+    a perfect matching of it: 30 vertices of degree about 28."""
+    core = range(0, 150, 5)
+    base = generate("kdegen", n=150, k=3, seed=1)
+    matching = {(u, u + 5) for u in range(0, 150, 10)}
+    planted = set(combinations(core, 2)) - matching
+    return Graph.from_edges(150, base.edges | planted)
 
 
 def rep_from(*dims):

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -25,7 +24,6 @@ from boxrep.coloring import Coloring, chromatic_number, smallest_acyclic_colorin
 from boxrep.combinators import split_compose
 from boxrep.exact import exact_boxicity, exact_poset_dimension
 from boxrep.graph import (
-    Graph,
     assert_k3k,
     components,
     degeneracy_order,
@@ -38,7 +36,7 @@ from boxrep.pipelines import edge_pipeline, surface_pipeline
 from boxrep.poset import adjacency_poset
 from boxrep.rng import SplitMix64
 
-from conftest import all_graphs_upto, complete_graph, cycle_graph, random_graph
+from conftest import all_graphs_upto, complete_graph, cored150, cycle_graph, random_graph
 from test_forest_walk import is_forest
 
 SEEDS = range(10)
@@ -217,7 +215,8 @@ def test_criterion_06_surface_pipeline():
     rep, trace = surface_pipeline(
         k7, 2, frozenset(), Coloring({v: v for v in range(7)}, 7))
     ok = (trace.get("g2_dims") == 42 and trace.get("g1_dims") == 3
-          and rep.d == 45 and verify_representation(k7, rep).valid)
+          and trace.get("dims_unpruned") == 45 and rep.d == 1
+          and verify_representation(k7, rep).valid)
     rng = SplitMix64(99)
     for _ in range(50):
         n = 4 + rng.below(6)
@@ -231,7 +230,7 @@ def test_criterion_06_surface_pipeline():
         cap = (1 + len(a) + math.comb(len(a), 2)
                + (2 * declared + 2) * math.comb(len(a), 3))
         ok &= len(q.reps) <= cap
-    _report(6, ok, "K_7 trace is 42+3=45 and 50 random (G, A) instances satisfy "
+    _report(6, ok, "K_7 trace is 42+3=45, pruned to 1, and 50 random (G, A) instances satisfy "
             "the common-neighbor and class-count formulas",
             time.time() - started, 60)
 
@@ -343,16 +342,6 @@ def test_criterion_11_determinism(tmp_path):
         ok &= first == second
     _report(11, ok, f"{len(invocations)} seeded invocations byte-identical",
             time.time() - started, 60)
-
-
-def cored150():
-    """kdegen150 (seed 1) plus a planted clique on every fifth vertex minus
-    a perfect matching of it: 30 vertices of degree about 28."""
-    core = range(0, 150, 5)
-    base = generate("kdegen", n=150, k=3, seed=1)
-    matching = {(u, u + 5) for u in range(0, 150, 10)}
-    planted = set(combinations(core, 2)) - matching
-    return Graph.from_edges(150, base.edges | planted)
 
 
 def test_criterion_12_paper_mode_within_the_paper_bound():

@@ -18,15 +18,15 @@ GOLDEN = {
     "gen_kdegen60":
         "a5f28d952aed85467c7ce72e8714f7293a8b0b7ab68862f021865cd34f04284a",
     "build_edge_paper":
-        "97bfbd7cee37c43fce4688a9ed6e873836a97d7a6e5a2de73bf19c32ea9cde5f",
+        "fc7367d62b470e4e44608213d367c016550b76f595e6dcffc575208113468a03",
     "build_edge_reference":
-        "97bfbd7cee37c43fce4688a9ed6e873836a97d7a6e5a2de73bf19c32ea9cde5f",
+        "fc7367d62b470e4e44608213d367c016550b76f595e6dcffc575208113468a03",
     "gen_kdegen14":
         "41bcdaa7dce179cd2af3c845f88b884c0d50cb38c52980d95b307b1af985a28a",
     "build_surface":
-        "84f3246dad8070a96710f2148c2c07c1fd2470df1400c7231d851f110448f87d",
+        "61a124402260fc40968c0bc6316d1fa959b4af54f0bd64b0c5d7af41b47910d4",
     "build_surface_trace":
-        "a2833c2ffb56e93e6b34b170876f78950918ea8d9585080bc12e17f13205aac4",
+        "442124ef5cb07f74ee36623b9da9c9e8b67ec7c4e090db9580ca13555a33a2cd",
     "verify":
         "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
     "report":

@@ -4,9 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from boxrep import intervals
+from boxrep import intervals, pipelines
 from boxrep.errors import (
     BoxrepError,
     DimensionMismatch,
@@ -20,14 +20,16 @@ from boxrep.errors import (
 from boxrep.graph import Graph
 from boxrep.intervals import (
     BoxRepresentation,
-    concat,
+    VerifyReport,
     extend_universal,
     is_interval_graph,
     merge_components,
     parse_representation,
+    prune_dims,
     verify_representation,
     write_representation,
 )
+from boxrep.pipelines import edge_pipeline, surface_pipeline
 from boxrep.builders import roberts_rep, trivial_rep
 
 from conftest import (
@@ -235,6 +237,230 @@ class TestVerify:
             reference_report(g, rep) == (False, (0, 1), None)
 
 
+def int64_oracle(g, rep):
+    """The oracle comparing the int64 endpoints themselves, as it did before
+    they were narrowed: the reference of `verify_representation`."""
+    if g.n < 2:
+        return VerifyReport(True, None, None)
+    lo, hi = rep.lo[:, :, None], rep.hi[:, None, :]
+    step = max(1, intervals.ORACLE_CHUNK_BYTES // (g.n * g.n))
+    below = np.ones((g.n, g.n), dtype=bool)
+    for start in range(0, rep.d, step):
+        below &= (lo[start:start + step] <= hi[start:start + step]).all(axis=0)
+    met = below & below.T
+    u, v = g.edge_index
+    broken = ~met[u, v]
+    missing = None
+    if broken.any():
+        missing = divmod(int((u[broken] * g.n + v[broken]).min()), g.n)
+    elif np.count_nonzero(met) == g.n + 2 * g.m:
+        return VerifyReport(True, None, None)
+    met[u, v] = met[v, u] = False
+    np.fill_diagonal(met, False)
+    first = int(met.argmax())
+    return VerifyReport(False, missing,
+                        divmod(first, g.n) if met.flat[first] else None)
+
+
+# endpoints where a span taken in int64, or a cast to 16 or 32 bits, overflows
+_WIDE = [-2**63, -2**63 + 1, -2**31 - 1, -2**31, -2**15 - 1, -2**15, -1, 0, 1,
+         2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 2, 2**63 - 1]
+
+
+@st.composite
+def graphs_with_wide_reps(draw):
+    g = draw(graphs_strategy(7))
+    d = draw(st.integers(1, 4))
+    point = st.one_of(st.integers(-3, 3), st.sampled_from(_WIDE))
+    ends = draw(st.lists(st.tuples(point, point), min_size=d * g.n, max_size=d * g.n))
+    lo = np.array([min(p) for p in ends], dtype=np.int64).reshape(d, g.n)
+    hi = np.array([max(p) for p in ends], dtype=np.int64).reshape(d, g.n)
+    return g, BoxRepresentation(g.n, lo, hi)
+
+
+class TestNarrowedOracle:
+    @pytest.mark.parametrize("row, dtype", [
+        ([3, 258], np.uint8), ([-2**15, 2**15 - 1], np.uint16),
+        ([-2**15, 2**15], np.uint32), ([-2**31, 2**31 - 1], np.uint32),
+        ([-2**31, 2**31], np.uint64), ([-2**63, 2**63 - 1], np.uint64),
+    ])
+    def test_smallest_type_that_keeps_the_order(self, monkeypatch, row, dtype):
+        monkeypatch.setattr(intervals, "_NARROW_FROM", 0)
+        lo = np.array([row, [0, 0]], dtype=np.int64)
+        hi = np.array([row[::-1], [1, 0]], dtype=np.int64).clip(lo)
+        nlo, nhi = intervals._narrowed(lo, hi)
+        assert nlo.dtype == nhi.dtype == dtype
+        assert nlo.min(axis=1).tolist() == [0, 0]
+        for a, b, na, nb in ((lo, hi, nlo, nhi), (hi, lo, nhi, nlo), (lo, lo, nlo, nlo)):
+            assert ((a[:, :, None] <= b[:, None, :])
+                    == (na[:, :, None] <= nb[:, None, :])).all()
+
+    def test_small_arrays_are_not_narrowed(self):
+        rep = roberts_rep(cycle_graph(6))
+        assert intervals._narrowed(rep.lo, rep.hi) == (rep.lo, rep.hi)
+
+    def test_pipeline_certificates_narrow_to_16_bits_or_fewer(self):
+        g = random_graph(60, 20, 1)
+        rep, _ = edge_pipeline(g, seed=1)
+        assert intervals._narrowed(rep.lo, rep.hi)[0].itemsize <= 2
+
+    @given(graphs_with_wide_reps(), st.booleans())
+    # int64 min, max and 0 apart: shifted in int64, max and 0 would wrap
+    @example((Graph(3, frozenset()), rep_from([(-2**63, -2**63), (2**63 - 1,) * 2, (0, 0)])),
+             True)
+    def test_matches_the_int64_oracle(self, drawn, narrow_all):
+        g, rep = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            if narrow_all:
+                mp.setattr(intervals, "_NARROW_FROM", 0)
+            assert verify_representation(g, rep) == int64_oracle(g, rep)
+
+    @given(graphs_strategy(7), st.integers(0, 10_000), st.integers(2, 40),
+           st.integers(0, 100), st.integers(0, 3))
+    def test_matches_the_int64_oracle_near_certificates(self, g, seed, n,
+                                                          p_percent, moves):
+        big = random_graph(n, p_percent, seed)
+        for graph, rep in ((g, random_rep(g, seed, max_dims=12)),
+                           (big, tampered_rep(big, seed, moves))):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(intervals, "_NARROW_FROM", 0)
+                assert verify_representation(graph, rep) == int64_oracle(graph, rep)
+
+
+def oracle_reverse_delete(rep):
+    """Indices of the rows a reverse delete driven by oracle calls keeps.
+
+    H is the graph `rep` represents. Last row first, row j goes when the rows
+    before it and the rows kept so far still represent H; dropping a row can
+    only make more pairs meet, so that holds iff no pair loses its last
+    separating row.
+    """
+    h = Graph.from_edges(rep.n, brute_force_intersection_edges(rep))
+    kept = []
+    for j in reversed(range(rep.d)):
+        rows = list(range(j)) + kept
+        if not rows or not verify_representation(
+                h, BoxRepresentation(rep.n, rep.lo[rows], rep.hi[rows])).valid:
+            kept.insert(0, j)
+    return kept
+
+
+def unpruned_outputs(g, seed):
+    """The edge and surface pipelines' results before their prune."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipelines, "prune_dims", lambda rep: rep)
+        reps = [edge_pipeline(g, seed=seed)[0]] if g.n >= 2 else []
+        reps.append(surface_pipeline(g, 0, (), seed=seed)[0])
+    return reps
+
+
+def stacked(g, reps, extra):
+    """The rows of `reps`, each a representation of g, then the rows `extra`
+    indexes again, rotated by sum(extra): a representation of g with
+    redundant rows."""
+    rows = [(r.lo[j], r.hi[j]) for r in reps for j in range(r.d)]
+    picked = rows + [rows[i % len(rows)] for i in extra]
+    turn = sum(extra) % len(picked)
+    picked = picked[turn:] + picked[:turn]
+    return BoxRepresentation(g.n, np.array([lo for lo, _ in picked]),
+                             np.array([hi for _, hi in picked]))
+
+
+def is_subsequence(out, rep):
+    rows = iter(zip(rep.lo.tolist(), rep.hi.tolist()))
+    return all(any(row == r for r in rows) for row in zip(out.lo.tolist(), out.hi.tolist()))
+
+
+class TestPrune:
+    @given(graphs_strategy(7), st.integers(0, 50),
+           st.lists(st.integers(0, 200), max_size=30),
+           st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=40)
+    def test_matches_an_oracle_driven_reverse_delete(self, g, seed, extra, chunk_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_rows is not None and g.n:
+                # a few rows per chunk, so that the counts carry the unions
+                mp.setattr(intervals, "ORACLE_CHUNK_BYTES", chunk_rows * g.n * g.n // 8)
+            outputs = unpruned_outputs(g, seed)
+            reps = outputs + [roberts_rep(g), stacked(g, outputs + [roberts_rep(g)], extra)]
+            for rep in reps:
+                out = prune_dims(rep)
+                kept = oracle_reverse_delete(rep)
+                assert (out is rep) == (len(kept) == rep.d)
+                assert out.lo.tolist() == rep.lo[kept].tolist()
+                assert out.hi.tolist() == rep.hi[kept].tolist()
+                assert verify_representation(g, out).valid
+                assert prune_dims(out) is out
+
+    @given(graphs_strategy(7), st.integers(0, 10_000), st.integers(1, 12),
+           st.lists(st.integers(0, 11), max_size=8))
+    def test_keeps_the_oracle_report_of_any_rep(self, g, seed, max_dims, repeats):
+        rep = random_rep(g, seed, max_dims=max_dims)
+        rows = list(range(rep.d)) + [i % rep.d for i in repeats]
+        rep = BoxRepresentation(g.n, rep.lo[rows], rep.hi[rows])
+        out = prune_dims(rep)
+        assert verify_representation(g, out) == verify_representation(g, rep)
+        assert is_subsequence(out, rep)
+        assert prune_dims(out) is out
+
+    @given(graphs_with_wide_reps())
+    def test_keeps_the_report_at_wide_endpoints(self, drawn):
+        g, rep = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "_NARROW_FROM", 0)
+            out = prune_dims(rep)
+        assert int64_oracle(g, out) == int64_oracle(g, rep)
+        assert is_subsequence(out, rep)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_complete_graph_keeps_row_1(self, n):
+        rows = [[(0, 1)] * n, [(v, v + 9) for v in range(n)], [(0, 0)] * n]
+        rep = BoxRepresentation(n, np.array([[lo for lo, _ in r] for r in rows],
+                                            dtype=np.int64).reshape(3, n),
+                                np.array([[hi for _, hi in r] for r in rows],
+                                         dtype=np.int64).reshape(3, n))
+        out = prune_dims(rep)
+        assert out.d == 1 and out.lo.tolist() == rep.lo[:1].tolist()
+        assert verify_representation(complete_graph(n), out).valid
+
+    @pytest.mark.parametrize("tile", [1, 8, 64, 1 << 18])
+    @given(graphs_strategy(20), st.integers(0, 10_000))
+    @settings(max_examples=15)
+    def test_separated_sets_match_brute_force(self, tile, g, seed):
+        rep = random_rep(g, seed, span=g.n + 2, max_dims=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "_PRUNE_TILE", tile)
+            sets = intervals._separated_sets(rep.lo, rep.hi, 0, rep.d)
+        for row, bits in zip(zip(rep.lo.tolist(), rep.hi.tolist()), sets):
+            lo, hi = row
+            assert bits == sum(1 << (u * g.n + v) for u in range(g.n) for v in range(g.n)
+                               if lo[v] > hi[u] or lo[u] > hi[v])
+
+    def test_memory_stays_within_its_bound(self, monkeypatch):
+        # 40 rows over 2000 vertices: two chunks, so the counts are used
+        n, d = 2000, 40
+        rng = np.random.default_rng(0)
+        lo = rng.integers(0, 10 * n, size=(d, n))
+        rep = BoxRepresentation(n, lo, lo + rng.integers(0, 400, size=(d, n)))
+        bound = intervals._prune_bytes(d, n)
+        tracemalloc.start()
+        try:
+            out = prune_dims(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.d < d and peak <= bound
+        monkeypatch.setattr(intervals, "PRUNE_MEMORY_LIMIT", bound - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded, match=f"needs {bound} bytes"):
+                prune_dims(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * n  # less than one narrowed copy of the endpoints
+
+
 class TestRecognition:
     def test_paths_are_interval(self):
         assert is_interval_graph(path_graph(4))
@@ -283,45 +509,6 @@ class TestCertify:
         text = str(exc.value)
         assert text.startswith("the input ")
         assert "missing_edge=(0, 1)" in text and "uncovered_nonedge=(0, 2)" in text
-
-
-class TestConcat:
-    def test_dimension_counts_add(self, c4):
-        r = roberts_rep(c4)
-        out = concat(r, r, c4)
-        assert out.d == 2 * r.d
-
-    def test_c4_from_two_chordal_supergraphs(self, c4):
-        g1 = c4.add_clique({0, 2})
-        g2 = c4.add_clique({1, 3})
-        r1 = trivial_rep(g1)
-        r2 = trivial_rep(g2)
-        out = concat(r1, r2, c4)
-        assert out.d == 2
-        assert verify_representation(c4, out).valid
-
-    def test_uncovered_nonedge_raises_with_witness(self, c4):
-        g1 = c4.add_clique({0, 2})
-        r1 = trivial_rep(g1)
-        with pytest.raises(UncoveredNonedge) as exc:
-            concat(r1, r1, c4)
-        assert exc.value.pair == (0, 2)
-
-    @given(graphs_strategy(5), st.integers(0, 500), st.integers(0, 500))
-    def test_verify_status_independent_of_order(self, g, s1, s2):
-        r1 = random_rep(g, s1)
-        r2 = random_rep(g, s2)
-
-        def status(a, b):
-            try:
-                concat(a, b, g)
-                return "valid"
-            except UncoveredNonedge:
-                return "uncovered"
-            except Exception:
-                return "other"
-
-        assert status(r1, r2) == status(r2, r1)
 
 
 class TestExtendUniversal:

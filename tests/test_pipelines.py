@@ -27,6 +27,7 @@ from boxrep.pipelines import (
 from conftest import (
     complete_bipartite,
     complete_graph,
+    cored150,
     cycle_graph,
     random_graph,
 )
@@ -42,7 +43,10 @@ class TestEdgePipeline:
         rep, trace = edge_pipeline(c4, mode="paper", seed=3)
         assert verify_representation(c4, rep).valid
         comp = trace.get("component")
-        assert comp["dims"] == rep.d == trace.get("final_dims")
+        assert comp["dims"] == trace.get("dims_unpruned") == 4
+        # every vertex survives, so both copies of h's point row separate
+        # nothing; the two Roberts rows stay
+        assert rep.d == trace.get("final_dims") == 2
         assert comp["survivors"] == 4  # theta ~ 1.7 < every degree
 
     def test_k10_hand_trace(self):
@@ -51,11 +55,13 @@ class TestEdgePipeline:
         comp = trace.get("component")
         # all degrees 9 beat theta ~ 4.4: everything survives, the stripped
         # graph is edgeless (one point dimension), survivors give one
-        # universal dimension, so 2*1 + 1 = 3
+        # universal dimension, so 2*1 + 1 = 3; no row separates a pair of
+        # K10, so the prune keeps row 1 alone
         assert comp["survivors"] == 10
         assert comp["h_dims"] == 1
         assert comp["s_dims"] == 1
-        assert rep.d == 3
+        assert trace.get("dims_unpruned") == 3
+        assert rep.d == trace.get("final_dims") == 1
         assert verify_representation(k10, rep).valid
 
     def test_kdegen_reference_bound_from_metadata(self):
@@ -97,6 +103,14 @@ class TestEdgePipeline:
             rep, _ = edge_pipeline(g, mode="paper", seed=0)
             assert checked[g, id(rep.lo), id(rep.hi)] == 1
             assert max(checked.values()) == 1
+
+    @pytest.mark.parametrize("name", ["kdegen300", "cored150"])
+    def test_paper_mode_within_roberts_half_n(self, name):
+        g = (generate("kdegen", n=300, k=3, seed=1) if name == "kdegen300"
+             else cored150())
+        rep, trace = edge_pipeline(g, mode="paper", seed=1)
+        assert rep.d <= g.n / 2 < trace.get("edge_bound_value")
+        assert verify_representation(g, rep).valid
 
     def test_disconnected_input(self):
         g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -182,19 +196,32 @@ class TestSurfacePipeline:
         assert max(seen.m for seen, _, _ in checked) <= max(g.m, h1.m)
         assert verify_representation(g, rep).valid
 
+    def test_apex_style_graph_builds_h1_once(self, monkeypatch):
+        g, a, coloring = apex_style_graph()
+        built = []
+        add_clique = Graph.add_clique
+        monkeypatch.setattr(Graph, "add_clique",
+                            lambda h, s: built.append(h) or add_clique(h, s))
+        surface_pipeline(g, 3, a, coloring)
+        assert len(built) == 1
+
     def test_k7_hand_trace(self):
         k7 = complete_graph(7)
         rep, trace = surface_pipeline(k7, 2, frozenset(), identity_coloring(7))
         assert trace.get("g2_dims") == 42
         assert trace.get("g1_dims") == 3
-        assert rep.d == 45
+        assert trace.get("dims_unpruned") == 45
+        assert rep.d == trace.get("final_dims") == 1  # every row is dead on K7
         assert verify_representation(k7, rep).valid
 
     def test_c4_genus0_assertions_vacuous(self, c4):
         rep, trace = surface_pipeline(c4, 0, frozenset(),
                                       smallest_acyclic_coloring(c4))
         assert verify_representation(c4, rep).valid
-        assert trace.get("final_dims") == trace.get("g1_dims") + trace.get("g2_dims")
+        assert trace.get("dims_unpruned") == trace.get("g1_dims") + trace.get("g2_dims")
+        # G1 is complete, so its 3 rows are dead; 2 of G2's 6 rows stay
+        assert (trace.get("g1_dims"), trace.get("g2_dims")) == (3, 6)
+        assert rep.d == trace.get("final_dims") == 2
 
     def test_k35_declared_genus0_fails_with_witness(self):
         g = complete_bipartite(3, 5)
@@ -234,7 +261,8 @@ class TestSurfacePipeline:
             assert exc.report.max_count > report_bound
             return
         assert verify_representation(g, rep).valid
-        assert trace.get("final_dims") == trace.get("g1_dims") + trace.get("g2_dims")
+        assert trace.get("dims_unpruned") == trace.get("g1_dims") + trace.get("g2_dims")
+        assert rep.d == trace.get("final_dims") <= trace.get("dims_unpruned")
 
 
 class TestSurfaceInputChecks:
