@@ -18,7 +18,7 @@ from .builders import (
 )
 from .coloring import Coloring, acyclic_coloring, chromatic_number, smallest_acyclic_coloring
 from .combinators import quotient_lift, split_compose
-from .exact import SolveLimits, exact_boxicity, exact_poset_dimension
+from .exact import exact_boxicity, exact_poset_dimension
 from .graph import (
     Graph,
     assert_k3k,

@@ -4,10 +4,6 @@ Results and serialized artifacts go to stdout (or --out); diagnostics and
 pipeline traces go to stderr, so seeded invocations are byte-identical on
 stdout and in files. Exit codes: 0 success/valid, 1 invalid verification,
 2 usage, format or file error, 3 size-limit error.
-
-`exact` takes two limit flags, `--max-vertices` and `--max-nonedges`, the
-fields of `SolveLimits` for the boxicity search; a component beyond either
-exits 3. The other size limits are module constants.
 """
 
 from __future__ import annotations
@@ -17,9 +13,10 @@ import sys
 
 from .coloring import Coloring
 from .errors import BoxrepError, FormatError, InvalidParams, SizeLimitExceeded
-from .exact import SolveLimits, exact_boxicity, exact_poset_dimension
+from .exact import exact_boxicity, exact_poset_dimension
 from .graph import generate, parse_graph, write_graph
-from .intervals import parse_representation, verify_representation, write_representation
+from .intervals import (RECOGNITION_LIMIT, parse_representation, verify_representation,
+                        write_representation)
 from .pipelines import (
     bipartite_experiment,
     bound_report,
@@ -67,7 +64,11 @@ def _parse_vertex_set(text: str) -> frozenset:
 
 
 def _parse_coloring(text: str) -> Coloring:
-    color = dict(_rows(text, 2, "coloring"))
+    color = {}
+    for v, c in _rows(text, 2, "coloring"):
+        if v in color:
+            raise FormatError(f"duplicate coloring line {v} {c}")
+        color[v] = c
     return Coloring(color, len(set(color.values())))
 
 
@@ -101,10 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--poset", action="store_true",
                    help="also compute the adjacency poset dimension")
-    p.add_argument("--max-nonedges", dest="max_nonedges", type=int,
-                   default=SolveLimits.max_nonedges)
     p.add_argument("--max-vertices", dest="max_vertices", type=int,
-                   default=SolveLimits.max_vertices)
+                   default=exact_boxicity.__kwdefaults__["max_vertices"],
+                   help=f"vertex limit per component, at most {RECOGNITION_LIMIT} "
+                   "(default: %(default)s)")
 
     p = sub.add_parser("poset", help="write the adjacency poset of a graph")
     p.add_argument("--graph", required=True)
@@ -168,8 +169,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = parse_graph(_read(args.graph))
-    box = exact_boxicity(g, SolveLimits(max_nonedges=args.max_nonedges,
-                                        max_vertices=args.max_vertices))
+    box = exact_boxicity(g, max_vertices=args.max_vertices)
     sys.stdout.write(f"boxicity {box}\n")
     if args.poset:
         dim = exact_poset_dimension(adjacency_poset(g))

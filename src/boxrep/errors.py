@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and its integer check."""
+
+import operator
 
 
 class BoxrepError(Exception):
@@ -7,6 +9,14 @@ class BoxrepError(Exception):
 
 class InvalidParams(BoxrepError):
     """Arguments outside the documented domain of an operation."""
+
+
+def as_index(value, name: str) -> int:
+    """`operator.index(value)`; a value that is not an integer raises InvalidParams."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}") from exc
 
 
 class FormatError(BoxrepError):

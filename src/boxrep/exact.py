@@ -6,8 +6,8 @@ exact set cover. A component has boxicity 1 exactly when it has an
 umbrella-free vertex order (Olariu, IPL 1991), which `interval_order`
 searches for; any graph on n vertices has boxicity at most n // 2
 (Roberts, 1969), by the pairing `roberts_rep` builds. So a component that
-is not interval and has at most 5 vertices has boxicity 2. The size limits
-apply before either shortcut.
+is not interval and has at most 5 vertices has boxicity 2. Its only size
+limit, on a component's vertices, applies before either shortcut.
 
 Poset dimension first keeps one element of each twin class (elements with
 the same strict down-set and up-set), which changes the answer only by
@@ -22,30 +22,13 @@ size limits that fail loudly; there is no approximate fallback here.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 
-from .errors import InvalidParams, SizeLimitExceeded
+from .errors import InvalidParams, SizeLimitExceeded, as_index
 from .graph import Graph, components
 from .intervals import RECOGNITION_LIMIT, interval_order
 from .poset import FinitePoset
 
 POSET_GROUND_LIMIT = 10
-
-
-@dataclass
-class SolveLimits:
-    max_nonedges: int = 20
-    max_vertices: int = 10
-
-    def __post_init__(self):
-        try:
-            self.max_nonedges = operator.index(self.max_nonedges)
-            self.max_vertices = operator.index(self.max_vertices)
-        except TypeError as exc:
-            raise InvalidParams("limits must be integers") from exc
-        if min(self.max_nonedges, self.max_vertices) <= 0:
-            raise InvalidParams("limits must be positive")
 
 
 def _min_cover(universe: int, sets: list[int]) -> int:
@@ -143,28 +126,24 @@ def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
     return _maximal(states[full])
 
 
-def _component_boxicity(comp: Graph, limits: SolveLimits) -> int:
-    # the dynamic program has 2^n states; this second vertex limit beside
-    # the caller's bounds them
-    cap = min(limits.max_vertices, RECOGNITION_LIMIT)
+def _component_boxicity(comp: Graph, cap: int) -> int:
+    # the ordering program has 2^n states, and the vertex cap bounds them
     if comp.n > cap:
         raise SizeLimitExceeded(f"component has {comp.n} vertices, limit {cap}")
-    nonedges = list(comp.nonedges())
-    kk = len(nonedges)
-    if kk == 0:
-        return 1
-    if kk > limits.max_nonedges:
-        raise SizeLimitExceeded(
-            f"component has {kk} non-edges, limit {limits.max_nonedges}")
     if interval_order(comp) is not None:
         return 1
     if comp.n // 2 <= 2:  # not interval, so 2 <= boxicity <= n // 2
         return 2
-    return _min_cover((1 << kk) - 1, _maximal_keepable(comp, nonedges))
+    nonedges = list(comp.nonedges())
+    return _min_cover((1 << len(nonedges)) - 1, _maximal_keepable(comp, nonedges))
 
 
-def exact_boxicity(g: Graph, limits: SolveLimits | None = None) -> int:
+def exact_boxicity(g: Graph, *, max_vertices: int = 10) -> int:
     """Smallest number of interval graphs intersecting to the input graph.
+
+    A component with more than `max_vertices` vertices, or more than
+    RECOGNITION_LIMIT, raises SizeLimitExceeded; a `max_vertices` that is
+    not a positive integer raises InvalidParams.
 
     Boxicity of a disjoint union is the maximum over its components. For a
     component G with non-edge set N, a box representation is a family of
@@ -191,8 +170,8 @@ def exact_boxicity(g: Graph, limits: SolveLimits | None = None) -> int:
     F are exactly the maximal non-edge sets of the graphs H(G, v), which
     `_maximal_keepable` enumerates without listing the orderings.
 
-    Two bounds settle most components before the set cover runs; the size
-    limits are checked first all the same.
+    Two bounds settle most components before the ordering program and the
+    set cover run; the vertex limit is checked first all the same.
 
     - Boxicity 1 exactly when the component is interval, that is when it
       has an umbrella-free order (Olariu, IPL 1991, as above), which
@@ -205,13 +184,11 @@ def exact_boxicity(g: Graph, limits: SolveLimits | None = None) -> int:
       most n // 2 of them. A component that is not interval has boxicity at
       least 2, so for n <= 5 it has boxicity exactly 2.
     """
-    limits = limits or SolveLimits()
-    best = 1
-    for comp, _ in components(g):
-        if comp.n <= 1:
-            continue
-        best = max(best, _component_boxicity(comp, limits))
-    return best
+    cap = min(as_index(max_vertices, "max_vertices"), RECOGNITION_LIMIT)
+    if cap <= 0:
+        raise InvalidParams("max_vertices must be positive")
+    return max((_component_boxicity(comp, cap) for comp, _ in components(g)
+                if comp.n > 1), default=1)
 
 
 # ---------------------------------------------------------------------------

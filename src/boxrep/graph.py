@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, InvalidParams, SizeLimitExceeded
+from .errors import FormatError, InvalidParams, SizeLimitExceeded, as_index
 from .rng import SplitMix64
 
 
@@ -394,8 +394,12 @@ def generate(model: str, seed: int = 0, n: int | None = None,
     uniform earlier neighbors. Deterministic given (model, params, seed).
     A call that would make more than GENERATOR_DRAW_LIMIT random draws (n^2
     for bipartite, n*k for kdegen) or enumerate more vertex pairs (C(2k, 2)
-    for copm) raises SizeLimitExceeded before the first.
+    for copm) raises SizeLimitExceeded before the first. A non-integer n or
+    k raises InvalidParams, and so does a non-integer seed of the two random
+    models.
     """
+    n = None if n is None else as_index(n, "n")
+    k = None if k is None else as_index(k, "k")
     if model == "bipartite":
         if n is None or n < 2:
             raise InvalidParams("bipartite model needs n >= 2")

@@ -21,7 +21,8 @@ from .builders import (
 )
 from .coloring import Coloring, smallest_acyclic_coloring
 from .combinators import quotient_lift, split_compose
-from .errors import InvalidColoring, InvalidParams, SizeLimitExceeded, StructuralCheckFailed
+from .errors import (InvalidColoring, InvalidParams, SizeLimitExceeded,
+                     StructuralCheckFailed, as_index)
 from .exact import exact_boxicity
 from .graph import (
     Graph,
@@ -318,9 +319,11 @@ def bipartite_experiment(n: int, trials: int, seed: int = 0) -> ExperimentReport
 
     For n <= 4 the samples are small enough for the exact solver, so the
     report additionally carries the exact boxicity distribution (samples
-    whose components exceed the solver limits are counted separately). All
-    trials * n^2 draws must fit in GENERATOR_DRAW_LIMIT, checked up front.
+    whose components exceed the solver's vertex limit are counted
+    separately). All trials * n^2 draws must fit in GENERATOR_DRAW_LIMIT,
+    checked up front. A non-integer n, trials or seed raises InvalidParams.
     """
+    n, trials = as_index(n, "n"), as_index(trials, "trials")
     if n < 4:
         raise InvalidParams("bipartite_experiment needs n >= 4")
     if trials < 0:

@@ -4,7 +4,10 @@ A tiny, fully specified 64-bit generator (Steele, Lea and Vigna's splitmix64
 finalizer) implemented here so that seeded runs are byte-identical across
 platforms and Python versions. All randomized code in the package draws from
 this class; `boxrep gen` records ALGORITHM in the comment line it writes.
+A seed is any integer, taken mod 2^64; anything else raises InvalidParams.
 """
+
+from .errors import as_index
 
 ALGORITHM = "splitmix64"
 
@@ -14,7 +17,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 class SplitMix64:
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = as_index(seed, "seed") & _MASK64
         # below's last n and its rejection limit, reused while n repeats
         self._below_n = None
         self._below_limit = 0

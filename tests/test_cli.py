@@ -66,19 +66,26 @@ class TestExact:
                 "--out", str(tmp_path / "g"))
         res = run_cli("exact", "--graph", str(tmp_path / "g"))
         assert res.returncode == 3
+        assert res.stderr == "error: component has 12 vertices, limit 10\n"
 
-    def test_interval_graph_over_the_nonedge_limit_exit_3(self, tmp_path):
-        # P8 is interval, but its 21 non-edges exceed the default 20: the
-        # limits are checked before the interval shortcut answers 1
+    def test_interval_graph_with_21_nonedges_is_one(self, tmp_path):
+        # P8 is interval, with 21 non-edges in its one component
         gfile = tmp_path / "p8.g"
         gfile.write_text(write_graph(path_graph(8)))
         res = run_cli("exact", "--graph", str(gfile))
-        assert res.returncode == 3
-        assert res.stdout == ""
-        assert "21 non-edges" in res.stderr
+        assert res.returncode == 0
+        assert res.stdout == "boxicity 1\n"
+
+    def test_kdegen_12_with_45_nonedges(self, tmp_path):
+        run_cli("gen", "--model", "kdegen", "--n", "12", "--k", "2",
+                "--seed", "3", "--out", str(tmp_path / "g"))
+        res = run_cli("exact", "--graph", str(tmp_path / "g"),
+                      "--max-vertices", "12")
+        assert res.returncode == 0
+        assert res.stdout == "boxicity 2\n"
 
     def test_env_limits_override(self, tmp_path):
-        # copm(6): 12 vertices (over the default cap) but only 6 non-edges
+        # copm(6): 12 vertices, over the default cap of 10
         run_cli("gen", "--model", "copm", "--k", "6", "--out", str(tmp_path / "g"))
         res = run_cli("exact", "--graph", str(tmp_path / "g"))
         assert res.returncode == 3
@@ -86,10 +93,22 @@ class TestExact:
                       "--max-vertices", "12")
         assert res.returncode == 0
         assert res.stdout == "boxicity 6\n"
-        # copm(6) has 6 non-edges, one above this limit
         res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "12", "--max-nonedges", "5")
+                      "--max-vertices", "11")
         assert res.returncode == 3
+        assert res.stderr == "error: component has 12 vertices, limit 11\n"
+
+    def test_max_vertices_is_capped_at_12_and_must_be_positive(self, tmp_path):
+        run_cli("gen", "--model", "copm", "--k", "7", "--out", str(tmp_path / "g"))
+        res = run_cli("exact", "--graph", str(tmp_path / "g"),
+                      "--max-vertices", "14")
+        assert res.returncode == 3
+        assert res.stderr == "error: component has 14 vertices, limit 12\n"
+        res = run_cli("exact", "--graph", str(tmp_path / "g"),
+                      "--max-vertices", "0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 class TestBuildVerify:
@@ -159,6 +178,16 @@ class TestBuildVerify:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
         assert "outside the graph" in res.stderr
+
+    def test_surface_coloring_naming_a_vertex_twice_exit_2(self, tmp_path):
+        gfile, cfile = tmp_path / "g.g", tmp_path / "c.txt"
+        gfile.write_text("3 1\n0 1\n")
+        cfile.write_text("0 0\n1 1\n2 0\n2 1\n")
+        res = run_cli("build", "--graph", str(gfile), "--pipeline", "surface",
+                      "--coloring", str(cfile))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: duplicate coloring line 2 1")
 
     @pytest.mark.parametrize("flag, text", [("--A", "x\n"), ("--coloring", "0 a\n")],
                              ids=["vertex_set", "coloring"])
@@ -270,15 +299,14 @@ class TestPosetReportExperiment:
         assert res.returncode == 0
         assert "fraction_within_cap" in res.stdout
 
-    def test_experiment_reports_over_limit_without_distribution(self):
-        # the only sample has a 21-non-edge component, over the solver limit
+    def test_experiment_answers_a_sample_with_21_nonedges(self):
+        # the only sample has a component with 21 non-edges
         res = run_cli("experiment", "--n", "4", "--trials", "1", "--seed", "232")
         assert res.returncode == 0
-        assert "boxicity_distribution" not in res.stdout
-        assert res.stdout.splitlines()[-1] == "boxicity_over_limit = 1"
+        assert res.stdout.splitlines()[-1] == "boxicity_distribution = {1: 1}"
         csv = run_cli("experiment", "--n", "4", "--trials", "1", "--seed", "232",
                       "--csv")
-        assert csv.stdout.splitlines()[-1].endswith(",over_limit")
+        assert csv.stdout.splitlines()[-1].endswith(",1")
 
     def test_experiment_draw_budget_exit_3(self):
         res = run_cli("experiment", "--n", "1000", "--trials", "1000")

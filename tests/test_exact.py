@@ -2,12 +2,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxrep import exact
 from boxrep.builders import degenerate_rep, roberts_rep
 from boxrep.errors import InvalidParams, SizeLimitExceeded
-from boxrep.exact import (POSET_GROUND_LIMIT, SolveLimits, _conflict_masks,
+from boxrep.exact import (POSET_GROUND_LIMIT, _conflict_masks,
                           _critical_pairs, _max_clique, _maximal_keepable,
                           _min_cover, _order_masks, exact_boxicity,
                           exact_poset_dimension)
@@ -17,7 +17,7 @@ from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
 from conftest import (all_graphs_upto, complete_graph, cycle_graph, path_graph,
-                      random_graph)
+                      petersen_graph, random_graph)
 from test_graph_core import graphs_strategy
 
 
@@ -80,25 +80,34 @@ def near_complete_graphs(draw, max_n=7):
     return Graph(n, frozenset(pairs) - missing)
 
 
-class TestSolveLimits:
-    @pytest.mark.parametrize("kwargs", [
-        {"max_nonedges": "5"},
-        {"max_nonedges": 5.0},
-        {"max_vertices": None},
-        {"max_vertices": 2.5},
-        {"max_vertices": 0},
-        {"max_nonedges": -1},
-    ], ids=["str nonedges", "float nonedges", "None vertices",
-            "float vertices", "zero vertices", "negative nonedges"])
-    def test_bad_limits_raise_invalid_params(self, kwargs):
-        with pytest.raises(InvalidParams):
-            SolveLimits(**kwargs)
+@st.composite
+def sparse_connected_graphs(draw):
+    """A random tree on 8 to 10 vertices plus up to four chords, kept when it
+    has more than 20 non-edges, all in its one component."""
+    n = draw(st.integers(8, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=4))
+    assume(n * (n - 1) // 2 - len(edges) > 20)
+    return Graph.from_edges(n, edges)
 
-    def test_integer_like_limits_become_int(self):
-        limits = SolveLimits(max_nonedges=np.int64(7), max_vertices=np.int32(9))
-        assert (limits.max_nonedges, limits.max_vertices) == (7, 9)
-        assert type(limits.max_nonedges) is int
-        assert type(limits.max_vertices) is int
+
+class TestMaxVertices:
+    @pytest.mark.parametrize("value", ["5", 5.0, None, 2.5, 0, -1],
+                             ids=["str", "integral float", "None", "float",
+                                  "zero", "negative"])
+    def test_bad_max_vertices_raise_invalid_params(self, value):
+        with pytest.raises(InvalidParams):
+            exact_boxicity(path_graph(3), max_vertices=value)
+
+    def test_integer_like_max_vertices_is_accepted(self):
+        with pytest.raises(SizeLimitExceeded, match="component has 10 vertices, limit 9$"):
+            exact_boxicity(path_graph(10), max_vertices=np.int64(9))
+        assert exact_boxicity(cycle_graph(9), max_vertices=np.int32(9)) == 2
+
+    def test_limit_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            exact_boxicity(path_graph(3), 10)
 
 
 class TestBoundShortcuts:
@@ -120,6 +129,11 @@ class TestBoundShortcuts:
             exact_boxicity(g)
         assert exact_boxicity(path_graph(6)) == 1
         assert calls == []
+
+    @given(sparse_connected_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dp_on_sparse_graphs_past_twenty_nonedges(self, g):
+        assert exact_boxicity(g) == dp_boxicity(g)
 
     def test_dp_runs_when_no_bound_settles(self, monkeypatch):
         calls = counting_maximal_keepable(monkeypatch)
@@ -145,6 +159,12 @@ class TestExactBoxicity:
         assert not is_interval_graph(c5)
         assert exact_boxicity(c5) == 2
 
+    def test_graphs_with_more_than_twenty_nonedges(self):
+        # 35, 30 and 21 non-edges in one component
+        assert exact_boxicity(cycle_graph(10)) == 2
+        assert exact_boxicity(petersen_graph()) == 3
+        assert exact_boxicity(path_graph(8)) == 1
+
     def test_edgeless_and_empty(self):
         assert exact_boxicity(Graph(4, frozenset())) == 1
         assert exact_boxicity(Graph(1, frozenset())) == 1
@@ -155,24 +175,27 @@ class TestExactBoxicity:
             assert (exact_boxicity(g) == 1) == is_interval_graph(g)
 
     def test_size_limits_raise(self):
-        with pytest.raises(SizeLimitExceeded):
-            exact_boxicity(path_graph(11), SolveLimits(max_vertices=10))
-        dense_nonedges = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
-        with pytest.raises(SizeLimitExceeded):
-            exact_boxicity(dense_nonedges, SolveLimits(max_nonedges=5))
+        with pytest.raises(SizeLimitExceeded,
+                           match="component has 11 vertices, limit 10$"):
+            exact_boxicity(path_graph(11))
+        with pytest.raises(SizeLimitExceeded,
+                           match="component has 8 vertices, limit 7$"):
+            exact_boxicity(path_graph(8), max_vertices=7)
 
     def test_recognition_limit_caps_max_vertices(self):
-        # copm(7) has 14 vertices and 7 non-edges: within the caller's limits,
-        # above the interval-recognition limit
-        with pytest.raises(SizeLimitExceeded, match=f"limit {RECOGNITION_LIMIT}"):
-            exact_boxicity(generate("copm", k=7), SolveLimits(max_vertices=14))
+        # copm(7) has 14 vertices: within the caller's limit, above the
+        # interval-recognition limit
+        with pytest.raises(SizeLimitExceeded, match=f"limit {RECOGNITION_LIMIT}$"):
+            exact_boxicity(generate("copm", k=7), max_vertices=14)
 
     def test_limits_apply_per_component(self):
-        # two K5s: 25+ cross non-edges in total but none inside a component
-        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        edges += [(5 + i, 5 + j) for i in range(5) for j in range(i + 1, 5)]
-        g = Graph.from_edges(10, edges)
-        assert exact_boxicity(g, SolveLimits(max_nonedges=3)) == 1
+        # three disjoint copm(3): 18 vertices in all, 6 in each component
+        edges = [(6 * i + u, 6 * i + v) for i in range(3)
+                 for u, v in generate("copm", k=3).edges]
+        g = Graph.from_edges(18, edges)
+        assert exact_boxicity(g, max_vertices=6) == 3
+        with pytest.raises(SizeLimitExceeded, match="limit 5$"):
+            exact_boxicity(g, max_vertices=5)
 
     @given(graphs_strategy(6))
     def test_ordering_dp_matches_subset_enumeration(self, g):

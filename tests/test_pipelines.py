@@ -380,6 +380,19 @@ class TestBipartiteExperiment:
         assert set(report.boxicity_distribution) <= {1, 2}
         assert sum(report.boxicity_distribution.values()) == 4
 
+    def test_over_limit_sample_renders_without_distribution(self, monkeypatch):
+        def over_limit(g):
+            raise SizeLimitExceeded(f"component has {g.n} vertices, limit 7")
+
+        monkeypatch.setattr(pipelines, "exact_boxicity", over_limit)
+        report = bipartite_experiment(4, 1, seed=0)
+        assert report.over_limit == 1
+        assert not report.boxicity_distribution
+        text = report.to_text()
+        assert "boxicity_distribution" not in text
+        assert text.splitlines()[-1] == "boxicity_over_limit = 1"
+        assert report.to_csv().splitlines()[-1].endswith(",over_limit")
+
     def test_text_and_csv_render(self):
         report = bipartite_experiment(16, 3, seed=0)
         text = report.to_text()
@@ -387,6 +400,31 @@ class TestBipartiteExperiment:
         csv = report.to_csv()
         assert csv.splitlines()[0] == "trial,edges,within_cap,boxicity"
         assert len(csv.splitlines()) == 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate("kdegen", n=5.5, k=2),
+    lambda: generate("kdegen", n=5, k="2"),
+    lambda: generate("copm", k=2.0),
+    lambda: generate("kdegen", n=5, k=2, seed=1.5),
+    lambda: bipartite_experiment(4.0, 2),
+    lambda: bipartite_experiment(4, 2.5),
+    lambda: bipartite_experiment(4, 2, seed="1"),
+    lambda: edge_pipeline(cycle_graph(5), seed=2.5),
+    lambda: surface_pipeline(cycle_graph(5), 0, frozenset(), seed=2.5),
+], ids=["float n", "str k", "float k", "float gen seed", "float experiment n",
+        "float trials", "str experiment seed", "float edge seed",
+        "float surface seed"])
+def test_non_integer_params_raise_invalid_params(call):
+    with pytest.raises(InvalidParams, match="must be (an )?integers?, got"):
+        call()
+
+
+def test_integer_like_params_match_int():
+    assert (generate("kdegen", n=np.int64(9), k=np.int32(2), seed=np.uint64(4))
+            == generate("kdegen", n=9, k=2, seed=4))
+    assert (bipartite_experiment(np.int64(4), np.int64(3), seed=np.int64(1)).per_trial
+            == bipartite_experiment(4, 3, seed=1).per_trial)
 
 
 class TestBoundReport:
