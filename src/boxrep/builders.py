@@ -104,7 +104,9 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     declares. Each unordered color pair contributes the two dimensions of
     `forest_rep` on the forest it induces, from one `forest_walk` rooted at
     the pair's vertices in ascending id; every other vertex spans each of the
-    two rows, so it meets everything there. A walk that finds a cycle raises
+    two rows, so it meets everything there. The rows are assembled once, as
+    Python lists filled from the walk's dicts, and become the `lo` and `hi`
+    arrays in one conversion each. A walk that finds a cycle raises
     InvalidColoring, as does a coloring that misses a vertex, names one
     outside the graph, or gives two adjacent vertices one color. A coloring
     using at most one color means the graph is edgeless and a single
@@ -124,21 +126,22 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     if k <= 1:
         return _points(g.n, colors=k)
     label = [color[v] for v in range(g.n)]
-    pairs = list(combinations(sorted(classes), 2))
-    lo = np.zeros((2 * len(pairs), g.n), dtype=np.int64)
-    hi = np.empty_like(lo)
-    for row, pair in zip(range(0, len(lo), 2), pairs):
+    lo_rows, hi_rows = [], []
+    for pair in combinations(sorted(classes), 2):
         roots = sorted(classes[pair[0]] + classes[pair[1]])
         walk = forest_walk(g, label, pair, roots)
         if walk is None:
             raise InvalidColoring("two color classes induce a cycle")
         depth, entry, leave = walk
-        hi[row] = max(depth.values()) + 1
-        hi[row + 1] = 2 * len(roots) - 1
-        lo[row, roots] = [depth[v] for v in roots]
-        hi[row, roots] = lo[row, roots] + 1
-        lo[row + 1, roots] = [entry[v] for v in roots]
-        hi[row + 1, roots] = [leave[v] for v in roots]
+        lo_depth, hi_depth = [0] * g.n, [max(depth.values()) + 1] * g.n
+        lo_nest, hi_nest = [0] * g.n, [2 * len(roots) - 1] * g.n
+        for v, level in depth.items():
+            lo_depth[v], hi_depth[v] = level, level + 1
+            lo_nest[v], hi_nest[v] = entry[v], leave[v]
+        lo_rows += (lo_depth, lo_nest)
+        hi_rows += (hi_depth, hi_nest)
+    lo = np.array(lo_rows, dtype=np.int64)
+    hi = np.array(hi_rows, dtype=np.int64)
     assert len(lo) == k * (k - 1)
     return BoxRepresentation(g.n, lo, hi, {"colors": k})
 

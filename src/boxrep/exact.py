@@ -145,9 +145,13 @@ def exact_boxicity(g: Graph, *, max_vertices: int = 10) -> int:
     RECOGNITION_LIMIT, raises SizeLimitExceeded; a `max_vertices` that is
     not a positive integer raises InvalidParams.
 
-    Boxicity of a disjoint union is the maximum over its components. For a
-    component G with non-edge set N, a box representation is a family of
-    interval supergraphs I of G whose non-edge sets N - E(I) cover N; only
+    Boxicity of a disjoint union is the maximum over its components.
+    `components` relabels each component by ascending id, so copies with
+    the same labelling are equal graphs, and each distinct one is solved
+    once per call; nothing is kept between calls.
+
+    For a component G with non-edge set N, a box representation is a family
+    of interval supergraphs I of G whose non-edge sets N - E(I) cover N; only
     the maximal such sets matter, so the answer is a minimum set cover of N
     by the maximal sets F with K - F interval. Complete and edgeless graphs
     answer 1.
@@ -187,8 +191,12 @@ def exact_boxicity(g: Graph, *, max_vertices: int = 10) -> int:
     cap = min(as_index(max_vertices, "max_vertices"), RECOGNITION_LIMIT)
     if cap <= 0:
         raise InvalidParams("max_vertices must be positive")
-    return max((_component_boxicity(comp, cap) for comp, _ in components(g)
-                if comp.n > 1), default=1)
+    solved = {}  # (n, edges) of each distinct relabelled component -> its boxicity
+    for comp, _ in components(g):
+        key = (comp.n, comp.edges)
+        if comp.n > 1 and key not in solved:
+            solved[key] = _component_boxicity(comp, cap)
+    return max(solved.values(), default=1)
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,10 @@ def assert_k3k(g: Graph, a: Iterable[int], genus: int) -> K3kReport:
     A graph embeddable in a surface of Euler genus `genus` cannot contain
     K_{3,k} with k > 2*genus+2, so for every 3-subset of `a` the number of
     common neighbors outside `a` must stay within that bound. Failure is
-    reported (with the first witnessing triple), never raised.
+    reported (with the first witnessing triple), never raised; a `genus`
+    that is not an integer raises InvalidParams.
     """
+    genus = as_index(genus, "genus")
     if genus < 0:
         raise InvalidParams("genus must be nonnegative")
     a_sorted = sorted(set(a))

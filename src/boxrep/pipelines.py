@@ -178,11 +178,11 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     `coloring` (keyed by original vertex ids; colors of vertices in `a` are
     ignored, and an id outside the graph raises InvalidColoring). With
     `coloring` None, G-A gets `smallest_acyclic_coloring`, exact and
-    size-limited. `genus` is the declared Euler genus, used only for
-    structural assertions. Two supergraphs are represented and stacked: one,
-    G1, completes everything outside `a` (handled through the A-neighborhood
-    quotient, the degenerate cover, a one-clique split_compose and a lift),
-    the other makes every vertex of `a` universal over the acyclic-coloring
+    size-limited. `genus` is the declared Euler genus, an integer (anything
+    else raises InvalidParams), used only for structural assertions. Two
+    supergraphs are represented and stacked: one, G1, completes everything
+    outside `a` (handled through the A-neighborhood quotient, the degenerate
+    cover, a one-clique split_compose and a lift), the other makes every vertex of `a` universal over the acyclic-coloring
     representation. Every non-edge of the input lies in one of the two, so
     their stacked rows represent the input. The stack, whose d the trace
     keeps as `dims_unpruned`, is pruned by `prune_dims` and the result
@@ -191,6 +191,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     built, and H1 once. Each input check is made once, by the callee that
     needs it.
     """
+    genus = as_index(genus, "genus")
     if genus < 0:
         raise InvalidParams("genus must be nonnegative")
     trace = PipelineTrace(seed)
@@ -366,8 +367,10 @@ def bound_report(n: int, m: int, genus: int | None = None,
     """
     if n < 2 or m < 0:
         raise InvalidParams("need n >= 2 and m >= 0")
-    if genus is not None and genus < 0:
-        raise InvalidParams("genus must be nonnegative")
+    if genus is not None:
+        genus = as_index(genus, "genus")
+        if genus < 0:
+            raise InvalidParams("genus must be nonnegative")
     if k is not None and k < 0:
         raise InvalidParams("k must be nonnegative")
     rows: list[tuple[str, str, object]] = []

@@ -165,6 +165,26 @@ class TestExactBoxicity:
         assert exact_boxicity(petersen_graph()) == 3
         assert exact_boxicity(path_graph(8)) == 1
 
+    def test_repeated_components_are_solved_once(self, monkeypatch):
+        solve = exact._component_boxicity
+        calls = []
+
+        def counting_solve(comp, cap):
+            calls.append(comp.n)
+            return solve(comp, cap)
+
+        monkeypatch.setattr(exact, "_component_boxicity", counting_solve)
+        p = petersen_graph()
+        three = Graph.from_edges(30, [(u + 10 * i, v + 10 * i)
+                                      for i in range(3) for u, v in p.edges])
+        assert exact_boxicity(three) == 3
+        assert calls == [10]
+        # a second call solves afresh, and a different component is its own key
+        with_c5 = Graph.from_edges(15, [*p.edges, *((u + 10, v + 10)
+                                                    for u, v in cycle_graph(5).edges)])
+        assert exact_boxicity(with_c5) == 3
+        assert calls == [10, 10, 5]
+
     def test_edgeless_and_empty(self):
         assert exact_boxicity(Graph(4, frozenset())) == 1
         assert exact_boxicity(Graph(1, frozenset())) == 1

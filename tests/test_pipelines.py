@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import graph, intervals, pipelines
-from boxrep.coloring import Coloring, smallest_acyclic_coloring
+from boxrep.coloring import Coloring, acyclic_coloring, smallest_acyclic_coloring
 from boxrep.errors import (
     InvalidColoring,
     InvalidParams,
@@ -29,6 +29,7 @@ from conftest import (
     complete_graph,
     cored150,
     cycle_graph,
+    path_graph,
     random_graph,
 )
 from test_graph_core import graphs_strategy
@@ -412,9 +413,19 @@ class TestBipartiteExperiment:
     lambda: bipartite_experiment(4, 2, seed="1"),
     lambda: edge_pipeline(cycle_graph(5), seed=2.5),
     lambda: surface_pipeline(cycle_graph(5), 0, frozenset(), seed=2.5),
+    lambda: acyclic_coloring(path_graph(3), 2.5),
+    lambda: acyclic_coloring(path_graph(3), "2"),
+    lambda: surface_pipeline(path_graph(3), "1", ()),
+    lambda: surface_pipeline(path_graph(3), 1.5, ()),
+    lambda: graph.assert_k3k(complete_bipartite(3, 3), {0}, None),
+    lambda: graph.assert_k3k(complete_bipartite(3, 3), {0}, 1.5),
+    lambda: bound_report(10, 5, genus=1.5),
+    lambda: bound_report(10, 5, genus="1"),
 ], ids=["float n", "str k", "float k", "float gen seed", "float experiment n",
         "float trials", "str experiment seed", "float edge seed",
-        "float surface seed"])
+        "float surface seed", "float k_max", "str k_max", "str surface genus",
+        "float surface genus", "None k3k genus", "float k3k genus",
+        "float report genus", "str report genus"])
 def test_non_integer_params_raise_invalid_params(call):
     with pytest.raises(InvalidParams, match="must be (an )?integers?, got"):
         call()
@@ -425,6 +436,11 @@ def test_integer_like_params_match_int():
             == generate("kdegen", n=9, k=2, seed=4))
     assert (bipartite_experiment(np.int64(4), np.int64(3), seed=np.int64(1)).per_trial
             == bipartite_experiment(4, 3, seed=1).per_trial)
+    k33 = complete_bipartite(3, 3)
+    assert graph.assert_k3k(k33, {0, 1, 2}, np.int64(0)) == graph.assert_k3k(k33, {0, 1, 2}, 0)
+    assert type(graph.assert_k3k(k33, {0}, np.int64(1)).bound) is int
+    assert acyclic_coloring(cycle_graph(5), np.int64(3)) == acyclic_coloring(cycle_graph(5), 3)
+    assert bound_report(10, 5, genus=np.int64(2)) == bound_report(10, 5, genus=2)
 
 
 class TestBoundReport:
