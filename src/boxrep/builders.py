@@ -108,9 +108,10 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     Python lists filled from the walk's dicts, and become the `lo` and `hi`
     arrays in one conversion each. A walk that finds a cycle raises
     InvalidColoring, as does a coloring that misses a vertex, names one
-    outside the graph, or gives two adjacent vertices one color. A coloring
-    using at most one color means the graph is edgeless and a single
-    dimension of pairwise-disjoint points suffices.
+    outside the graph, gives two adjacent vertices one color, or uses color
+    names that do not compare with each other. A coloring using at most one
+    color means the graph is edgeless and a single dimension of
+    pairwise-disjoint points suffices.
     """
     color = coloring.color
     if any(v not in range(g.n) for v in color):
@@ -125,9 +126,13 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     k = len(classes)
     if k <= 1:
         return _points(g.n, colors=k)
+    try:
+        names = sorted(classes)
+    except TypeError as exc:
+        raise InvalidColoring("color names must be mutually comparable") from exc
     label = [color[v] for v in range(g.n)]
     lo_rows, hi_rows = [], []
-    for pair in combinations(sorted(classes), 2):
+    for pair in combinations(names, 2):
         roots = sorted(classes[pair[0]] + classes[pair[1]])
         walk = forest_walk(g, label, pair, roots)
         if walk is None:

@@ -2,12 +2,13 @@
 
 Boxicity is settled per component by two proven bounds where they meet,
 and otherwise by a dynamic program over vertex orderings followed by an
-exact set cover. A component has boxicity 1 exactly when it has an
-umbrella-free vertex order (Olariu, IPL 1991), which `interval_order`
-searches for; any graph on n vertices has boxicity at most n // 2
-(Roberts, 1969), by the pairing `roberts_rep` builds. So a component that
-is not interval and has at most 5 vertices has boxicity 2. Its only size
-limit, on a component's vertices, applies before either shortcut.
+exact set cover, which tries cover sizes 1, 2, ... in turn. A component
+has boxicity 1 exactly when it has an umbrella-free vertex order (Olariu,
+IPL 1991), which `interval_order` searches for; any graph on n vertices
+has boxicity at most n // 2 (Roberts, 1969), by the pairing `roberts_rep`
+builds. So a component that is not interval and has at most 5 vertices
+has boxicity 2. Its only size limit, on a component's vertices, applies
+before either shortcut.
 
 Poset dimension first keeps one element of each twin class (elements with
 the same strict down-set and up-set), which changes the answer only by
@@ -21,8 +22,6 @@ size limits that fail loudly; there is no approximate fallback here.
 
 from __future__ import annotations
 
-import math
-
 from .errors import InvalidParams, SizeLimitExceeded, as_index
 from .graph import Graph, components
 from .intervals import RECOGNITION_LIMIT, interval_order
@@ -32,53 +31,29 @@ POSET_GROUND_LIMIT = 10
 
 
 def _min_cover(universe: int, sets: list[int]) -> int:
-    """Exact minimum set cover over bitmask sets, by branch and bound."""
-    # greedy upper bound; a cover always exists because every single
-    # non-edge can be killed alone (complete minus one edge is interval)
-    best = 0
-    left = universe
-    while left:
-        pick = max(sets, key=lambda s: (s & left).bit_count())
-        gained = pick & left
-        assert gained, "sets do not cover the universe"
-        left &= ~pick
-        best += 1
+    """Exact minimum set cover over bitmask sets, by iterative deepening: the
+    smallest k such that k of `sets` cover `universe`."""
+    union = 0
+    for s in sets:
+        union |= s
+    assert union & universe == universe, "sets do not cover the universe"
+    largest = max(s.bit_count() for s in sets)
 
-    by_element = {}
-    u = universe
-    while u:
-        e = u & -u
-        u &= u - 1
-        by_element[e] = [s for s in sets if s & e]
-    max_size = max(s.bit_count() for s in sets)
-    memo = {}
+    def covers(left: int, k: int) -> bool:
+        # one of the k sets holds the lowest element of `left`, tried in the
+        # order given; a branch is cut when what it leaves exceeds the
+        # (k - 1) * largest elements the other sets can hold
+        if not left:
+            return True
+        low = left & -left
+        room = (k - 1) * largest
+        return any(covers(rest, k - 1) for s in sets
+                   if s & low and (rest := left & ~s).bit_count() <= room)
 
-    def dfs(left: int, used: int) -> None:
-        nonlocal best
-        if left == 0:
-            best = min(best, used)
-            return
-        lower = used + math.ceil(left.bit_count() / max_size)
-        if lower >= best:
-            return
-        seen = memo.get(left)
-        if seen is not None and seen <= used:
-            return
-        memo[left] = used
-        # branch on the uncovered element with the fewest candidate sets
-        e_best, cands = None, None
-        u = left
-        while u:
-            e = u & -u
-            u &= u - 1
-            cs = [s for s in by_element[e] if s & left]
-            if cands is None or len(cs) < len(cands):
-                e_best, cands = e, cs
-        for s in sorted(cands, key=lambda s: -(s & left).bit_count()):
-            dfs(left & ~s, used + 1)
-
-    dfs(universe, 0)
-    return best
+    k = 1
+    while not covers(universe, k):
+        k += 1
+    return k
 
 
 def _maximal(masks) -> list[int]:
@@ -92,7 +67,9 @@ def _maximal(masks) -> list[int]:
 
 def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
     """Maximal sets F of non-edges, as bitmasks over `nonedges`, such that
-    the complete graph minus F is interval; see `exact_boxicity`.
+    the complete graph minus F is interval; see `exact_boxicity`. They come
+    largest first, then ascending, the order in which `_min_cover` tries
+    the sets holding an uncovered non-edge.
 
     Dynamic program over the set P of vertices placed so far: placing w
     after P keeps the non-edge uw exactly when u is closed, that is placed

@@ -182,7 +182,7 @@ def certify(g: Graph, rep: BoxRepresentation, what: str,
     """Return `rep` when the oracle accepts it for `g`, raise otherwise.
 
     The one gate of every combinator, for each representation it is handed,
-    and of the surface pipeline for its result. A combinator's output is
+    and of both pipelines for their results. A combinator's output is
     covered by its docstring's proof. A rejected `rep` raises `error`,
     naming `what` and both witnesses; with no `error`, a separated edge
     raises PreconditionViolation and an unseparated non-edge raises

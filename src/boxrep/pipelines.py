@@ -41,7 +41,6 @@ from .intervals import (
     extend_universal,
     merge_components,
     prune_dims,
-    verify_representation,
 )
 from .rng import SplitMix64
 
@@ -105,7 +104,7 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     survivors get the pairing construction, and split_compose recombines.
     Components merge at the end; the merged representation, whose d the
     trace keeps as `dims_unpruned`, is pruned by `prune_dims`, and the
-    result is oracle-checked once.
+    result is certified once; a rejected result raises StructuralCheckFailed.
     """
     if g.n < 2:
         raise InvalidParams("edge_pipeline needs n >= 2")
@@ -155,11 +154,8 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
         reps.append(rep)
         maps.append(mapping)
     merged = merge_components(reps, maps) if len(reps) > 1 else reps[0]
-    result = prune_dims(merged)
-    report = verify_representation(g, result)
-    if not report.valid:
-        raise StructuralCheckFailed(
-            f"pipeline output failed verification: {report}", report)
+    result = certify(g, prune_dims(merged), "the pruned edge-pipeline output",
+                     StructuralCheckFailed)
     trace.record("mode", mode)
     trace.record("dims_unpruned", merged.d)
     trace.record("final_dims", result.d)
@@ -361,18 +357,21 @@ def bound_report(n: int, m: int, genus: int | None = None,
                  k: int | None = None) -> list[tuple[str, str, object]]:
     """Evaluate the closed-form size bounds for the given parameters.
 
-    Returns (name, formula, value) rows; all logarithms are natural. A value
-    too large for a float, or an integer past Python's int-to-str digit
-    limit, raises InvalidParams.
+    Returns (name, formula, value) rows; all logarithms are natural. A
+    non-integer n, m, genus or k, a value too large for a float, or an
+    integer past Python's int-to-str digit limit raises InvalidParams.
     """
+    n, m = as_index(n, "n"), as_index(m, "m")
     if n < 2 or m < 0:
         raise InvalidParams("need n >= 2 and m >= 0")
     if genus is not None:
         genus = as_index(genus, "genus")
         if genus < 0:
             raise InvalidParams("genus must be nonnegative")
-    if k is not None and k < 0:
-        raise InvalidParams("k must be nonnegative")
+    if k is not None:
+        k = as_index(k, "k")
+        if k < 0:
+            raise InvalidParams("k must be nonnegative")
     rows: list[tuple[str, str, object]] = []
     try:
         rows.append(("roberts_pairing", "n/2", n / 2))

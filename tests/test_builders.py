@@ -260,7 +260,8 @@ class TestAcyclicRep:
     @pytest.mark.parametrize("color, message", [
         ({0: 0, 1: 1, 2: 0, 5: 1}, "names a vertex outside the graph"),
         ({0: 0, 1: 1}, "must assign every vertex"),
-    ], ids=["outside", "missing"])
+        ({0: 0, 1: "a", 2: 0}, "mutually comparable"),
+    ], ids=["outside", "missing", "incomparable"])
     def test_names_each_coloring_fault(self, color, message):
         with pytest.raises(InvalidColoring, match=message):
             acyclic_rep(path_graph(3), Coloring(color, 2))

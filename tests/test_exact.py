@@ -245,6 +245,63 @@ class TestExactBoxicity:
         assert exact_boxicity(g) == exact_boxicity(h)
 
 
+@st.composite
+def covering_set_systems(draw):
+    """Up to 10 nonempty sets over up to 12 bits, and a nonempty universe
+    inside their union."""
+    bits = draw(st.integers(1, 12))
+    sets = draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=1, max_size=10))
+    union = 0
+    for s in sets:
+        union |= s
+    universe = union & draw(st.integers(0, (1 << bits) - 1))
+    assume(universe)
+    return universe, sets
+
+
+def brute_force_cover(universe, sets):
+    """The fewest sets whose union holds `universe`, over all combinations."""
+    for r in range(1, len(sets) + 1):
+        for combo in combinations(sets, r):
+            union = 0
+            for s in combo:
+                union |= s
+            if union & universe == universe:
+                return r
+    raise AssertionError("sets do not cover the universe")
+
+
+def grid_graph(rows, cols):
+    return Graph.from_edges(rows * cols, [
+        *((r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)),
+        *((r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols))])
+
+
+def circulant_graph(n, steps):
+    return Graph.from_edges(n, {tuple(sorted((i, (i + s) % n)))
+                                for i in range(n) for s in steps})
+
+
+class TestMinCover:
+    @given(covering_set_systems())
+    @settings(max_examples=200)
+    def test_matches_brute_force(self, system):
+        assert _min_cover(*system) == brute_force_cover(*system)
+
+    def test_sets_that_miss_an_element_fail_loudly(self):
+        with pytest.raises(AssertionError, match="do not cover"):
+            _min_cover(0b111, [0b011, 0b001])
+
+    @pytest.mark.parametrize("g, box", [
+        (generate("copm", k=5), 5),
+        (generate("copm", k=6), 6),
+        (circulant_graph(12, (1, 3)), 2),
+        (grid_graph(3, 4), 2),
+    ], ids=["copm5", "copm6", "circulant12_1_3", "grid3x4"])
+    def test_ten_to_twelve_vertices(self, g, box):
+        assert exact_boxicity(g, max_vertices=12) == box
+
+
 def search_from_two(p):
     """Reference for `exact_poset_dimension`: the same realizer search with
     no lower bound and no pre-placed pairs, trying d = 2, 3, ... in turn."""

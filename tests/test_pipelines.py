@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import graph, intervals, pipelines
+from boxrep.builders import _universal
 from boxrep.coloring import Coloring, acyclic_coloring, smallest_acyclic_coloring
 from boxrep.errors import (
     InvalidColoring,
@@ -85,17 +86,7 @@ class TestEdgePipeline:
                     assert comp["survivors"] <= comp["survivor_cap"]
 
     def test_certifies_each_representation_once(self, monkeypatch):
-        real = intervals.verify_representation
-        checked = Counter()
-        alive = []  # keeps checked arrays alive, so their ids stay distinct
-
-        def counting(g, rep):
-            alive.append(rep)
-            checked[g, id(rep.lo), id(rep.hi)] += 1
-            return real(g, rep)
-
-        monkeypatch.setattr(intervals, "verify_representation", counting)
-        monkeypatch.setattr(pipelines, "verify_representation", counting)
+        checked = _count_oracle_calls(monkeypatch)
         two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                              (3, 4), (4, 5), (3, 5)])
         for g in (complete_graph(10), cycle_graph(4), two_triangles,
@@ -125,6 +116,12 @@ class TestEdgePipeline:
         with pytest.raises(InvalidParams):
             edge_pipeline(c4, mode="fast")
 
+    def test_rejected_output_raises_structural_check_failed(self, c4, monkeypatch):
+        # a pruned result that represents K4 leaves C4's non-edges uncovered
+        monkeypatch.setattr(pipelines, "prune_dims", lambda rep: _universal(rep.n))
+        with pytest.raises(StructuralCheckFailed, match="edge-pipeline output fails the oracle"):
+            edge_pipeline(c4)
+
     def test_deterministic_given_seed(self, c4):
         r1, _ = edge_pipeline(c4, mode="reference", seed=9)
         r2, _ = edge_pipeline(c4, mode="reference", seed=9)
@@ -152,7 +149,6 @@ def _count_oracle_calls(mp):
         return real(g, rep)
 
     mp.setattr(intervals, "verify_representation", counting)
-    mp.setattr(pipelines, "verify_representation", counting)
     return checked
 
 
@@ -274,7 +270,9 @@ class TestSurfaceInputChecks:
         ({0}, {1: 0, 2: 1}, InvalidColoring, "must assign every vertex"),
         (set(), {0: 0, 1: 1, 2: 0, 3: 1}, InvalidColoring, "induce a cycle"),
         ({0}, {1: 0, 2: 1, 3: 0, 9: 0}, InvalidColoring, "outside the graph"),
-    ], ids=["a_outside", "missing_color", "cyclic", "coloring_outside"])
+        ({0}, {1: 0, 2: "a", 3: 0}, InvalidColoring, "mutually comparable"),
+    ], ids=["a_outside", "missing_color", "cyclic", "coloring_outside",
+            "incomparable_names"])
     def test_single_fault(self, c4, a, coloring, error, message):
         with pytest.raises(error, match=message):
             surface_pipeline(c4, 0, a, Coloring(coloring, 2))
@@ -421,11 +419,16 @@ class TestBipartiteExperiment:
     lambda: graph.assert_k3k(complete_bipartite(3, 3), {0}, 1.5),
     lambda: bound_report(10, 5, genus=1.5),
     lambda: bound_report(10, 5, genus="1"),
+    lambda: bound_report("10", 5),
+    lambda: bound_report(10.5, 5),
+    lambda: bound_report(10, 5.5),
+    lambda: bound_report(10, 5, k=2.5),
 ], ids=["float n", "str k", "float k", "float gen seed", "float experiment n",
         "float trials", "str experiment seed", "float edge seed",
         "float surface seed", "float k_max", "str k_max", "str surface genus",
         "float surface genus", "None k3k genus", "float k3k genus",
-        "float report genus", "str report genus"])
+        "float report genus", "str report genus", "str report n",
+        "float report n", "float report m", "float report k"])
 def test_non_integer_params_raise_invalid_params(call):
     with pytest.raises(InvalidParams, match="must be (an )?integers?, got"):
         call()
