@@ -5,11 +5,16 @@ handed through `intervals.certify`, the oracle gate, against the graph its
 contract names, and fails loudly with a witness. Its output is covered by
 the proof in its docstring, so it is not checked again; the pipeline that
 returns it certifies its own result once.
+
+Both combinators stretch rows over a vertex set S: each row is copied
+twice, with S reaching past its top, then its bottom. Stretching only grows
+intervals, so no edge is lost; an edge inside S meets in every copy, and a
+separated pair with at most one end in S stays separated in one copy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,20 +23,27 @@ from .graph import Graph, QuotientResult
 from .intervals import BoxRepresentation, certify, extend_universal
 
 
+def _stretch(rep: BoxRepresentation, s: Sequence[int]):
+    """The (lo, hi) rows of `rep` stretched over `s`: rows 2j and 2j+1 copy
+    row j, with `s` reaching past its top, then its bottom."""
+    lo = np.repeat(rep.lo, 2, axis=0)
+    hi = np.repeat(rep.hi, 2, axis=0)
+    hi[0::2, s] = rep.hi.max(axis=1, keepdims=True) + 1
+    lo[1::2, s] = rep.lo.min(axis=1, keepdims=True) - 1
+    return lo, hi
+
+
 def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
                   s: Iterable[int], g: Graph) -> BoxRepresentation:
     """Recombine a representation of g-without-S-internal-edges with one of g[S].
 
     Preconditions: rep_h verifies for H = g minus all edges inside S, and
     rep_s verifies for the induced subgraph on S (relabeled by ascending id).
-    Each dimension I of rep_h is emitted twice: once with every S-vertex
-    extended rightwards to beyond I's maximum endpoint, once extended
-    leftwards below its minimum. A non-edge with at most one endpoint in S is
-    a non-edge of H, and whichever side of I separated it survives in one of
-    the two copies; extensions only grow intervals, so no edge is lost.
-    Pairs inside S are settled by rep_s extended with universal vertices; an
-    edge inside S also meets in every copy, where both ends reach past the
-    same extreme. So the output represents g and is returned uncertified.
+    rep_h is stretched over S: a non-edge with at most one endpoint in S is
+    a non-edge of H and stays separated in one copy. Pairs inside S are
+    settled by rep_s extended with universal vertices; an edge inside S
+    also meets in every copy. So the output represents g and is returned
+    uncertified.
     Output has exactly 2*d + d' dimensions. An empty S returns rep_h as-is.
     """
     s_sorted = sorted(set(s))
@@ -46,11 +58,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
         raise InvalidInputRep("rep_s must be over the induced subgraph on S")
     certify(gs, rep_s, "rep_s for g[S]", InvalidInputRep)
 
-    # rows 2j and 2j+1 copy dimension j; S reaches past its top, then its bottom
-    lo = np.repeat(rep_h.lo, 2, axis=0)
-    hi = np.repeat(rep_h.hi, 2, axis=0)
-    hi[0::2, s_sorted] = rep_h.hi.max(axis=1, keepdims=True) + 1
-    lo[1::2, s_sorted] = rep_h.lo.min(axis=1, keepdims=True) - 1
+    lo, hi = _stretch(rep_h, s_sorted)
     lifted = extend_universal(rep_s, members, g.n)
     lo = np.concatenate((lo, lifted.lo))
     hi = np.concatenate((hi, lifted.hi))
@@ -60,19 +68,25 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
 
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentation:
-    """Give every vertex v the box of quotient vertex `q.cols[v]`.
+    """Lift a representation of the quotient graph to G1, the original graph
+    with every edge added between two vertices outside A.
 
-    `rep_q` is certified for H1, the quotient graph with a clique added on
-    `q.reps`. The lift represents G1, the original graph with every edge
-    added between two vertices outside A:
+    `rep_q` is certified for `q.quotient_graph`. Stretched over `q.reps`, its
+    rows become 2*d rows representing H1, the quotient graph with a clique
+    on the representatives: two representatives meet in every copy, since
+    both reach past the same extreme, and any other non-edge of H1 is a
+    quotient non-edge with at most one representative among its ends, so
+    it stays separated in one of the two copies. Then every vertex v takes
+    the box of quotient vertex `q.cols[v]`:
     - u and v in one class get one box, and they are adjacent in G1;
     - every other pair maps to two distinct H1 ids with the same adjacency
       in H1 as the pair has in G1: A-A and A-class pairs are quotient edges,
       and the classes are pairwise adjacent through the clique.
-    So the lift represents G1 exactly when `rep_q` represents H1, and it is
-    returned uncertified; G1 is never built.
+    So the lift represents G1 and is returned uncertified; neither H1 nor G1
+    is built. With A = V there is no representative, and the rows are only
+    gathered.
     """
-    certify(q.h1, rep_q,
-            "rep_q for the quotient plus a clique on the representatives",
+    certify(q.quotient_graph, rep_q, "rep_q for the quotient graph",
             InvalidInputRep)
-    return BoxRepresentation(len(q.cols), rep_q.lo[:, q.cols], rep_q.hi[:, q.cols])
+    lo, hi = _stretch(rep_q, q.reps) if q.reps else (rep_q.lo, rep_q.hi)
+    return BoxRepresentation(len(q.cols), lo[:, q.cols], hi[:, q.cols])

@@ -35,14 +35,6 @@ class InvalidInputRep(BoxrepError):
     """A representation handed to a combinator fails its own contract."""
 
 
-class UncoveredNonedge(BoxrepError):
-    """A combinator produced a representation leaving a non-edge uncovered."""
-
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"non-edge {pair} is not separated in any dimension")
-
-
 class PreconditionViolation(BoxrepError):
     """A structural precondition (e.g. expected host graph) does not hold."""
 

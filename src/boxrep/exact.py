@@ -66,10 +66,13 @@ def _maximal(masks) -> list[int]:
 
 
 def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
-    """Maximal sets F of non-edges, as bitmasks over `nonedges`, such that
-    the complete graph minus F is interval; see `exact_boxicity`. They come
-    largest first, then ascending, the order in which `_min_cover` tries
-    the sets holding an uncovered non-edge.
+    """Sets F of non-edges, as bitmasks over `nonedges`, such that the
+    complete graph minus F is interval; see `exact_boxicity`. Each is the
+    non-edge set of some H(G, v), and every maximal such F is among them.
+    The last state is not filtered down to the maximal sets: a cover can
+    swap a set for an offered superset, so the minimum is unchanged. They
+    come largest first, then ascending, the order in which `_min_cover`
+    tries the sets holding an uncovered non-edge.
 
     Dynamic program over the set P of vertices placed so far: placing w
     after P keeps the non-edge uw exactly when u is closed, that is placed
@@ -100,7 +103,7 @@ def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
             for u in closed:
                 kept |= bit[w][u]
             states[placed | (1 << w)].update(m | kept for m in masks)
-    return _maximal(states[full])
+    return sorted(states[full], key=lambda m: (-m.bit_count(), m))
 
 
 def _component_boxicity(comp: Graph, cap: int) -> int:
@@ -149,7 +152,8 @@ def exact_boxicity(g: Graph, *, max_vertices: int = 10) -> int:
     So every set F with K - F interval lies inside the non-edge set of some
     H(G, v), and each of those non-edge sets is such an F: the maximal sets
     F are exactly the maximal non-edge sets of the graphs H(G, v), which
-    `_maximal_keepable` enumerates without listing the orderings.
+    `_maximal_keepable` offers, with some smaller ones, without listing the
+    orderings.
 
     Two bounds settle most components before the ordering program and the
     set cover run; the vertex limit is checked first all the same.

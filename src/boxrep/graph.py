@@ -283,19 +283,13 @@ class QuotientResult:
 
     `reps` holds the ascending quotient ids of the class representatives, and
     `cols[v]` is the quotient id whose box vertex v takes: its own for v in
-    A, its class representative's otherwise.
+    A, its class representative's otherwise. `quotient_lift` stretches a
+    representation of `quotient_graph` over `reps` and gathers it by `cols`.
     """
 
     quotient_graph: Graph
     reps: tuple
     cols: tuple
-
-    @cached_property
-    def h1(self) -> Graph:
-        """H1, the quotient graph with a clique on `reps`, built on first use:
-        the surface pipeline represents it and `quotient_lift` certifies
-        against it."""
-        return self.quotient_graph.add_clique(self.reps)
 
 
 def quotient_by_a_neighborhood(g: Graph, a: Iterable[int]) -> QuotientResult:

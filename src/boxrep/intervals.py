@@ -31,9 +31,7 @@ from .errors import (
     EmptyInput,
     FormatError,
     InvalidInputRep,
-    PreconditionViolation,
     SizeLimitExceeded,
-    UncoveredNonedge,
 )
 from .graph import Graph
 
@@ -178,22 +176,18 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
 
 
 def certify(g: Graph, rep: BoxRepresentation, what: str,
-            error: type[BoxrepError] | None = None) -> BoxRepresentation:
+            error: type[BoxrepError]) -> BoxRepresentation:
     """Return `rep` when the oracle accepts it for `g`, raise otherwise.
 
     The one gate of every combinator, for each representation it is handed,
     and of both pipelines for their results. A combinator's output is
     covered by its docstring's proof. A rejected `rep` raises `error`,
-    naming `what` and both witnesses; with no `error`, a separated edge
-    raises PreconditionViolation and an unseparated non-edge raises
-    UncoveredNonedge.
+    naming `what` and both witnesses.
     """
     report = verify_representation(g, rep)
     if report.valid:
         return rep
-    if error is None and report.missing_edge is None:
-        raise UncoveredNonedge(report.uncovered_nonedge)
-    raise (error or PreconditionViolation)(
+    raise error(
         f"{what} fails the oracle (missing_edge={report.missing_edge}, "
         f"uncovered_nonedge={report.uncovered_nonedge})")
 

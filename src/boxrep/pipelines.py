@@ -176,16 +176,18 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     `coloring` None, G-A gets `smallest_acyclic_coloring`, exact and
     size-limited. `genus` is the declared Euler genus, an integer (anything
     else raises InvalidParams), used only for structural assertions. Two
-    supergraphs are represented and stacked: one, G1, completes everything
-    outside `a` (handled through the A-neighborhood quotient, the degenerate
-    cover, a one-clique split_compose and a lift), the other makes every vertex of `a` universal over the acyclic-coloring
-    representation. Every non-edge of the input lies in one of the two, so
-    their stacked rows represent the input. The stack, whose d the trace
-    keeps as `dims_unpruned`, is pruned by `prune_dims` and the result
-    certified against the input. The combinators certify what they are
-    handed, and no representation is certified twice; G1 itself is never
-    built, and H1 once. Each input check is made once, by the callee that
-    needs it.
+    supergraphs are represented and stacked. G1 completes everything
+    outside `a`: the degenerate cover represents the A-neighborhood
+    quotient, and `quotient_lift` stretches its rows over the class
+    representatives and copies them to each class. G2 makes every vertex of
+    `a` universal over the acyclic-coloring representation. Every non-edge
+    of the input lies in one of the two, so their stacked rows represent
+    the input. The stack, whose d the trace keeps as `dims_unpruned`, is
+    pruned by `prune_dims`, and the result is certified against the input;
+    a rejected result raises StructuralCheckFailed. The quotient's
+    representation and the result are the only two oracle calls, and
+    neither G1 nor the quotient plus a clique is built. Each input check is
+    made once, by the callee that needs it.
     """
     genus = as_index(genus, "genus")
     if genus < 0:
@@ -249,19 +251,14 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
                          DegenerateStrategy(seed=seeder.next_u64()))
     trace.record("quotient_dims", r_q.d)
 
-    if q.reps:
-        r_h1 = split_compose(r_q, _universal(len(q.reps)), q.reps, q.h1)
-    else:
-        r_h1 = r_q
-    trace.record("h1_dims", r_h1.d)
-
-    r_g1 = quotient_lift(r_h1, q)  # represents G1, g plus a clique outside A
+    r_g1 = quotient_lift(r_q, q)  # represents G1, g plus a clique outside A
     trace.record("g1_dims", r_g1.d)
 
     stacked = BoxRepresentation(g.n, np.concatenate((r_g1.lo, r_g2.lo)),
                                 np.concatenate((r_g1.hi, r_g2.hi)))
     result = certify(g, prune_dims(stacked),
-                     "the pruned stack of the G1 and G2 representations")
+                     "the pruned stack of the G1 and G2 representations",
+                     StructuralCheckFailed)
     trace.record("dims_unpruned", stacked.d)
     trace.record("final_dims", result.d)
     trace.wall_time = time.perf_counter() - started

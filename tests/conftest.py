@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,19 @@ settings.register_profile(
     "suite", max_examples=60,
     suppress_health_check=[HealthCheck.too_slow], deadline=None)
 settings.load_profile("suite")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_boxrep(*args, **kwargs):
+    """Run `python -m boxrep` in a child process with this checkout's `src`
+    first on its PYTHONPATH, capturing its output; `kwargs` go to
+    `subprocess.run`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "boxrep", *args],
+                          capture_output=True, env=env, **kwargs)
 
 
 def path_graph(n):

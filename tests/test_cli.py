@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,13 +6,11 @@ from boxrep.errors import BoxrepError
 from boxrep.graph import parse_graph, write_graph
 from boxrep.intervals import parse_representation, verify_representation
 
-from conftest import path_graph
+from conftest import path_graph, run_boxrep
 
 
 def run_cli(*args, timeout=None):
-    return subprocess.run(
-        [sys.executable, "-m", "boxrep", *args],
-        capture_output=True, text=True, timeout=timeout)
+    return run_boxrep(*args, text=True, timeout=timeout)
 
 
 class TestGen:

@@ -117,9 +117,9 @@ class TestQuotientLift:
     def test_star_leaves_share_one_box(self):
         g = star_graph(4)
         q = quotient_by_a_neighborhood(g, {0})
-        h1 = q.quotient_graph.add_clique(q.reps)
-        r_q = _rep_for(h1)
+        r_q = _rep_for(q.quotient_graph)
         out = quotient_lift(r_q, q)
+        assert out.d == 2 * r_q.d
         assert verify_representation(g.add_clique([1, 2, 3, 4]), out).valid
         for j in range(out.d):
             boxes = {(out.lo[j, v], out.hi[j, v]) for v in (1, 2, 3, 4)}
@@ -134,28 +134,28 @@ class TestQuotientLift:
     def test_k23_two_side(self):
         g = complete_bipartite(2, 3)
         q = quotient_by_a_neighborhood(g, {0, 1})
-        h1 = q.quotient_graph.add_clique(q.reps)
-        r_q = _rep_for(h1)
+        r_q = _rep_for(q.quotient_graph)
         out = quotient_lift(r_q, q)
         assert verify_representation(g.add_clique([2, 3, 4]), out).valid
 
-    def test_rejects_rep_missing_the_clique(self):
-        # two classes outside A: rep of the bare quotient (no clique) fails
+    def test_rejects_rep_failing_the_quotient(self):
+        # two classes outside A: a representation of the quotient plus a
+        # clique on the representatives lets them meet, which fails the quotient
         g = Graph.from_edges(4, [(0, 1), (0, 2), (3, 2)])
         q = quotient_by_a_neighborhood(g, {0})
         assert len(q.reps) == 2
-        r_bare = _rep_for(q.quotient_graph)
-        with pytest.raises(InvalidInputRep):
-            quotient_lift(r_bare, q)
+        r_h1 = _rep_for(q.quotient_graph.add_clique(q.reps))
+        with pytest.raises(InvalidInputRep, match="rep_q for the quotient graph"):
+            quotient_lift(r_h1, q)
 
     @given(graphs_strategy(7), st.integers(0, 127))
     def test_random_instances(self, g, a_mask):
         a = {v for v in range(g.n) if (a_mask >> v) & 1}
         outside = [v for v in range(g.n) if v not in a]
         q = quotient_by_a_neighborhood(g, a)
-        h1 = q.quotient_graph.add_clique(q.reps)
-        r_q = _rep_for(h1)
+        r_q = _rep_for(q.quotient_graph)
         out = quotient_lift(r_q, q)
+        assert out.d == (2 * r_q.d if outside else r_q.d)
         # the proof in quotient_lift's docstring: the lift represents G1
         assert verify_representation(g.add_clique(outside), out).valid
         # equal A-neighborhoods mean bit-identical boxes

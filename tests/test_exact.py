@@ -21,28 +21,33 @@ from conftest import (all_graphs_upto, complete_graph, cycle_graph, path_graph,
 from test_graph_core import graphs_strategy
 
 
-def subset_maximal_keepable(comp, nonedges):
-    """Reference for `_maximal_keepable`, straight from the definition: test
-    every subset F of the non-edges for K - F being interval, then keep the
-    maximal ones, largest first, then ascending."""
-    keepable = []
-    for mask in range(1 << len(nonedges)):
-        dropped = {e for i, e in enumerate(nonedges) if (mask >> i) & 1}
-        k_minus_f = Graph(comp.n, frozenset(
-            e for e in combinations(range(comp.n), 2) if e not in dropped))
-        if is_interval_graph(k_minus_f):
-            keepable.append(mask)
-    keepable.sort(key=lambda m: -bin(m).count("1"))
+def keepable(comp, nonedges, mask):
+    """Whether the complete graph minus the non-edges in `mask` is interval."""
+    dropped = {e for i, e in enumerate(nonedges) if (mask >> i) & 1}
+    return is_interval_graph(Graph(comp.n, frozenset(
+        e for e in combinations(range(comp.n), 2) if e not in dropped)))
+
+
+def maximal_masks(masks):
+    """The masks inside no other, largest first, then ascending."""
     maximal = []
-    for m in keepable:
+    for m in sorted(masks, key=lambda m: (-bin(m).count("1"), m)):
         if not any(m | kept == kept for kept in maximal):
             maximal.append(m)
     return maximal
 
 
+def subset_maximal_keepable(comp, nonedges):
+    """Reference for `_maximal_keepable`, straight from the definition: test
+    every subset F of the non-edges for K - F being interval, then keep the
+    maximal ones, largest first, then ascending."""
+    return maximal_masks(m for m in range(1 << len(nonedges))
+                         if keepable(comp, nonedges, m))
+
+
 def dp_boxicity(g):
     """Reference for `exact_boxicity` with no shortcut: per component, the
-    minimum cover of its non-edges by the ordering program's maximal sets."""
+    minimum cover of its non-edges by the ordering program's sets."""
     best = 1
     for comp, _ in components(g):
         nonedges = list(comp.nonedges())
@@ -219,11 +224,13 @@ class TestExactBoxicity:
 
     @given(graphs_strategy(6))
     def test_ordering_dp_matches_subset_enumeration(self, g):
-        # a component on at most 6 vertices has at most 10 non-edges
+        # a component on at most 6 vertices has at most 10 non-edges; the
+        # program offers keepable sets only, every maximal one among them
         for comp, _ in components(g):
             nonedges = list(comp.nonedges())
-            assert (_maximal_keepable(comp, nonedges)
-                    == subset_maximal_keepable(comp, nonedges))
+            offered = _maximal_keepable(comp, nonedges)
+            assert all(keepable(comp, nonedges, m) for m in offered)
+            assert maximal_masks(offered) == subset_maximal_keepable(comp, nonedges)
 
     @given(graphs_strategy(7))
     def test_upper_bounds_and_builders_sandwich(self, g):

@@ -9,10 +9,10 @@ refactor; when it is intended, record the new digests in the same change.
 """
 
 import hashlib
-import subprocess
-import sys
 
 import pytest
+
+from conftest import run_boxrep
 
 GOLDEN = {
     "gen_kdegen60":
@@ -26,7 +26,7 @@ GOLDEN = {
     "build_surface":
         "61a124402260fc40968c0bc6316d1fa959b4af54f0bd64b0c5d7af41b47910d4",
     "build_surface_trace":
-        "442124ef5cb07f74ee36623b9da9c9e8b67ec7c4e090db9580ca13555a33a2cd",
+        "32a44b31614f3c83e61f074428eda887f4d65132234beeab62be9cc151ed8e90",
     "verify":
         "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
     "report":
@@ -52,11 +52,6 @@ GOLDEN = {
 }
 
 
-def _cli(*args):
-    return subprocess.run([sys.executable, "-m", "boxrep", *args],
-                          capture_output=True)
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -68,7 +63,7 @@ def outputs(tmp_path_factory):
     out = {}
 
     def run(key, *args, to_file=None):
-        res = _cli(*args, *(("--out", str(to_file)) if to_file else ()))
+        res = run_boxrep(*args, *(("--out", str(to_file)) if to_file else ()))
         out[key] = (res.returncode, to_file.read_bytes() if to_file else res.stdout)
         return res
 

@@ -13,9 +13,7 @@ from boxrep.errors import (
     EmptyInput,
     FormatError,
     InvalidInputRep,
-    PreconditionViolation,
     SizeLimitExceeded,
-    UncoveredNonedge,
 )
 from boxrep.graph import Graph
 from boxrep.intervals import (
@@ -489,17 +487,7 @@ class TestRecognition:
 class TestCertify:
     def test_returns_valid_rep_itself(self, c4):
         rep = roberts_rep(c4)
-        assert intervals.certify(c4, rep, "roberts") is rep
-
-    def test_default_errors_by_witness_kind(self, c4):
-        together = rep_from([(0, 0)] * 4)  # keeps every edge, separates nothing
-        with pytest.raises(UncoveredNonedge) as exc:
-            intervals.certify(c4, together, "together")
-        assert exc.value.pair == (0, 2)
-        apart = rep_from([(v, v) for v in range(4)])  # separates every pair
-        with pytest.raises(PreconditionViolation,
-                           match=r"apart .*missing_edge=\(0, 1\)"):
-            intervals.certify(c4, apart, "apart")
+        assert intervals.certify(c4, rep, "roberts", InvalidInputRep) is rep
 
     def test_given_error_names_what_and_both_witnesses(self, c4):
         # separates the edge (0, 1) and leaves the non-edge (0, 2) covered

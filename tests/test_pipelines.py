@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import graph, intervals, pipelines
-from boxrep.builders import _universal
+from boxrep.builders import DegenerateStrategy, _universal, acyclic_rep, degenerate_rep
 from boxrep.coloring import Coloring, acyclic_coloring, smallest_acyclic_coloring
+from boxrep.combinators import quotient_lift, split_compose
 from boxrep.errors import (
     InvalidColoring,
     InvalidParams,
@@ -16,7 +17,12 @@ from boxrep.errors import (
     StructuralCheckFailed,
 )
 from boxrep.graph import Graph, generate
-from boxrep.intervals import verify_representation
+from boxrep.intervals import (
+    BoxRepresentation,
+    extend_universal,
+    prune_dims,
+    verify_representation,
+)
 from boxrep.pipelines import (
     bipartite_experiment,
     bound_report,
@@ -24,6 +30,7 @@ from boxrep.pipelines import (
     format_bound_table,
     surface_pipeline,
 )
+from boxrep.rng import SplitMix64
 
 from conftest import (
     complete_bipartite,
@@ -180,34 +187,33 @@ class TestSurfacePipeline:
         assert checked[g, id(rep.lo), id(rep.hi)] == 1
         assert max(checked.values()) == 1
 
-    def test_apex_style_graph_builds_nothing_larger_than_g_or_h1(self, monkeypatch):
+    def test_apex_style_graph_certifies_the_quotient_and_the_result(self, monkeypatch):
         g, a, coloring = apex_style_graph()
         checked = _count_oracle_calls(monkeypatch)
         rep, trace = surface_pipeline(g, 3, a, coloring)
         q = graph.quotient_by_a_neighborhood(g, a)
-        h1 = q.quotient_graph.add_clique(q.reps)
         assert trace.get("quotient_classes") == 16
-        # the quotient, the clique on the representatives, H1 and g
-        assert sum(checked.values()) == 4
-        assert max(checked.values()) == 1
-        assert max(seen.m for seen, _, _ in checked) <= max(g.m, h1.m)
+        # one call on the quotient, handed to quotient_lift, one on the result
+        assert sum(checked.values()) == 2
+        assert [seen for seen, _, _ in checked] == [q.quotient_graph, g]
+        assert checked[g, id(rep.lo), id(rep.hi)] == 1
         assert verify_representation(g, rep).valid
 
-    def test_apex_style_graph_builds_h1_once(self, monkeypatch):
+    def test_apex_style_graph_builds_no_h1(self, monkeypatch):
         g, a, coloring = apex_style_graph()
         built = []
         add_clique = Graph.add_clique
         monkeypatch.setattr(Graph, "add_clique",
                             lambda h, s: built.append(h) or add_clique(h, s))
         surface_pipeline(g, 3, a, coloring)
-        assert len(built) == 1
+        assert built == []
 
     def test_k7_hand_trace(self):
         k7 = complete_graph(7)
         rep, trace = surface_pipeline(k7, 2, frozenset(), identity_coloring(7))
         assert trace.get("g2_dims") == 42
-        assert trace.get("g1_dims") == 3
-        assert trace.get("dims_unpruned") == 45
+        assert trace.get("g1_dims") == 2
+        assert trace.get("dims_unpruned") == 44
         assert rep.d == trace.get("final_dims") == 1  # every row is dead on K7
         assert verify_representation(k7, rep).valid
 
@@ -216,8 +222,8 @@ class TestSurfacePipeline:
                                       smallest_acyclic_coloring(c4))
         assert verify_representation(c4, rep).valid
         assert trace.get("dims_unpruned") == trace.get("g1_dims") + trace.get("g2_dims")
-        # G1 is complete, so its 3 rows are dead; 2 of G2's 6 rows stay
-        assert (trace.get("g1_dims"), trace.get("g2_dims")) == (3, 6)
+        # G1 is complete, so its 2 rows are dead; 2 of G2's 6 rows stay
+        assert (trace.get("g1_dims"), trace.get("g2_dims")) == (2, 6)
         assert rep.d == trace.get("final_dims") == 2
 
     def test_k35_declared_genus0_fails_with_witness(self):
@@ -237,6 +243,13 @@ class TestSurfacePipeline:
     def test_a_equals_v(self, c4):
         rep, trace = surface_pipeline(c4, 1, range(4), Coloring({}, 0))
         assert verify_representation(c4, rep).valid
+
+    def test_rejected_output_raises_structural_check_failed(self, c4, monkeypatch):
+        # a pruned result that represents K4 leaves C4's non-edges uncovered
+        monkeypatch.setattr(pipelines, "prune_dims", lambda rep: _universal(rep.n))
+        with pytest.raises(StructuralCheckFailed,
+                           match="stack of the G1 and G2 representations fails the oracle"):
+            surface_pipeline(c4, 0, frozenset(), smallest_acyclic_coloring(c4))
 
     def test_rejects_non_acyclic_coloring(self, c4):
         bad = Coloring({0: 0, 1: 1, 2: 0, 3: 1}, 2)
@@ -260,6 +273,61 @@ class TestSurfacePipeline:
         assert verify_representation(g, rep).valid
         assert trace.get("dims_unpruned") == trace.get("g1_dims") + trace.get("g2_dims")
         assert rep.d == trace.get("final_dims") <= trace.get("dims_unpruned")
+
+
+def _h1_construction(g, a, coloring, seed):
+    """The surface pipeline's pruned stack, with G1 built the older way:
+    split_compose of the quotient's rows and a one-row universal
+    representation of the representatives over H1, the quotient plus a
+    clique on them, then the columns gathered by `q.cols`. Returns the
+    quotient, its degenerate representation and the pruned stack."""
+    q = graph.quotient_by_a_neighborhood(g, a)
+    order, k = graph.degeneracy_order(q.quotient_graph)
+    r_q = degenerate_rep(q.quotient_graph, order, k,
+                         DegenerateStrategy(seed=SplitMix64(seed).next_u64()))
+    r_h1 = r_q
+    if q.reps:
+        r_h1 = split_compose(r_q, _universal(len(q.reps)), q.reps,
+                             q.quotient_graph.add_clique(q.reps))
+    outside = [v for v in range(g.n) if v not in a]
+    if outside:
+        sub, members = g.induced(outside)
+        local = Coloring({i: coloring.color[v] for i, v in enumerate(members)
+                          if v in coloring.color}, coloring.k)
+        r_g2 = extend_universal(acyclic_rep(sub, local), members, g.n)
+    else:
+        r_g2 = _universal(g.n)
+    cols = list(q.cols)
+    stacked = BoxRepresentation(g.n, np.concatenate((r_h1.lo[:, cols], r_g2.lo)),
+                                np.concatenate((r_h1.hi[:, cols], r_g2.hi)))
+    return q, r_q, prune_dims(stacked)
+
+
+class TestSurfaceMatchesH1Construction:
+    """Stretching the quotient's rows drops only the lifted universal row,
+    which separates nothing, so the pruned certificate is unchanged."""
+
+    def _check(self, g, a, coloring, seed):
+        rep, _ = surface_pipeline(g, 3, a, coloring, seed=seed)
+        q, r_q, expected = _h1_construction(g, a, coloring, seed)
+        for got, want in ((rep.lo, expected.lo), (rep.hi, expected.hi)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert quotient_lift(r_q, q).d == (2 * r_q.d if q.reps else r_q.d)
+
+    @given(graphs_strategy(7), st.integers(0, 127), st.integers(0, 3))
+    @settings(max_examples=40)
+    def test_random_instances(self, g, a_mask, seed):
+        a = {v for v in range(g.n) if (a_mask >> v) & 1}
+        outside = [v for v in range(g.n) if v not in a]
+        sub, members = g.induced(outside)
+        local = smallest_acyclic_coloring(sub)
+        coloring = Coloring({members[i]: c for i, c in local.color.items()}, local.k)
+        self._check(g, a, coloring, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_apex_style_graph(self, seed):
+        g, a, coloring = apex_style_graph()
+        self._check(g, a, coloring, seed)
 
 
 class TestSurfaceInputChecks:
