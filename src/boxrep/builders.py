@@ -11,7 +11,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -24,14 +24,14 @@ from .rng import SplitMix64
 
 def _universal(n: int, **metadata) -> BoxRepresentation:
     """One dimension giving every vertex [0, 1]: a representation of K_n."""
-    return BoxRepresentation(n, np.zeros((1, n), dtype=np.int64),
-                             np.ones((1, n), dtype=np.int64), metadata)
+    return BoxRepresentation._trusted(n, np.zeros((1, n), dtype=np.int64),
+                                      np.ones((1, n), dtype=np.int64), metadata)
 
 
 def _points(n: int, **metadata) -> BoxRepresentation:
     """One dimension of n distinct points: a representation of the edgeless graph."""
     points = np.arange(n, dtype=np.int64)[None, :]
-    return BoxRepresentation(n, points, points, metadata)
+    return BoxRepresentation._trusted(n, points, points, metadata)
 
 
 def roberts_rep(g: Graph) -> BoxRepresentation:
@@ -214,9 +214,13 @@ def degenerate_rep(g: Graph, order, k: int,
     `(nbrs[x] & bm).bit_length()`, so one hub dimension costs O(n) mask
     operations: x loses the members of B at t(x) and after, and each w in B
     loses the x with t(x) <= pos(w), collected in a prefix mask over B.
-    Colors are drawn one scalar `rng.below` call per vertex, in vertex id
-    order, so the seeded stream, and with it every output, is fixed by the
-    seed alone.
+    Each round's colors are one `below_many(k+2, n)` draw, in vertex id
+    order, which leaves the seeded stream as n scalar `below` calls would,
+    so every output is fixed by the seed alone. The rows are written once
+    the cover stops, each hub pair as two Python lists: a walk over the
+    members w of B in ascending position gives w its point and sets t(x) =
+    pos(w)+1 for each neighbor x of w, so the last write is the largest.
+    A hub row thus costs the degrees of B plus one conversion of n values.
     """
     strategy = strategy or DegenerateStrategy()
     order = list(order)
@@ -231,33 +235,37 @@ def degenerate_rep(g: Graph, order, k: int,
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    forward = [[pos[w] for w in g.neighbors(v) if pos[w] > i]
-               for i, v in enumerate(order)]
+    adj = g.adj
+    forward = [[pos[w] for w in adj[v] if pos[w] > i] for i, v in enumerate(order)]
     if any(len(f) > k for f in forward):
         raise InvalidOrder("some vertex has more than k later neighbors")
 
-    nbrs = [sum(1 << pos[w] for w in g.neighbors(v)) for v in order]
-    full = (1 << g.n) - 1
-    unc = [full & ~nbrs[i] & ~(1 << i) for i in range(g.n)]
-    left = sum(mask.bit_count() for mask in unc)
+    left = g.n * (g.n - 1) - 2 * g.m
     if left == 0:
         return _universal(g.n, rounds_used=0, round_dims=0, fallback_dims=0,
                           size_bound=1)
-    place = np.array(pos, dtype=np.int64) + 1
     if g.m == 0:
-        return BoxRepresentation(g.n, place[None, :], place[None, :],
-                                 {"rounds_used": 0, "round_dims": 1,
-                                  "fallback_dims": 0, "size_bound": 1})
+        place = np.array(pos, dtype=np.int64)[None, :] + 1
+        return BoxRepresentation._trusted(g.n, place, place,
+                                          {"rounds_used": 0, "round_dims": 1,
+                                           "fallback_dims": 0, "size_bound": 1})
+    nbrs = [0] * g.n
+    for i, later in enumerate(forward):  # each edge once
+        for j in later:
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+    full = (1 << g.n) - 1
+    unc = [full & ~nbrs[i] & ~(1 << i) for i in range(g.n)]
 
     budget = _default_budget(g.n)
     colors_count = k + 2
-    below = SplitMix64(strategy.seed).below
+    draw = SplitMix64(strategy.seed).below_many
     hubs = []  # the positions of B, ascending, of each emitted hub dimension
     live = range(g.n)
     rounds_used = 0
     while left and rounds_used < budget:
         rounds_used += 1
-        drawn = [below(colors_count) for _ in range(g.n)]  # by vertex id
+        drawn = draw(colors_count, g.n)  # by vertex id
         color = [drawn[v] for v in order]
         good = [[] for _ in range(colors_count)]
         for i, c in enumerate(color):
@@ -313,18 +321,16 @@ def degenerate_rep(g: Graph, order, k: int,
     d = len(hubs) + len(pairs)
     lo = np.zeros((d, g.n), dtype=np.int64)
     hi = np.zeros((d, g.n), dtype=np.int64)
-    if hubs:
-        # t(x) is the largest point of a neighbor of x in B: one maximum per
-        # edge end, where the other end is in B
-        at = np.array(order, dtype=np.intp)
-        for row, members in zip(hi, hubs):
-            inside = np.zeros(g.n, dtype=bool)
-            inside[at[members]] = True
-            for x, y in (g.edge_index, g.edge_index[::-1]):
-                np.maximum.at(row, x, np.where(inside[y], place[y], 0))
-        rows = np.repeat(np.arange(len(hubs)), [len(b) for b in hubs])
-        cols = at[np.fromiter(chain.from_iterable(hubs), np.intp, len(rows))]
-        lo[rows, cols] = hi[rows, cols] = place[cols]
+    for j, members in enumerate(hubs):
+        # B is independent, so no walk overwrites a member's own point
+        low, t = [0] * g.n, [0] * g.n
+        for w in members:
+            point, v = w + 1, order[w]
+            low[v] = t[v] = point
+            for x in adj[v]:
+                t[x] = point
+        lo[j] = low
+        hi[j] = t
     if pairs:
         # u's interval [0, 1] and v's [2, 3] part; everyone else spans [0, 3]
         rows = np.arange(len(hubs), d)
@@ -334,7 +340,7 @@ def degenerate_rep(g: Graph, order, k: int,
         lo[rows, ends[:, 1]] = 2
     stats = {"rounds_used": rounds_used, "round_dims": len(hubs),
              "fallback_dims": len(pairs), "size_bound": size_bound}
-    return BoxRepresentation(g.n, lo, hi, stats)
+    return BoxRepresentation._trusted(g.n, lo, hi, stats)
 
 
 def trivial_rep(g: Graph) -> BoxRepresentation | None:

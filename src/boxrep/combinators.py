@@ -3,8 +3,9 @@
 One certification rule: a combinator passes each representation it is
 handed through `intervals.certify`, the oracle gate, against the graph its
 contract names, and fails loudly with a witness. Its output is covered by
-the proof in its docstring, so it is not checked again; the pipeline that
-returns it certifies its own result once.
+the proof in its docstring, so it is not checked again, and it is built
+through `BoxRepresentation._trusted`; the pipeline that returns it
+certifies its own result once.
 
 Both combinators stretch rows over a vertex set S: each row is copied
 twice, with S reaching past its top, then its bottom. Stretching only grows
@@ -20,16 +21,23 @@ import numpy as np
 
 from .errors import InvalidInputRep, PreconditionViolation
 from .graph import Graph, QuotientResult
-from .intervals import BoxRepresentation, certify, extend_universal
+from .intervals import _INT64, BoxRepresentation, certify, extend_universal
 
 
 def _stretch(rep: BoxRepresentation, s: Sequence[int]):
     """The (lo, hi) rows of `rep` stretched over `s`: rows 2j and 2j+1 copy
-    row j, with `s` reaching past its top, then its bottom."""
+    row j, with `s` reaching past its top, then its bottom. A row that
+    already reaches an int64 limit has no room past it: InvalidInputRep."""
+    top = rep.hi.max(axis=1, keepdims=True)
+    bottom = rep.lo.min(axis=1, keepdims=True)
+    if top.max() == _INT64.max or bottom.min() == _INT64.min:
+        raise InvalidInputRep(
+            f"cannot stretch a row that reaches an int64 limit "
+            f"({_INT64.min} or {_INT64.max})")
     lo = np.repeat(rep.lo, 2, axis=0)
     hi = np.repeat(rep.hi, 2, axis=0)
-    hi[0::2, s] = rep.hi.max(axis=1, keepdims=True) + 1
-    lo[1::2, s] = rep.lo.min(axis=1, keepdims=True) - 1
+    hi[0::2, s] = top + 1
+    lo[1::2, s] = bottom - 1
     return lo, hi
 
 
@@ -64,7 +72,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     hi = np.concatenate((hi, lifted.hi))
     assert len(lo) == 2 * rep_h.d + rep_s.d
 
-    return BoxRepresentation(g.n, lo, hi)
+    return BoxRepresentation._trusted(g.n, lo, hi)
 
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentation:
@@ -89,4 +97,4 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentat
     certify(q.quotient_graph, rep_q, "rep_q for the quotient graph",
             InvalidInputRep)
     lo, hi = _stretch(rep_q, q.reps) if q.reps else (rep_q.lo, rep_q.hi)
-    return BoxRepresentation(len(q.cols), lo[:, q.cols], hi[:, q.cols])
+    return BoxRepresentation._trusted(len(q.cols), lo[:, q.cols], hi[:, q.cols])

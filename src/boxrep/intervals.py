@@ -94,8 +94,10 @@ class BoxRepresentation:
     every value fits in int64; anything else raises InvalidInputRep. The
     constructor takes int64 arrays over without copying and marks them
     read-only, so a representation may share its arrays with the one it was
-    derived from. `metadata` is free-form, not written to the text format, and
-    set only by degenerate_rep (cover statistics) and acyclic_rep (colors).
+    derived from. `_trusted` builds one from arrays that are valid by
+    construction without these checks. `metadata` is free-form, not written
+    to the text format, and set only by degenerate_rep (cover statistics)
+    and acyclic_rep (colors).
     """
 
     n: int
@@ -115,6 +117,19 @@ class BoxRepresentation:
         if np.count_nonzero(self.lo > self.hi):
             j, v = np.argwhere(self.lo > self.hi)[0]
             raise InvalidInputRep(f"empty interval at vertex {v} in dimension {j + 1}")
+
+    @classmethod
+    def _trusted(cls, n: int, lo: np.ndarray, hi: np.ndarray,
+                 metadata: dict | None = None) -> "BoxRepresentation":
+        """A representation from int64 (d, n) arrays that are valid by
+        construction, such as rows of a valid one, built without re-checking
+        them; the arrays are marked read-only like the constructor's."""
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        rep = object.__new__(cls)
+        rep.n, rep.lo, rep.hi = n, lo, hi
+        rep.metadata = {} if metadata is None else metadata
+        return rep
 
     @property
     def d(self) -> int:
@@ -287,7 +302,7 @@ def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
     if d == 1:
         return rep
     if n < 2:  # no pair to separate
-        return BoxRepresentation(n, rep.lo[:1], rep.hi[:1])
+        return BoxRepresentation._trusted(n, rep.lo[:1], rep.hi[:1])
     need = _prune_bytes(d, n)
     if need > PRUNE_MEMORY_LIMIT:
         raise SizeLimitExceeded(
@@ -322,7 +337,7 @@ def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
     if len(keep) == d:
         return rep
     keep.reverse()
-    return BoxRepresentation(n, rep.lo[keep], rep.hi[keep])
+    return BoxRepresentation._trusted(n, rep.lo[keep], rep.hi[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +426,8 @@ def merge_components(reps: list[BoxRepresentation],
     Output has max(d_i) dimensions. Dimension 1 shifts each component into
     its own coordinate range so cross-component pairs are separated there;
     in higher dimensions a component either keeps its own intervals or, past
-    its dimension count, pads with the global span of that dimension.
+    its dimension count, pads with the global span of that dimension. When
+    those ranges would pass the int64 limit, it raises InvalidInputRep.
     """
     if not reps:
         raise EmptyInput("no component representations")
@@ -442,10 +458,18 @@ def merge_components(reps: list[BoxRepresentation],
         lo[rep.d:, cols] = span_lo[rep.d:, None]
         hi[rep.d:, cols] = span_hi[rep.d:, None]
         # dimension 1: disjoint ranges, first component kept in place
-        shift = 0 if cursor is None else cursor - int(rep.lo[0].min())
-        lo[0, cols] += shift
-        hi[0, cols] += shift
-        cursor = int(rep.hi[0].max()) + shift + 1
+        first, last = int(rep.lo[0].min()), int(rep.hi[0].max())
+        shift = 0 if cursor is None else cursor - first
+        if last + shift > _INT64.max:
+            raise InvalidInputRep(
+                "merged dimension 1 would pass the int64 limit "
+                f"{_INT64.max}; the components span too wide a range")
+        # the shifted ends fit in int64, so adding the shift modulo 2**64,
+        # as int64 arithmetic does, gives them exactly
+        wrapped = np.int64((shift - _INT64.min) % 2**64 + _INT64.min)
+        lo[0, cols] += wrapped
+        hi[0, cols] += wrapped
+        cursor = last + shift + 1
 
     return BoxRepresentation(n_total, lo, hi)
 

@@ -5,6 +5,9 @@ finalizer) implemented here so that seeded runs are byte-identical across
 platforms and Python versions. All randomized code in the package draws from
 this class; `boxrep gen` records ALGORITHM in the comment line it writes.
 A seed is any integer, taken mod 2^64; anything else raises InvalidParams.
+`below_many` makes a run of `below` draws in one call, with the same values
+and the same final state, so a caller may batch its draws without changing
+the stream.
 """
 
 from .errors import as_index
@@ -33,18 +36,40 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def _limit(self, n: int) -> int:
+        """below's rejection limit for a new n: the largest multiple of n
+        <= 2^64, kept for the calls that repeat n."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        self._below_n = n
+        self._below_limit = _MASK64 + 1 - (_MASK64 + 1) % n
+        return self._below_limit
+
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection (no modulo bias)."""
-        if n != self._below_n:
-            if n <= 0:
-                raise ValueError("n must be positive")
-            self._below_n = n
-            self._below_limit = _MASK64 + 1 - (_MASK64 + 1) % n
-        limit = self._below_limit
+        limit = self._below_limit if n == self._below_n else self._limit(n)
         while True:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def below_many(self, n: int, count: int) -> list[int]:
+        """`count` successive `below(n)` draws, with `next_u64` inlined: the
+        same values, and the generator left in the same state."""
+        limit = self._below_limit if n == self._below_n else self._limit(n)
+        state, gamma, mask = self._state, _GAMMA, _MASK64
+        out = []
+        for _ in range(count):
+            while True:
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                if z < limit:
+                    break
+            out.append(z % n)
+        self._state = state
+        return out
 
     def sample(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), via partial Fisher-Yates.

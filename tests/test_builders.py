@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -387,6 +389,38 @@ class TestDegenerate:
                 kills += 1
         assert kills / rounds >= rate_floor
 
+    @pytest.mark.parametrize("n, seed, digest", [
+        (300, 0, "89561b9fac5668eebc145e39bdb768af9b9e383dd17cfcba2536ce046e7992ce"),
+        (300, 1, "4a86fcdd1778d6cfeab0b210d99f85a7205782ac38f3cabeb8731f36d6dfea0f"),
+        (2000, 0, "06bd009d9ad79d3825aad583c1815aa02f12e0c855c11db46a34b7f2f14a5d54"),
+        (2000, 1, "97b91210437cc4f6ded12205c6016fa6ae77418d9c78bc33e6d860870e8108cb"),
+    ])
+    def test_kdegen_output_is_pinned(self, n, seed, digest):
+        # graphs past cover_inputs' 130 vertices, where the masks span many
+        # words: lo, hi and metadata keep the bytes they had when recorded
+        g = generate("kdegen", n=n, k=3, seed=0)
+        order, k = degeneracy_order(g)
+        rep = degenerate_rep(g, order, k, DegenerateStrategy(seed=seed))
+        h = hashlib.sha256(repr(rep.lo.shape).encode())
+        h.update(rep.lo.astype("<i8").tobytes())
+        h.update(rep.hi.astype("<i8").tobytes())
+        h.update(json.dumps(rep.metadata, sort_keys=True).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("g, budget", [
+        (complete_graph(4), None), (Graph(4, frozenset()), None),
+        (cycle_graph(6), None), (cycle_graph(6), 0),
+    ], ids=["complete", "edgeless", "hubs", "fallback"])
+    def test_output_arrays_are_read_only(self, g, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(builders, "_default_budget", lambda n: budget)
+        order, k = degeneracy_order(g)
+        rep = degenerate_rep(g, order, k)
+        assert not rep.lo.flags.writeable and not rep.hi.flags.writeable
+        assert rep.lo.dtype == rep.hi.dtype == np.int64
+        assert rep.lo.shape == rep.hi.shape == (rep.d, g.n)
+        assert verify_representation(g, rep).valid
+
     @given(graphs_strategy(8), st.integers(0, 1000))
     def test_always_terminates_and_verifies(self, g, seed):
         order, k = degeneracy_order(g)
@@ -459,8 +493,8 @@ class TestDegenerateAgainstTuples:
             def __init__(self, seed):
                 pass
 
-            def below(self, n):
-                return next(colors)
+            def below_many(self, n, count):
+                return [next(colors) for _ in range(count)]
 
         monkeypatch.setattr(builders, "SplitMix64", Replay)
         tracemalloc.start()

@@ -71,6 +71,21 @@ class TestSplitCompose:
         with pytest.raises(InvalidInputRep):
             split_compose(r_h, bad, s, c4)
 
+    def test_rejects_rep_h_at_the_int64_limit(self):
+        # rep_h is valid, but S cannot reach past its top; a wrapped stretch
+        # would report a false empty interval at vertex 2
+        top = int(np.iinfo(np.int64).max)
+        g = Graph(3, frozenset())
+        r_h = rep_from([(0, 0), (1, 1), (top, top)])
+        r_s = rep_from([(0, 0), (1, 1)])
+        with pytest.raises(InvalidInputRep, match="int64 limit"):
+            split_compose(r_h, r_s, [1, 2], g)
+        # one below the limit leaves room
+        r_h = rep_from([(0, 0), (1, 1), (top - 1, top - 1)])
+        out = split_compose(r_h, r_s, [1, 2], g)
+        assert out.hi.tolist()[0] == [0, top, top]
+        assert verify_representation(g, out).valid
+
     @given(graphs_strategy(7), st.integers(0, 127))
     def test_random_instances(self, g, s_mask):
         s = sorted(v for v in range(g.n) if (s_mask >> v) & 1)
@@ -111,6 +126,18 @@ class TestSplitCompose:
             for j in range(r_h.d):
                 if disjoint(r_h, j, u, v):
                     assert disjoint(out, 2 * j, u, v) or disjoint(out, 2 * j + 1, u, v)
+
+
+def test_outputs_are_read_only(c4):
+    s = [0, 2]
+    gs, _ = c4.induced(s)
+    outputs = [split_compose(roberts_rep(c4), _rep_for(gs), s, c4)]
+    for a in ({0}, range(4)):
+        q = quotient_by_a_neighborhood(c4, a)
+        outputs.append(quotient_lift(_rep_for(q.quotient_graph), q))
+    for out in outputs:
+        assert not out.lo.flags.writeable and not out.hi.flags.writeable
+        assert out.lo.dtype == out.hi.dtype == np.int64 and out.metadata == {}
 
 
 class TestQuotientLift:

@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -421,6 +422,19 @@ class TestPrune:
         assert out.d == 1 and out.lo.tolist() == rep.lo[:1].tolist()
         assert verify_representation(complete_graph(n), out).valid
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_kept_rows_are_read_only_and_not_rechecked(self, n, monkeypatch):
+        # the kept rows come from a valid representation, so the constructor's
+        # checks are skipped, but the arrays are still frozen
+        rows = [[(v, v) for v in range(n)], [(0, 9)] * n, [(v, v + 1) for v in range(n)]]
+        rep = rep_from(*rows)
+        monkeypatch.setattr(BoxRepresentation, "__post_init__",
+                            mock.Mock(side_effect=AssertionError("re-checked")))
+        out = prune_dims(rep)
+        assert out.d == 1 and out.lo.tolist() == rep.lo[:1].tolist()
+        assert not out.lo.flags.writeable and not out.hi.flags.writeable
+        assert out.metadata == {}
+
     @pytest.mark.parametrize("tile", [1, 8, 64, 1 << 18])
     @given(graphs_strategy(20), st.integers(0, 10_000))
     @settings(max_examples=15)
@@ -587,6 +601,30 @@ class TestMergeComponents:
         out = merge_components(reps, [m for _, m in comps])
         assert verify_representation(g, out).valid
         assert out.d == max(r.d for r in reps)
+
+    def test_shift_past_int64_raises(self):
+        # each component verifies, but dimension 1 has no room for both below
+        # the int64 limit; a wrapped shift would leave (0, 2) unseparated
+        top = int(np.iinfo(np.int64).max)
+        a = rep_from([(-top + 4, top - 1)])
+        b = rep_from([(0, 0), (6, 8)])
+        with pytest.raises(InvalidInputRep, match="int64 limit"):
+            merge_components([a, b], [(0,), (1, 2)])
+
+    def test_shift_beyond_int64_raises_not_overflowerror(self):
+        # the shift 2**63 + 1 is no int64 and the shifted end would pass the limit
+        a = rep_from([(0, 0)])
+        b = rep_from([(-2**63, 0)])
+        with pytest.raises(InvalidInputRep, match="int64 limit"):
+            merge_components([a, b], [(0,), (1,)])
+
+    def test_shift_beyond_int64_with_room_merges(self):
+        # the same shift, but the shifted ends fit, so the merge is exact
+        a = rep_from([(0, 0)])
+        b = rep_from([(-2**63, -2**63), (-2**63 + 2, -2**63 + 3)])
+        out = merge_components([a, b], [(0,), (1, 2)])
+        assert out.lo.tolist() == [[0, 1, 3]] and out.hi.tolist() == [[0, 1, 4]]
+        assert verify_representation(Graph(3, frozenset()), out).valid
 
 
 class TestRepresentationIO:

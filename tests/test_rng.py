@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxrep.rng import SplitMix64
 
@@ -54,3 +54,19 @@ def test_below_rejects_nonpositive_n_after_a_cached_one():
     for n in (0, -1, -5):
         with pytest.raises(ValueError):
             rng.below(n)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 50),
+       st.one_of(st.integers(1, 2**64 - 1), st.integers(2**63 + 1, 2**63 + 2**62)))
+@example(seed=0, count=50, n=2**63 + 1)
+def test_below_many_is_successive_below_calls(seed, count, n):
+    # an n just above 2**63 rejects nearly half the raw draws
+    batched, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert batched.below_many(n, count) == [scalar.below(n) for _ in range(count)]
+    assert batched.next_u64() == scalar.next_u64()
+
+
+def test_below_many_rejects_nonpositive_n():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            SplitMix64(0).below_many(n, 4)
