@@ -8,7 +8,12 @@ IPL 1991), which `interval_order` searches for; any graph on n vertices
 has boxicity at most n // 2 (Roberts, 1969), by the pairing `roberts_rep`
 builds. So a component that is not interval and has at most 5 vertices
 has boxicity 2. Its only size limit, on a component's vertices, applies
-before either shortcut.
+before either shortcut. At each set of placed vertices the program keeps
+only the non-edge masks inside no other. `_maximal` takes the masks largest
+first and tests each against the kept ones alone, which is exact since a
+mask inside a dropped one is inside the kept one that dropped it; a mask
+lies inside a kept one iff the kept masks holding each of its bits, one
+index entry per bit, have a member in common.
 
 Poset dimension first keeps one element of each twin class (elements with
 the same strict down-set and up-set), which changes the answer only by
@@ -16,11 +21,15 @@ max(2, .), then runs a depth-first search for a realizer that starts at a
 clique lower bound on critical pairs no extension can reverse together.
 The search is incremental: each node passes its uncovered pairs and their
 feasible-slot masks down, and a child tests them against the one slot it
-changed, since reach sets only grow along a branch. Both solvers have hard
+changed, since reach sets only grow along a branch. A slot packs its n
+reach sets into one int of n * n bits, so a constraint and its transitive
+closure are added with a few big-int operations. Both solvers have hard
 size limits that fail loudly; there is no approximate fallback here.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .errors import InvalidParams, SizeLimitExceeded, as_index
 from .graph import Graph, components
@@ -57,11 +66,34 @@ def _min_cover(universe: int, sets: list[int]) -> int:
 
 
 def _maximal(masks) -> list[int]:
-    """The masks contained in no other mask, largest first, then ascending."""
+    """The masks contained in no other mask, largest first, then ascending.
+
+    Masks are taken largest first, so a mask can only be contained in one
+    taken before it; one contained in a dropped mask is contained in the
+    kept mask that dropped it. So testing each mask against the kept ones
+    alone is exact. contain[b] is the set of kept masks holding bit b, as a
+    bitmask over their positions in the output: a mask m lies inside a
+    kept mask iff that mask holds every bit of m, that is iff the AND of
+    contain[b] over the bits b of m is not zero. The AND starts from all
+    kept masks, so m = 0 lies inside any, and stops as soon as it is zero.
+    """
     out = []
+    contain = defaultdict(int)  # 1 << b -> bitmask over positions in `out`
     for m in sorted(masks, key=lambda m: (-m.bit_count(), m)):
-        if not any(m | kept == kept for kept in out):
-            out.append(m)
+        common = (1 << len(out)) - 1
+        rest = m
+        while rest and common:
+            low = rest & -rest
+            rest ^= low
+            common &= contain[low]
+        if common:
+            continue
+        slot = 1 << len(out)
+        out.append(m)
+        while m:
+            low = m & -m
+            m ^= low
+            contain[low] |= slot
     return out
 
 
@@ -195,18 +227,20 @@ def _order_masks(p: FinitePoset) -> tuple[list[int], list[int]]:
 
 
 def _critical_pairs(n: int, below: list[int], above: list[int]) -> list[tuple[int, int]]:
+    """The critical pairs (a, b), in lexicographic order: a and b are
+    incomparable, everything below a is below b, and everything above b is
+    above a."""
     pairs = []
+    full = (1 << n) - 1
     for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if (above[a] >> b) & 1 or (below[a] >> b) & 1:
-                continue  # comparable
-            if below[a] & ~below[b]:
-                continue
-            if above[b] & ~above[a]:
-                continue
-            pairs.append((a, b))
+        down, up = below[a], above[a]
+        rest = full & ~(down | up | 1 << a)  # incomparable to a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if not down & ~below[b] and not above[b] & ~up:
+                pairs.append((a, b))
     return pairs
 
 
@@ -254,14 +288,23 @@ def _max_clique(adj: list[int]) -> list[int]:
 
 def _twin_free(below: list[int], above: list[int]) -> tuple[list[int], list[int]]:
     """The order masks of the subposet that keeps the first element of each
-    twin class (same strict down-set and up-set), renumbered in order."""
+    twin class (same strict down-set and up-set), renumbered in order; the
+    input itself when no element has a twin."""
     first = {}
     for x, key in enumerate(zip(below, above)):
         first.setdefault(key, x)
+    if len(first) == len(below):
+        return below, above
     keep = list(first.values())
+    new_bit = {1 << x: 1 << i for i, x in enumerate(keep)}  # old bit -> new
 
     def gather(mask: int) -> int:
-        return sum(1 << i for i, x in enumerate(keep) if (mask >> x) & 1)
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= new_bit.get(low, 0)
+        return out
 
     return [gather(below[x]) for x in keep], [gather(above[x]) for x in keep]
 
@@ -275,30 +318,54 @@ def _realizer_size(below: list[int], above: list[int]) -> int:
         return 1
     clique = [crit[i] for i in _max_clique(_conflict_masks(crit, above))]
 
-    base = tuple(above)  # reach[x] = elements forced after x
+    # A slot is one int of n * n bits: bits x*n .. x*n + n - 1 hold reach[x],
+    # the elements forced after x. `rows` has bit x*n set for every x.
+    full = (1 << n) - 1
+    rows = sum(1 << (x * n) for x in range(n))
+    base = sum(r << (x * n) for x, r in enumerate(above))
+    # pair (a, b): bit `ahead` is set when a is forced before b, bit
+    # `behind` when b is forced before a, that is when the slot reverses it
+    pairs = [(1 << (a * n + b), 1 << (b * n + a)) for a, b in crit]
 
-    def closed_add(reach: tuple, before: int, after: int) -> tuple:
-        # add constraint: `before` precedes `after`, which the caller
-        # knows is not already forced before `before`
-        gained = (1 << after) | reach[after]
-        return tuple(r | gained if x == before or (r >> before) & 1 else r
-                     for x, r in enumerate(reach))
+    def closed_add(slot: int, before: int, after: int) -> int:
+        # add constraint: `before` precedes `after`, which the caller knows
+        # is not already forced before `before`. Every x that is `before` or
+        # forced before it gains `after` and its reach: the product copies
+        # `gained` into each selected row, and as gained < 2**n it carries
+        # into no other row
+        gained = ((slot >> (after * n)) & full) | (1 << after)
+        return slot | (((slot >> before) & rows) | (1 << (before * n))) * gained
 
     def search(d: int) -> bool:
         slots = [closed_add(base, b, a) for a, b in clique]
         slots += [base] * (d - len(clique))
-        # live: the uncovered pairs (a, b), each with the mask of the slots
-        # where a is not forced before b, so b can still go before a
-        live = [(a, b, sum(1 << i for i, s in enumerate(slots)
-                           if not (s[a] >> b) & 1))
-                for a, b in crit if not any((s[b] >> a) & 1 for s in slots)]
+        # live: the uncovered pairs, each with the mask of the slots where
+        # a is not forced before b, so b can still go before a
+        live = []
+        for ahead, behind in pairs:
+            feas = 0
+            for i, s in enumerate(slots):
+                if s & behind:
+                    break
+                if not s & ahead:
+                    feas |= 1 << i
+            else:
+                live.append((ahead, behind, feas))
 
         def dfs(live: list) -> bool:
             if not live:
                 return True
-            # fail-first: the first pair with the fewest feasible slots;
-            # none feasible leaves `feas` empty and the node fails
-            a, b, feas = min(live, key=lambda t: t[2].bit_count())
+            # fail-first: the first pair with the fewest feasible slots; a
+            # pair with none makes the node fail
+            fewest = d + 1
+            for pair in live:
+                count = pair[2].bit_count()
+                if count < fewest:
+                    if not count:
+                        return False
+                    fewest, chosen = count, pair
+            _, behind, feas = chosen
+            b, a = divmod(behind.bit_length() - 1, n)
             tried = set()
             while feas:
                 bit = feas & -feas
@@ -310,8 +377,8 @@ def _realizer_size(below: list[int], above: list[int]) -> int:
                 tried.add(old)
                 new = slots[i] = closed_add(old, b, a)
                 # only slot i changed, and its reach sets only grew
-                nxt = [(c, e, f ^ bit if f & bit and (new[c] >> e) & 1 else f)
-                       for c, e, f in live if not (new[e] >> c) & 1]
+                nxt = [(ah, be, f ^ bit if f & bit and new & ah else f)
+                       for ah, be, f in live if not new & be]
                 if dfs(nxt):
                     return True
                 slots[i] = old

@@ -213,7 +213,8 @@ def forward_degeneracy(g: Graph, order: Iterable[int]) -> int:
 
 
 def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Connected components with back-maps, ordered by smallest contained id."""
+    """Connected components with back-maps, ordered by smallest contained id.
+    A connected graph is its own component, with the identity map."""
     seen = [False] * g.n
     out = []
     for start in range(g.n):
@@ -229,7 +230,7 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        out.append(g.induced(comp))
+        out.append((g, tuple(range(g.n))) if len(comp) == g.n else g.induced(comp))
     return out
 
 

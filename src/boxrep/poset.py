@@ -48,19 +48,28 @@ class FinitePoset:
                     raise InvalidParams(
                         f"relation is not transitively closed at ({a}, {d})")
 
+    @classmethod
+    def _trusted(cls, ground_size: int, strict: frozenset) -> "FinitePoset":
+        """A poset known to be valid, built without re-checking it."""
+        p = object.__new__(cls)
+        p.ground_size = ground_size
+        p.strict = strict
+        return p
+
 
 def adjacency_poset(g: Graph) -> FinitePoset:
     """Height-2 poset on V and a disjoint copy V'.
 
     Elements 0..n-1 are the vertices, n..2n-1 their primed copies, and
     u < v' exactly when u and v are distinct adjacent vertices. No chain of
-    three distinct elements exists, so the order axioms hold trivially.
+    three distinct elements exists, so the order axioms hold trivially, and
+    the poset is built without re-checking them.
     """
     strict = set()
     for u, v in g.edges:
         strict.add((u, g.n + v))
         strict.add((v, g.n + u))
-    return FinitePoset(2 * g.n, frozenset(strict))
+    return FinitePoset._trusted(2 * g.n, frozenset(strict))
 
 
 def poset_dim_upper(box_dims: int, chi: int) -> int:

@@ -284,6 +284,10 @@ def grid_graph(rows, cols):
         *((r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols))])
 
 
+def with_chords(g, *chords):
+    return Graph.from_edges(g.n, g.edges | set(chords))
+
+
 def circulant_graph(n, steps):
     return Graph.from_edges(n, {tuple(sorted((i, (i + s) % n)))
                                 for i in range(n) for s in steps})
@@ -300,11 +304,16 @@ class TestMinCover:
             _min_cover(0b111, [0b011, 0b001])
 
     @pytest.mark.parametrize("g, box", [
+        (with_chords(cycle_graph(10), (0, 5), (2, 7)), 2),
+        (petersen_graph(), 3),
         (generate("copm", k=5), 5),
         (generate("copm", k=6), 6),
-        (circulant_graph(12, (1, 3)), 2),
         (grid_graph(3, 4), 2),
-    ], ids=["copm5", "copm6", "circulant12_1_3", "grid3x4"])
+        (circulant_graph(12, (1, 3)), 2),
+        (cycle_graph(12), 2),
+        (with_chords(cycle_graph(12), (0, 6), (3, 9)), 2),
+    ], ids=["c10_two_chords", "petersen", "copm5", "copm6", "grid3x4",
+            "circulant12_1_3", "c12", "c12_two_chords"])
     def test_ten_to_twelve_vertices(self, g, box):
         assert exact_boxicity(g, max_vertices=12) == box
 
@@ -618,6 +627,11 @@ class TestAgainstRescanningSearch:
     @given(posets_with_twins_strategy())
     @settings(max_examples=200)
     def test_random_posets_with_twins(self, p):
+        assert exact_poset_dimension(p) == rescanning_poset_dimension(p)
+
+    @given(posets_strategy(max_n=POSET_GROUND_LIMIT))
+    @settings(max_examples=100)
+    def test_random_posets_up_to_the_limit(self, p):
         assert exact_poset_dimension(p) == rescanning_poset_dimension(p)
 
     @given(posets_with_twins_strategy())

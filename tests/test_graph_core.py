@@ -289,6 +289,35 @@ class TestComponents:
         assert seen == set(range(g.n))
         assert total_m == g.m
 
+    @pytest.mark.parametrize("g", [path_graph(1), path_graph(4), cycle_graph(5),
+                                   complete_graph(4)],
+                             ids=["K1", "P4", "C5", "K4"])
+    def test_connected_graph_is_its_own_component(self, g):
+        [(comp, members)] = components(g)
+        assert comp is g
+        assert members == tuple(range(g.n))
+
+    def test_empty_graph_has_no_component(self):
+        assert components(Graph(0, frozenset())) == []
+
+    @given(graphs_strategy())
+    def test_matches_inducing_every_component(self, g):
+        # reference: grow each component from its smallest unseen vertex,
+        # then induce it, relabelled by ascending id, connected or not
+        label = {}
+        for start in range(g.n):
+            if start not in label:
+                label[start] = start
+                stack = [start]
+                while stack:
+                    for w in g.neighbors(stack.pop()):
+                        if w not in label:
+                            label[w] = start
+                            stack.append(w)
+        starts = sorted(set(label.values()))
+        assert components(g) == [
+            g.induced(v for v in range(g.n) if label[v] == s) for s in starts]
+
 
 def reference_quotient(g, a):
     """The earlier class-list quotient: (classes, rep_of, quotient graph, local_id).

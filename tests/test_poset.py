@@ -43,6 +43,13 @@ class TestAdjacencyPoset:
         bottoms = {a for a, _ in p.strict}
         assert not (tops & bottoms)
 
+    @given(graphs_strategy(6))
+    def test_validating_constructor_accepts_it(self, g):
+        # adjacency_poset skips the checks; the validating constructor
+        # accepts its output and builds an equal poset
+        p = adjacency_poset(g)
+        assert FinitePoset(p.ground_size, p.strict) == p
+
 
 class TestDimUpper:
     def test_formula_values(self):
