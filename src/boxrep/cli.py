@@ -98,14 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--rep", required=True)
 
-    p = sub.add_parser("exact", help="exact boxicity (and poset dimension)")
+    p = sub.add_parser("exact", help="exact boxicity of a graph whose components have "
+                       f"at most {RECOGNITION_LIMIT} vertices (and poset dimension)")
     p.add_argument("--graph", required=True)
     p.add_argument("--poset", action="store_true",
                    help="also compute the adjacency poset dimension")
-    p.add_argument("--max-vertices", dest="max_vertices", type=int,
-                   default=exact_boxicity.__kwdefaults__["max_vertices"],
-                   help=f"vertex limit per component, at most {RECOGNITION_LIMIT} "
-                   "(default: %(default)s)")
 
     p = sub.add_parser("poset", help="write the adjacency poset of a graph")
     p.add_argument("--graph", required=True)
@@ -169,7 +166,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = parse_graph(_read(args.graph))
-    box = exact_boxicity(g, max_vertices=args.max_vertices)
+    box = exact_boxicity(g)
     sys.stdout.write(f"boxicity {box}\n")
     if args.poset:
         dim = exact_poset_dimension(adjacency_poset(g))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded, as_index
-from .graph import Graph, forest_walk
+from .graph import Graph, _max_clique, forest_walk
 
 CHROMATIC_LIMIT = 20
 ACYCLIC_LIMIT = 16
@@ -39,14 +39,6 @@ class Coloring:
     k: int
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    best = []
-    for v in sorted(range(g.n), key=g.degree, reverse=True):
-        if all(g.has_edge(v, u) for u in best):
-            best.append(v)
-    return best
-
-
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by backtracking above a clique lower bound."""
     if g.n > CHROMATIC_LIMIT:
@@ -56,7 +48,7 @@ def chromatic_number(g: Graph) -> int:
     if g.m == 0:
         return 1
     order = sorted(range(g.n), key=g.degree, reverse=True)
-    lower = len(_greedy_clique(g))
+    lower = len(_max_clique(g.neighbor_masks()))
 
     def colorable(k: int) -> bool:
         assigned = {}
@@ -136,17 +128,16 @@ def smallest_acyclic_coloring(g: Graph) -> Coloring:
 
     The search starts at a proven lower bound: 1 when g is edgeless, 2 when
     g is a forest (one `forest_walk` over every vertex under one label
-    finds no cycle), and otherwise max(3, the size of a greedy clique),
-    since a graph with a cycle has no acyclic 2-coloring. Every count below
-    the start has no acyclic coloring, so the result is the one a search
-    from 1 returns.
+    finds no cycle), and otherwise max(3, the clique number), since a graph
+    with a cycle has no acyclic 2-coloring. Every count below the start has
+    no acyclic coloring, so the result is the one a search from 1 returns.
     """
     if g.m == 0:
         start = 1
     elif forest_walk(g, [0] * g.n, (0,), range(g.n)) is not None:
         start = 2
     else:
-        start = max(3, len(_greedy_clique(g)))
+        start = max(3, len(_max_clique(g.neighbor_masks())))
     for k in range(start, g.n + 1):
         found = acyclic_coloring(g, k)
         if found is not None:

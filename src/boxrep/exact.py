@@ -7,10 +7,11 @@ has boxicity 1 exactly when it has an umbrella-free vertex order (Olariu,
 IPL 1991), which `interval_order` searches for; any graph on n vertices
 has boxicity at most n // 2 (Roberts, 1969), by the pairing `roberts_rep`
 builds. So a component that is not interval and has at most 5 vertices
-has boxicity 2. Its only size limit, on a component's vertices, applies
-before either shortcut. At each set of placed vertices the program keeps
-only the non-edge masks inside no other. `_maximal` takes the masks largest
-first and tests each against the kept ones alone, which is exact since a
+has boxicity 2. Its one size limit, RECOGNITION_LIMIT vertices per
+component, applies before either shortcut; every component within it
+answers. At each set of placed vertices the program keeps only the
+non-edge masks inside no other. `_maximal` takes the masks largest first
+and tests each against the kept ones alone, which is exact since a
 mask inside a dropped one is inside the kept one that dropped it; a mask
 lies inside a kept one iff the kept masks holding each of its bits, one
 index entry per bit, have a member in common.
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import InvalidParams, SizeLimitExceeded, as_index
-from .graph import Graph, components
+from .errors import SizeLimitExceeded
+from .graph import Graph, _max_clique, components
 from .intervals import RECOGNITION_LIMIT, interval_order
 from .poset import FinitePoset
 
@@ -138,10 +139,11 @@ def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
     return sorted(states[full], key=lambda m: (-m.bit_count(), m))
 
 
-def _component_boxicity(comp: Graph, cap: int) -> int:
-    # the ordering program has 2^n states, and the vertex cap bounds them
-    if comp.n > cap:
-        raise SizeLimitExceeded(f"component has {comp.n} vertices, limit {cap}")
+def _component_boxicity(comp: Graph) -> int:
+    # the ordering program has 2^n states, and the vertex limit bounds them
+    if comp.n > RECOGNITION_LIMIT:
+        raise SizeLimitExceeded(
+            f"component has {comp.n} vertices, limit {RECOGNITION_LIMIT}")
     if interval_order(comp) is not None:
         return 1
     if comp.n // 2 <= 2:  # not interval, so 2 <= boxicity <= n // 2
@@ -150,12 +152,11 @@ def _component_boxicity(comp: Graph, cap: int) -> int:
     return _min_cover((1 << len(nonedges)) - 1, _maximal_keepable(comp, nonedges))
 
 
-def exact_boxicity(g: Graph, *, max_vertices: int = 10) -> int:
+def exact_boxicity(g: Graph) -> int:
     """Smallest number of interval graphs intersecting to the input graph.
 
-    A component with more than `max_vertices` vertices, or more than
-    RECOGNITION_LIMIT, raises SizeLimitExceeded; a `max_vertices` that is
-    not a positive integer raises InvalidParams.
+    A component with more than RECOGNITION_LIMIT vertices raises
+    SizeLimitExceeded.
 
     Boxicity of a disjoint union is the maximum over its components.
     `components` relabels each component by ascending id, so copies with
@@ -201,14 +202,11 @@ def exact_boxicity(g: Graph, *, max_vertices: int = 10) -> int:
       most n // 2 of them. A component that is not interval has boxicity at
       least 2, so for n <= 5 it has boxicity exactly 2.
     """
-    cap = min(as_index(max_vertices, "max_vertices"), RECOGNITION_LIMIT)
-    if cap <= 0:
-        raise InvalidParams("max_vertices must be positive")
     solved = {}  # (n, edges) of each distinct relabelled component -> its boxicity
     for comp, _ in components(g):
         key = (comp.n, comp.edges)
         if comp.n > 1 and key not in solved:
-            solved[key] = _component_boxicity(comp, cap)
+            solved[key] = _component_boxicity(comp)
     return max(solved.values(), default=1)
 
 
@@ -265,25 +263,6 @@ def _conflict_masks(crit: list[tuple[int, int]], above: list[int]) -> list[int]:
             ends_above[x] |= ends[y]
             starts_below[y] |= starts[x]
     return [ends_above[a] & starts_below[b] for a, b in crit]
-
-
-def _max_clique(adj: list[int]) -> list[int]:
-    """A maximum clique of the graph with neighbour masks `adj`, by branch
-    and bound: a branch stops when its vertices plus all its candidates
-    cannot beat the best clique found."""
-    best: list[int] = []
-
-    def grow(clique: list[int], cand: int) -> None:
-        nonlocal best
-        if len(clique) > len(best):
-            best = clique
-        while cand and len(clique) + cand.bit_count() > len(best):
-            v = cand.bit_length() - 1
-            cand ^= 1 << v
-            grow(clique + [v], cand & adj[v])
-
-    grow([], (1 << len(adj)) - 1)
-    return best
 
 
 def _twin_free(below: list[int], above: list[int]) -> tuple[list[int], list[int]]:

@@ -212,6 +212,25 @@ def forward_degeneracy(g: Graph, order: Iterable[int]) -> int:
     return best
 
 
+def _max_clique(adj: list[int]) -> list[int]:
+    """A maximum clique of the graph with neighbour masks `adj`, by branch
+    and bound: a branch stops when its vertices plus all its candidates
+    cannot beat the best clique found."""
+    best: list[int] = []
+
+    def grow(clique: list[int], cand: int) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = clique
+        while cand and len(clique) + cand.bit_count() > len(best):
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            grow(clique + [v], cand & adj[v])
+
+    grow([], (1 << len(adj)) - 1)
+    return best
+
+
 def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     """Connected components with back-maps, ordered by smallest contained id.
     A connected graph is its own component, with the identity map."""
@@ -449,6 +468,10 @@ GRAPH_VERTEX_LIMIT = 10_000
 
 
 def parse_graph(text: str) -> Graph:
+    """Read the text format written by `write_graph`: a header `n m`, then m
+    lines `u v` with 0 <= u < v < n, no edge twice, skipping blank and '#'
+    lines. Every field is checked here, so the graph is built without the
+    constructor's second check."""
     data = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in data if ln and not ln.startswith("#")]
     if not data:
@@ -460,6 +483,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad header {data[0]!r}") from exc
+    if n < 0:
+        raise FormatError(f"bad header {data[0]!r}: negative vertex count")
     if n > GRAPH_VERTEX_LIMIT:
         raise SizeLimitExceeded(
             f"graph has {n} vertices, limit {GRAPH_VERTEX_LIMIT}")
@@ -479,4 +504,4 @@ def parse_graph(text: str) -> Graph:
         if (u, v) in edges:
             raise FormatError(f"duplicate edge {u} {v}")
         edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    return Graph._trusted(n, frozenset(edges))

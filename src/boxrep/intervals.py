@@ -504,7 +504,8 @@ def parse_representation(text: str) -> BoxRepresentation:
     A well-formed ASCII body is read as one integer table. Every text that
     this batch read refuses goes to the line scan `_parse_lines`, which
     decides it and names the first bad line, so both paths accept the same
-    texts and return the same arrays.
+    texts and return the same arrays. Both check every field the constructor
+    would, so the representation is built through `_trusted`.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("boxrep "):
@@ -522,8 +523,8 @@ def parse_representation(text: str) -> BoxRepresentation:
     table = _interval_table(lines, n, d) if text.isascii() else None
     if table is None:
         return _parse_lines(lines, n, d)
-    return BoxRepresentation(n, table[:, 1].reshape(d, n).copy(),
-                             table[:, 2].reshape(d, n).copy())
+    return BoxRepresentation._trusted(n, table[:, 1].reshape(d, n).copy(),
+                                      table[:, 2].reshape(d, n).copy())
 
 
 def _interval_table(lines: list[str], n: int, d: int) -> np.ndarray | None:
@@ -576,5 +577,5 @@ def _parse_lines(lines: list[str], n: int, d: int) -> BoxRepresentation:
     if lo and (min(lo) < _INT64.min or max(hi) > _INT64.max):
         raise FormatError("interval endpoint outside the int64 range")
     shape = (d, n)
-    return BoxRepresentation(n, np.array(lo, dtype=np.int64).reshape(shape),
-                             np.array(hi, dtype=np.int64).reshape(shape))
+    return BoxRepresentation._trusted(n, np.array(lo, dtype=np.int64).reshape(shape),
+                                      np.array(hi, dtype=np.int64).reshape(shape))

@@ -5,9 +5,9 @@ finalizer) implemented here so that seeded runs are byte-identical across
 platforms and Python versions. All randomized code in the package draws from
 this class; `boxrep gen` records ALGORITHM in the comment line it writes.
 A seed is any integer, taken mod 2^64; anything else raises InvalidParams.
-`below_many` makes a run of `below` draws in one call, with the same values
-and the same final state, so a caller may batch its draws without changing
-the stream.
+`below` is one draw of `below_many`, which makes a run of them in one call,
+with the same values and the same final state, so a caller may batch its
+draws without changing the stream.
 """
 
 from .errors import as_index
@@ -21,9 +21,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 class SplitMix64:
     def __init__(self, seed: int):
         self._state = as_index(seed, "seed") & _MASK64
-        # below's last n and its rejection limit, reused while n repeats
-        self._below_n = None
-        self._below_limit = 0
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -36,27 +33,18 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def _limit(self, n: int) -> int:
-        """below's rejection limit for a new n: the largest multiple of n
-        <= 2^64, kept for the calls that repeat n."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        self._below_n = n
-        self._below_limit = _MASK64 + 1 - (_MASK64 + 1) % n
-        return self._below_limit
-
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection (no modulo bias)."""
-        limit = self._below_limit if n == self._below_n else self._limit(n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        """Uniform integer in [0, n): one draw of `below_many`."""
+        return self.below_many(n, 1)[0]
 
     def below_many(self, n: int, count: int) -> list[int]:
-        """`count` successive `below(n)` draws, with `next_u64` inlined: the
-        same values, and the generator left in the same state."""
-        limit = self._below_limit if n == self._below_n else self._limit(n)
+        """`count` uniform integers in [0, n), by rejection (no modulo bias):
+        a raw draw at or above the largest multiple of n <= 2^64 is drawn
+        again. `next_u64` is inlined, and the generator ends in the state
+        that `count` calls of `below(n)` leave."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = _MASK64 + 1 - (_MASK64 + 1) % n
         state, gamma, mask = self._state, _GAMMA, _MASK64
         out = []
         for _ in range(count):

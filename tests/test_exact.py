@@ -1,23 +1,22 @@
+import inspect
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from boxrep import exact
 from boxrep.builders import degenerate_rep, roberts_rep
-from boxrep.errors import InvalidParams, SizeLimitExceeded
-from boxrep.exact import (POSET_GROUND_LIMIT, _conflict_masks,
-                          _critical_pairs, _max_clique, _maximal_keepable,
-                          _min_cover, _order_masks, exact_boxicity,
-                          exact_poset_dimension)
-from boxrep.graph import Graph, components, degeneracy_order, generate
+from boxrep.errors import SizeLimitExceeded
+from boxrep.exact import (POSET_GROUND_LIMIT, _conflict_masks, _critical_pairs,
+                          _maximal_keepable, _min_cover, _order_masks,
+                          exact_boxicity, exact_poset_dimension)
+from boxrep.graph import Graph, _max_clique, components, degeneracy_order, generate
 from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
-from conftest import (all_graphs_upto, complete_graph, cycle_graph, path_graph,
-                      petersen_graph, random_graph)
+from conftest import (all_graphs_upto, complete_bipartite, complete_graph, cycle_graph,
+                      path_graph, petersen_graph, random_graph)
 from test_graph_core import graphs_strategy
 
 
@@ -97,24 +96,6 @@ def sparse_connected_graphs(draw):
     return Graph.from_edges(n, edges)
 
 
-class TestMaxVertices:
-    @pytest.mark.parametrize("value", ["5", 5.0, None, 2.5, 0, -1],
-                             ids=["str", "integral float", "None", "float",
-                                  "zero", "negative"])
-    def test_bad_max_vertices_raise_invalid_params(self, value):
-        with pytest.raises(InvalidParams):
-            exact_boxicity(path_graph(3), max_vertices=value)
-
-    def test_integer_like_max_vertices_is_accepted(self):
-        with pytest.raises(SizeLimitExceeded, match="component has 10 vertices, limit 9$"):
-            exact_boxicity(path_graph(10), max_vertices=np.int64(9))
-        assert exact_boxicity(cycle_graph(9), max_vertices=np.int32(9)) == 2
-
-    def test_limit_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            exact_boxicity(path_graph(3), 10)
-
-
 class TestBoundShortcuts:
     @given(graphs_strategy(7))
     def test_matches_dp_on_random_graphs(self, g):
@@ -174,9 +155,9 @@ class TestExactBoxicity:
         solve = exact._component_boxicity
         calls = []
 
-        def counting_solve(comp, cap):
+        def counting_solve(comp):
             calls.append(comp.n)
-            return solve(comp, cap)
+            return solve(comp)
 
         monkeypatch.setattr(exact, "_component_boxicity", counting_solve)
         p = petersen_graph()
@@ -199,28 +180,31 @@ class TestExactBoxicity:
             g = random_graph(6, 50, seed)
             assert (exact_boxicity(g) == 1) == is_interval_graph(g)
 
-    def test_size_limits_raise(self):
-        with pytest.raises(SizeLimitExceeded,
-                           match="component has 11 vertices, limit 10$"):
-            exact_boxicity(path_graph(11))
-        with pytest.raises(SizeLimitExceeded,
-                           match="component has 8 vertices, limit 7$"):
-            exact_boxicity(path_graph(8), max_vertices=7)
+    def test_takes_the_graph_alone(self):
+        assert list(inspect.signature(exact_boxicity).parameters) == ["g"]
 
-    def test_recognition_limit_caps_max_vertices(self):
-        # copm(7) has 14 vertices: within the caller's limit, above the
-        # interval-recognition limit
-        with pytest.raises(SizeLimitExceeded, match=f"limit {RECOGNITION_LIMIT}$"):
-            exact_boxicity(generate("copm", k=7), max_vertices=14)
+    def test_size_limits_raise(self):
+        assert RECOGNITION_LIMIT == 12
+        assert exact_boxicity(path_graph(12)) == 1
+        with pytest.raises(SizeLimitExceeded,
+                           match="component has 13 vertices, limit 12$"):
+            exact_boxicity(path_graph(13))
+        with pytest.raises(SizeLimitExceeded,
+                           match="component has 14 vertices, limit 12$"):
+            exact_boxicity(generate("copm", k=7))
 
     def test_limits_apply_per_component(self):
-        # three disjoint copm(3): 18 vertices in all, 6 in each component
-        edges = [(6 * i + u, 6 * i + v) for i in range(3)
-                 for u, v in generate("copm", k=3).edges]
-        g = Graph.from_edges(18, edges)
-        assert exact_boxicity(g, max_vertices=6) == 3
-        with pytest.raises(SizeLimitExceeded, match="limit 5$"):
-            exact_boxicity(g, max_vertices=5)
+        # two disjoint copm(6): 24 vertices in all, 12 in each component;
+        # copm(6) beside C13 has a component over the limit
+        copm6 = generate("copm", k=6)
+        two = Graph.from_edges(24, [*copm6.edges,
+                                    *((u + 12, v + 12) for u, v in copm6.edges)])
+        assert exact_boxicity(two) == 6
+        mixed = Graph.from_edges(25, [*copm6.edges, *((u + 12, v + 12)
+                                                      for u, v in cycle_graph(13).edges)])
+        with pytest.raises(SizeLimitExceeded,
+                           match="component has 13 vertices, limit 12$"):
+            exact_boxicity(mixed)
 
     @given(graphs_strategy(6))
     def test_ordering_dp_matches_subset_enumeration(self, g):
@@ -288,6 +272,10 @@ def with_chords(g, *chords):
     return Graph.from_edges(g.n, g.edges | set(chords))
 
 
+def complement(g):
+    return Graph.from_edges(g.n, g.nonedges())
+
+
 def circulant_graph(n, steps):
     return Graph.from_edges(n, {tuple(sorted((i, (i + s) % n)))
                                 for i in range(n) for s in steps})
@@ -315,7 +303,25 @@ class TestMinCover:
     ], ids=["c10_two_chords", "petersen", "copm5", "copm6", "grid3x4",
             "circulant12_1_3", "c12", "c12_two_chords"])
     def test_ten_to_twelve_vertices(self, g, box):
-        assert exact_boxicity(g, max_vertices=12) == box
+        assert exact_boxicity(g) == box
+
+    @pytest.mark.parametrize("g, box", [
+        (cycle_graph(11), 2),
+        # the complement of C_n has boxicity ceil(n / 3) (Cozzens and Roberts)
+        (complement(cycle_graph(11)), 4),
+        (complement(cycle_graph(12)), 4),
+        # a complete multipartite graph: one dimension per part of size >= 2
+        (complete_bipartite(6, 6), 2),
+        (Graph.from_edges(12, [(u, v) for u, v in combinations(range(12), 2)
+                               if u // 4 != v // 4]), 3),
+        (circulant_graph(12, (1, 4)), 3),
+        (complement(circulant_graph(12, (1, 4))), 4),
+        (grid_graph(2, 6), 2),
+    ], ids=["c11", "co_c11", "co_c12", "k6_6", "k4_4_4", "circulant12_1_4",
+            "co_circulant12_1_4", "grid2x6"])
+    def test_eleven_and_twelve_vertices_answer_by_default(self, g, box):
+        assert g.n in (11, 12)
+        assert exact_boxicity(g) == box
 
 
 def search_from_two(p):

@@ -759,3 +759,22 @@ def test_batch_parse_agrees_with_line_scan(cert, data):
     text = _mutate(data, text)
     assert (parse_outcome(parse_representation, text)
             == parse_outcome(intervals._parse_lines, text.splitlines(), n, d))
+
+
+@settings(max_examples=600)
+@given(canonical_certificates(), st.data())
+def test_parsed_representations_pass_the_constructor(cert, data):
+    # both readers build through `_trusted`; whatever either accepts, the
+    # validating constructor accepts unchanged
+    n, d, text = cert
+    text = _mutate(data, text)
+    for parse in (parse_representation,
+                  lambda t: intervals._parse_lines(t.splitlines(), n, d)):
+        try:
+            rep = parse(text)
+        except BoxrepError:
+            continue
+        checked = BoxRepresentation(rep.n, rep.lo, rep.hi)
+        assert checked.lo is rep.lo and checked.hi is rep.hi
+        assert rep.lo.dtype == rep.hi.dtype == np.int64
+        assert not rep.lo.flags.writeable and not rep.hi.flags.writeable

@@ -31,7 +31,8 @@ def test_sample_costs_k_not_population():
 
 
 def below_uncached(rng, n):
-    """SplitMix64.below with its rejection limit worked out on every call."""
+    """SplitMix64.below written out: the rejection limit is the largest
+    multiple of n <= 2^64."""
     limit = 2**64 - 2**64 % n
     while True:
         u = rng.next_u64()
@@ -42,9 +43,9 @@ def below_uncached(rng, n):
 @given(st.integers(0, 2**64 - 1),
        st.lists(st.integers(1, 2**64), min_size=1, max_size=50))
 def test_below_matches_the_uncached_limit(seed, ns):
-    cached, plain = SplitMix64(seed), SplitMix64(seed)
-    # each n twice in a row, so the cached limit is both set and reused
-    assert ([cached.below(n) for n in ns for _ in range(2)]
+    drawn, plain = SplitMix64(seed), SplitMix64(seed)
+    # each n twice in a row, as a caller drawing repeatedly makes them
+    assert ([drawn.below(n) for n in ns for _ in range(2)]
             == [below_uncached(plain, n) for n in ns for _ in range(2)])
 
 
