@@ -189,8 +189,12 @@ class TestExactBoxicity:
         with pytest.raises(SizeLimitExceeded,
                            match="component has 13 vertices, limit 12$"):
             exact_boxicity(path_graph(13))
+
+    def test_recognition_limit_caps_max_vertices(self):
+        # copm(7) has 14 vertices: above the interval-recognition limit,
+        # which is the only size limit exact boxicity has
         with pytest.raises(SizeLimitExceeded,
-                           match="component has 14 vertices, limit 12$"):
+                           match=f"component has 14 vertices, limit {RECOGNITION_LIMIT}$"):
             exact_boxicity(generate("copm", k=7))
 
     def test_limits_apply_per_component(self):
