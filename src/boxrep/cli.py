@@ -166,11 +166,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = parse_graph(_read(args.graph))
-    box = exact_boxicity(g)
-    sys.stdout.write(f"boxicity {box}\n")
+    # every answer before any output, so that a limit leaves stdout empty
+    lines = [f"boxicity {exact_boxicity(g)}\n"]
     if args.poset:
-        dim = exact_poset_dimension(adjacency_poset(g))
-        sys.stdout.write(f"poset dimension {dim}\n")
+        lines.append(f"poset dimension {exact_poset_dimension(adjacency_poset(g))}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -67,7 +67,9 @@ def chromatic_number(g: Graph) -> int:
                 del assigned[v]
             return False
 
-        return extend(0, 0)
+        found = extend(0, 0)
+        del extend  # break the closure's reference cycle
+        return found
 
     for k in range(lower, g.n + 1):
         if colorable(k):
@@ -118,7 +120,9 @@ def acyclic_coloring(g: Graph, k_max: int) -> Coloring | None:
         label[v] = None
         return False
 
-    if not extend(0, 0):
+    found = extend(0, 0)
+    del extend  # break the closure's reference cycle
+    if not found:
         return None
     return Coloring(dict(enumerate(label)), len(set(label)))
 

@@ -63,6 +63,7 @@ def _min_cover(universe: int, sets: list[int]) -> int:
     k = 1
     while not covers(universe, k):
         k += 1
+    del covers  # break the closure's reference cycle
     return k
 
 
@@ -363,7 +364,9 @@ def _realizer_size(below: list[int], above: list[int]) -> int:
                 slots[i] = old
             return False
 
-        return dfs(live)
+        found = dfs(live)
+        del dfs  # break the closure's reference cycle
+        return found
 
     d = max(2, len(clique))
     while not search(d):  # d = len(crit) succeeds: one pair per slot

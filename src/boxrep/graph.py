@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -76,9 +76,10 @@ class Graph:
 
     @cached_property
     def edge_index(self) -> np.ndarray:
-        """Read-only (2, m) intp array: column i holds the ends of one edge."""
-        index = np.fromiter(chain.from_iterable(self.edges), np.intp,
-                            2 * self.m).reshape(-1, 2).T
+        """Read-only sorted intp array of u*n + v over the edges (u, v), u < v:
+        each edge's flat position in an (n, n) matrix, in lexicographic order."""
+        index = np.fromiter(sorted([u * self.n + v for u, v in self.edges]),
+                            np.intp, self.m)
         index.flags.writeable = False
         return index
 
@@ -228,6 +229,7 @@ def _max_clique(adj: list[int]) -> list[int]:
             grow(clique + [v], cand & adj[v])
 
     grow([], (1 << len(adj)) - 1)
+    del grow  # break the closure's reference cycle
     return best
 
 

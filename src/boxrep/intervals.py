@@ -12,10 +12,18 @@ combinator below keeps them integral.
 The oracle and `prune_dims` only compare endpoints of one row with each
 other, so both read them narrowed by `_narrowed`: each row shifted to start
 at 0 and cast to the smallest unsigned type that holds it, which keeps their
-order. `prune_dims` drops, last row first, every row whose separated pairs
-other rows separate; its docstring proves that the oracle's report does not
-change. Interval graphs on at most RECOGNITION_LIMIT vertices are recognised
-by a search for an umbrella-free vertex order.
+order. The oracle builds the flat (n, n) matrix of the pairs that meet in
+every row, a chunk of rows at a time, and reads every edge from it with one
+gather through `Graph.edge_index`; the witnesses cost extra work only when
+the representation fails. `prune_dims` drops, last row first, every row
+whose separated pairs other rows separate; its docstring proves that the
+oracle's report does not change. Interval graphs on at most
+RECOGNITION_LIMIT vertices are recognised by a search for an umbrella-free
+vertex order.
+
+The text format is written with one `%` template per dimension. It is read
+back as one integer table, with a line scan as the fallback that decides
+every text the table refuses and names its first bad line.
 """
 
 from __future__ import annotations
@@ -151,43 +159,48 @@ def verify_representation(g: Graph, rep: BoxRepresentation) -> VerifyReport:
     lexicographically smallest violating pairs of each kind.
 
     Intervals u and v meet in every dimension iff lo[j, u] <= hi[j, v] for
-    all j and lo[j, v] <= hi[j, u] for all j, so one (n, n) matrix of the
-    first condition, read against its transpose, gives the symmetric matrix
-    `met` of the pairs that meet. It is accumulated over chunks of
-    dimensions whose (chunk, n, n) comparison stays within
-    ORACLE_CHUNK_BYTES. The comparison reads the endpoints narrowed by
-    `_narrowed`, which keeps their order within each dimension, so it
-    decides exactly what the int64 endpoints decide while reading a quarter
-    or less of their bytes. Every vertex meets itself, so the representation
-    is valid iff every edge is met and `met` holds exactly n + 2m true
-    entries. Otherwise, with the edges and the diagonal cleared, the first
-    true entry of `met` in row-major order is the smallest uncovered
-    non-edge: if it were (a, b) with b < a, then `met[b, a]` would be true
-    and come first. `argmax` finds it without building an index array.
+    all j and lo[j, v] <= hi[j, u] for all j, so one (n, n) matrix `below`
+    of the first condition, read against its transpose, gives the symmetric
+    matrix `met` of the pairs that meet, kept flat in row-major order. The
+    first chunk of dimensions sets `below` and each later chunk ANDs into
+    it; a chunk's (chunk, n, n) comparison stays within ORACLE_CHUNK_BYTES.
+    The comparison reads the endpoints narrowed by `_narrowed`, which keeps
+    their order within each dimension, so it decides exactly what the int64
+    endpoints decide while reading a quarter or less of their bytes.
+
+    `g.edge_index` lists each edge's flat position u*n + v in lexicographic
+    order, so one gather reads whether every edge is met, and the first edge
+    it finds unmet is the smallest missing edge. Every vertex meets itself,
+    so the representation is valid iff every edge is met and `met` holds
+    exactly n + 2m true entries. Otherwise, with both positions of every
+    edge and the diagonal cleared, the first true entry of `met` is the
+    smallest uncovered non-edge: if it were (a, b) with b < a, then
+    `met[b, a]` would be true and come first. `argmax` finds it without
+    building an index array.
     """
     if rep.n != g.n:
         raise DimensionMismatch(f"representation over {rep.n} vertices, graph has {g.n}")
     if g.n < 2:
         return VerifyReport(True, None, None)  # no pair to check
+    n = g.n
     lo, hi = _narrowed(rep.lo, rep.hi)
-    lo, hi = lo[:, :, None], hi[:, None, :]
-    step = max(1, ORACLE_CHUNK_BYTES // (g.n * g.n))
-    below = np.ones((g.n, g.n), dtype=bool)
-    for start in range(0, rep.d, step):
-        below &= (lo[start:start + step] <= hi[start:start + step]).all(axis=0)
-    met = below & below.T
-    u, v = g.edge_index
-    broken = ~met[u, v]
-    missing = None
-    if broken.any():
-        missing = divmod(int((u[broken] * g.n + v[broken]).min()), g.n)
-    elif np.count_nonzero(met) == g.n + 2 * g.m:
+    step = max(1, ORACLE_CHUNK_BYTES // (n * n))
+    below = (lo[:step, :, None] <= hi[:step, None, :]).all(axis=0)
+    for start in range(step, rep.d, step):
+        stop = start + step
+        below &= (lo[start:stop, :, None] <= hi[start:stop, None, :]).all(axis=0)
+    met = (below & below.T).ravel()
+    edges = g.edge_index
+    hit = met[edges]
+    broken = g.m - np.count_nonzero(hit)
+    if not broken and np.count_nonzero(met) == n + 2 * g.m:
         return VerifyReport(True, None, None)
-    met[u, v] = met[v, u] = False
-    np.fill_diagonal(met, False)
+    missing = divmod(int(edges[hit.argmin()]), n) if broken else None
+    u, v = np.divmod(edges, n)
+    met[edges] = met[v * n + u] = False
+    met[::n + 1] = False
     first = int(met.argmax())
-    return VerifyReport(False, missing,
-                        divmod(first, g.n) if met.flat[first] else None)
+    return VerifyReport(False, missing, divmod(first, n) if met[first] else None)
 
 
 def certify(g: Graph, rep: BoxRepresentation, what: str,
@@ -383,7 +396,9 @@ def interval_order(g: Graph) -> list[int] | None:
         dead.add(placed)
         return False
 
-    return order if extend(0) else None
+    found = extend(0)
+    del extend  # break the closure's reference cycle
+    return order if found else None
 
 
 def is_interval_graph(g: Graph) -> bool:
@@ -481,16 +496,18 @@ def merge_components(reps: list[BoxRepresentation],
 def write_representation(rep: BoxRepresentation) -> str:
     """The text format read by `parse_representation`.
 
-    One format string holds a whole dimension, so each dimension is a single
-    `format` call on the interleaved endpoints of its row.
+    One `%` template holds a whole dimension, so each dimension is a single
+    format of one row of Python ints: its number, then the endpoints of
+    every vertex interleaved.
     """
-    block = "dim {}\n" + "".join(f"{v} {{}} {{}}\n" for v in range(rep.n))
-    ends = np.empty((rep.d, 2 * rep.n), dtype=np.int64)
-    ends[:, 0::2] = rep.lo
-    ends[:, 1::2] = rep.hi
-    body = "".join(block.format(j, *row.tolist())
-                   for j, row in enumerate(ends, start=1))
-    return f"boxrep {rep.n} {rep.d}\n{body}"
+    d, n = rep.lo.shape
+    template = "dim %d\n" + "".join([f"{v} %d %d\n" for v in range(n)])
+    rows = np.empty((d, 2 * n + 1), dtype=np.int64)
+    rows[:, 0] = np.arange(1, d + 1)
+    rows[:, 1::2] = rep.lo
+    rows[:, 2::2] = rep.hi
+    body = "".join([template % tuple(row) for row in rows.tolist()])
+    return f"boxrep {n} {d}\n{body}"
 
 
 def parse_representation(text: str) -> BoxRepresentation:
@@ -520,19 +537,24 @@ def parse_representation(text: str) -> BoxRepresentation:
     if n < 0 or d < 1:
         raise FormatError(f"bad header {lines[0]!r}")
     # numpy's integer reader takes some non-ASCII characters for digits
-    table = _interval_table(lines, n, d) if text.isascii() else None
-    if table is None:
+    ends = _interval_table(lines, n, d) if text.isascii() else None
+    if ends is None:
         return _parse_lines(lines, n, d)
-    return BoxRepresentation._trusted(n, table[:, 1].reshape(d, n).copy(),
-                                      table[:, 2].reshape(d, n).copy())
+    return BoxRepresentation._trusted(n, ends[0], ends[1])
 
 
 def _interval_table(lines: list[str], n: int, d: int) -> np.ndarray | None:
-    """The (d*n, 3) table of `v lo hi` rows of a well-formed body, else None."""
+    """The endpoints of a well-formed body as one contiguous (2, d, n) array,
+    `lo` then `hi`, else None.
+
+    The `dim j` lines are compared as written first, and stripped only when
+    that compare fails.
+    """
     rows = lines[1:1 + d * (n + 1)]
-    if (n == 0 or len(rows) < d * (n + 1)
-            or [s.strip() for s in rows[::n + 1]]
-            != [f"dim {j}" for j in range(1, d + 1)]):
+    if n == 0 or len(rows) < d * (n + 1):
+        return None
+    heads, dims = rows[::n + 1], [f"dim {j}" for j in range(1, d + 1)]
+    if heads != dims and [s.strip() for s in heads] != dims:
         return None
     del rows[::n + 1]
     if not rows[0].strip():  # loadtxt skips blank lines, and warns if all are
@@ -541,11 +563,13 @@ def _interval_table(lines: list[str], n: int, d: int) -> np.ndarray | None:
         table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:  # a bad field, a ragged row or an int64 overflow
         return None
-    if (table.shape != (d * n, 3)
-            or (table[:, 0].reshape(d, n) != np.arange(n)).any()
-            or (table[:, 1] > table[:, 2]).any()):
+    if table.shape != (d * n, 3):
         return None
-    return table
+    ends = table[:, 1:].T.copy().reshape(2, d, n)
+    if (np.count_nonzero(table[:, 0].reshape(d, n) != np.arange(n))
+            or np.count_nonzero(ends[0] > ends[1])):
+        return None
+    return ends
 
 
 def _parse_lines(lines: list[str], n: int, d: int) -> BoxRepresentation:

@@ -58,6 +58,15 @@ class TestExact:
         res = run_cli("exact", "--graph", str(tmp_path / "g"), "--poset")
         assert res.stdout == "boxicity 2\nposet dimension 2\n"
 
+    def test_poset_limit_writes_no_answer(self, tmp_path):
+        # copm(3) has boxicity 3, but its adjacency poset has 12 elements,
+        # over the poset limit: neither answer is written
+        run_cli("gen", "--model", "copm", "--k", "3", "--out", str(tmp_path / "g"))
+        res = run_cli("exact", "--graph", str(tmp_path / "g"), "--poset")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == "error: poset ground set 12 exceeds limit 10\n"
+
     def test_limit_exit_3(self, tmp_path):
         # copm(7): one component of 14 vertices, over the limit of 12
         run_cli("gen", "--model", "copm", "--k", "7", "--out", str(tmp_path / "g"))

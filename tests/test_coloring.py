@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 
@@ -70,3 +73,21 @@ class TestAcyclicColoring:
         assert is_proper(g, c.color)
         assert pair_classes_induce_forests(g, c.color)
         assert c.k == len(set(c.color.values()))
+
+
+@pytest.mark.parametrize("search", [chromatic_number, lambda g: acyclic_coloring(g, 3)],
+                         ids=["chromatic_number", "acyclic_coloring"])
+def test_graph_dies_without_the_cyclic_collector(search):
+    # each search recurses through a nested function; one that kept a
+    # reference cycle to itself would keep the graph alive until a collection
+    g = petersen_graph()
+    search(g)
+    alive = weakref.ref(g)
+    gc.collect()
+    gc.disable()
+    try:
+        search(g)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()

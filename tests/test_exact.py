@@ -1,3 +1,4 @@
+import gc
 import inspect
 from itertools import combinations
 
@@ -11,7 +12,7 @@ from boxrep.exact import (POSET_GROUND_LIMIT, _conflict_masks, _critical_pairs,
                           _maximal_keepable, _min_cover, _order_masks,
                           exact_boxicity, exact_poset_dimension)
 from boxrep.graph import Graph, _max_clique, components, degeneracy_order, generate
-from boxrep.intervals import RECOGNITION_LIMIT, is_interval_graph
+from boxrep.intervals import RECOGNITION_LIMIT, interval_order, is_interval_graph
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
@@ -649,3 +650,22 @@ class TestAgainstRescanningSearch:
         below, above = _order_masks(p)
         crit = _critical_pairs(p.ground_size, below, above)
         assert _conflict_masks(crit, above) == pairwise_conflict_masks(crit, above)
+
+
+def test_recursive_searches_leave_no_reference_cycles():
+    # interval_order, _min_cover, _realizer_size and _max_clique each recurse
+    # through a nested function; none may leave garbage for the collector
+    def searches():
+        interval_order(cycle_graph(5))
+        exact_boxicity(generate("copm", k=3))
+        exact_poset_dimension(adjacency_poset(complete_graph(3)))
+        _max_clique(petersen_graph().neighbor_masks())
+
+    searches()
+    gc.collect()
+    gc.disable()
+    try:
+        searches()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -42,7 +42,7 @@ GOLDEN = {
     "exact_copm3":
         "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
     "exact_poset_copm3":
-        "eb04b6eac1875def71356209eb67cec3b3c601740e136672088f479d7f3a23ec",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "exact_poset_triangle234":
         "99ac745294d4fb02df2ccef9598aa35b198f001027f88d15c8ef88fda28f78dd",
     "exact_poset_k4_1234":
@@ -91,7 +91,7 @@ def outputs(tmp_path_factory):
     run("exact_poset_copm2", "exact", "--graph", str(c2), "--poset")
     run("gen_copm3", "gen", "--model", "copm", "--k", "3", to_file=c3)
     run("exact_copm3", "exact", "--graph", str(c3))
-    # 12 poset elements exceed POSET_GROUND_LIMIT: boxicity, then exit 3
+    # 12 poset elements exceed POSET_GROUND_LIMIT: exit 3 with an empty stdout
     run("exact_poset_copm3", "exact", "--graph", str(c3), "--poset")
     # poset dimensions 3 and 4: a triangle on {2, 3, 4} and K4 on
     # {1, 2, 3, 4}, each beside isolated vertices

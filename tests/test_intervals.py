@@ -203,6 +203,7 @@ class TestVerify:
         assert verify_representation(g, rep) == first
         assert len(builds) == 1 and builds[0] is g
         assert not g.edge_index.flags.writeable
+        assert g.edge_index.tolist() == [u * g.n + v for u, v in sorted(g.edges)]
 
     def test_memory_stays_within_four_matrices(self):
         n = 2000
@@ -247,7 +248,7 @@ def int64_oracle(g, rep):
     for start in range(0, rep.d, step):
         below &= (lo[start:start + step] <= hi[start:start + step]).all(axis=0)
     met = below & below.T
-    u, v = g.edge_index
+    u, v = np.divmod(g.edge_index, g.n)
     broken = ~met[u, v]
     missing = None
     if broken.any():
@@ -259,6 +260,54 @@ def int64_oracle(g, rep):
     first = int(met.argmax())
     return VerifyReport(False, missing,
                         divmod(first, g.n) if met.flat[first] else None)
+
+
+def separating_row(n, pair):
+    """One row in which exactly the vertices of `pair` do not meet: every
+    interval is [0, 2] but theirs, [0, 0] and [2, 2]."""
+    lo, hi = np.zeros(n, dtype=np.int64), np.full(n, 2, dtype=np.int64)
+    if pair:
+        a, b = pair
+        hi[a], lo[b] = 0, 2
+    return lo, hi
+
+
+@st.composite
+def chunked_certificates(draw):
+    """A graph, a representation with one row per non-edge after some
+    universal rows, each separating exactly its non-edge, and the report the
+    oracle must give. The fault, if any, lies in the last row alone: it
+    separates the last edge, or its non-edge meets there by touching."""
+    n = draw(st.integers(2, 8))
+    g = random_graph(n, draw(st.integers(0, 100)), draw(st.integers(0, 10_000)))
+    pairs = [None] * draw(st.integers(0, 4)) + draw(st.permutations(list(g.nonedges())))
+    fault = draw(st.sampled_from(["none", "last_edge", "last_nonedge"]))
+    expected = (True, None, None)
+    if fault == "last_edge" and g.m:
+        pairs.append(max(g.edges))
+        expected = (False, max(g.edges), None)
+    rows = [separating_row(n, pair) for pair in pairs or [None]]
+    if fault == "last_nonedge" and pairs and pairs[-1]:
+        a, b = pairs[-1]
+        rows[-1][0][b], rows[-1][1][a] = 1, 1  # [0, 1] and [1, 2] touch
+        expected = (False, None, pairs[-1])
+    lo, hi = (np.array(ends) for ends in zip(*rows))
+    return g, BoxRepresentation(n, lo, hi), expected
+
+
+@given(chunked_certificates(), st.integers(1, 40), st.booleans())
+def test_oracle_across_chunks(cert, chunks, narrow_all):
+    # ORACLE_CHUNK_BYTES set so that the rows fill 1, 2 or many chunks,
+    # the last one possibly holding a single row
+    g, rep, expected = cert
+    rows = -(-rep.d // min(chunks, rep.d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "ORACLE_CHUNK_BYTES", rows * g.n * g.n)
+        if narrow_all:
+            mp.setattr(intervals, "_NARROW_FROM", 0)
+        report = verify_representation(g, rep)
+        assert report == int64_oracle(g, rep)
+    assert report_tuple(report) == reference_report(g, rep) == expected
 
 
 # endpoints where a span taken in int64, or a cast to 16 or 32 bits, overflows
@@ -658,6 +707,22 @@ class TestRepresentationIO:
         monkeypatch.setattr(intervals, "_parse_lines", refuse)
         assert write_representation(parse_representation(text)) == text
 
+    @pytest.mark.parametrize("pad", ["  {}  ", "\t{}", "{} ", " \t{}\t "])
+    def test_padded_dim_lines_skip_line_scan(self, c4, monkeypatch, pad):
+        rep = roberts_rep(c4)
+        lines = write_representation(rep).splitlines()
+        for i in (1, 6):
+            lines[i] = pad.format(lines[i])
+        text = "\n".join(lines) + "\n"
+
+        def refuse(*args):
+            raise AssertionError("padded dim lines reached the line scan")
+
+        expected = parse_outcome(intervals._parse_lines, text.splitlines(), 4, 2)
+        monkeypatch.setattr(intervals, "_parse_lines", refuse)
+        assert parse_outcome(parse_representation, text) == expected
+        assert expected == ("ok", rep.lo.tolist(), rep.hi.tolist())
+
     @pytest.mark.parametrize("row, expected", [
         ("0 +5 1_0", ([[5]], [[10]])),
         ("0\xa0\u0663\t\u0663", ([[3]], [[3]])),
@@ -687,6 +752,33 @@ class TestRepresentationIO:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
             parse_representation(bad)
+
+
+def format_representation(rep):
+    """The text format as `write_representation` wrote it with one `format`
+    call per dimension: the reference of its output."""
+    block = "dim {}\n" + "".join(f"{v} {{}} {{}}\n" for v in range(rep.n))
+    ends = np.empty((rep.d, 2 * rep.n), dtype=np.int64)
+    ends[:, 0::2] = rep.lo
+    ends[:, 1::2] = rep.hi
+    body = "".join(block.format(j, *row.tolist())
+                   for j, row in enumerate(ends, start=1))
+    return f"boxrep {rep.n} {rep.d}\n{body}"
+
+
+@st.composite
+def int64_representations(draw):
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    point = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_WIDE))
+    pairs = draw(st.lists(st.tuples(point, point), min_size=d * n, max_size=d * n))
+    lo = np.array([min(p) for p in pairs], dtype=np.int64).reshape(d, n)
+    hi = np.array([max(p) for p in pairs], dtype=np.int64).reshape(d, n)
+    return BoxRepresentation(n, lo, hi)
+
+
+@given(int64_representations())
+def test_writer_matches_the_format_reference(rep):
+    assert write_representation(rep) == format_representation(rep)
 
 
 _EXTREMES = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
