@@ -36,7 +36,6 @@ from .intervals import (
     BoxRepresentation,
     VerifyReport,
     extend_universal,
-    is_interval_graph,
     merge_components,
     parse_representation,
     prune_dims,

@@ -1,31 +1,36 @@
 """Ground truth: exact boxicity and exact poset dimension.
 
-Boxicity is settled per component by two proven bounds where they meet,
-and otherwise by a dynamic program over vertex orderings followed by an
-exact set cover, which tries cover sizes 1, 2, ... in turn. A component
-has boxicity 1 exactly when it has an umbrella-free vertex order (Olariu,
-IPL 1991), which `interval_order` searches for; any graph on n vertices
-has boxicity at most n // 2 (Roberts, 1969), by the pairing `roberts_rep`
-builds. So a component that is not interval and has at most 5 vertices
-has boxicity 2. Its one size limit, RECOGNITION_LIMIT vertices per
-component, applies before either shortcut; every component within it
-answers. At each set of placed vertices the program keeps only the
-non-edge masks inside no other. `_maximal` takes the masks largest first
-and tests each against the kept ones alone, which is exact since a
-mask inside a dropped one is inside the kept one that dropped it; a mask
-lies inside a kept one iff the kept masks holding each of its bits, one
-index entry per bit, have a member in common.
+Boxicity is settled by two proven bounds where they meet, and otherwise by
+a dynamic program over vertex orderings followed by an exact set cover,
+which tries cover sizes 1, 2, ... in turn. A graph has boxicity 1 exactly
+when it has an umbrella-free vertex order (Olariu, IPL 1991), which
+`interval_order` searches for; any graph on n vertices has boxicity at most
+n // 2 (Roberts, 1969), by the pairing `roberts_rep` builds. So a graph on
+at most 5 vertices is settled whole: boxicity 1 if it is interval, and 2
+otherwise. A larger graph is solved per component, where the same two
+bounds settle each component of at most 5 vertices. Its one size limit,
+RECOGNITION_LIMIT vertices per component, applies before either bound
+there; every component within it answers. At each set of placed vertices
+the program keeps only the non-edge masks inside no other. `_maximal` takes
+the masks largest first and tests each against the kept ones alone, which
+is exact since a mask inside a dropped one is inside the kept one that
+dropped it; a mask lies inside a kept one iff the kept masks holding each
+of its bits, one index entry per bit, have a member in common.
 
 Poset dimension first keeps one element of each twin class (elements with
 the same strict down-set and up-set), which changes the answer only by
-max(2, .), then runs a depth-first search for a realizer that starts at a
-clique lower bound on critical pairs no extension can reverse together.
-The search is incremental: each node passes its uncovered pairs and their
-feasible-slot masks down, and a child tests them against the one slot it
-changed, since reach sets only grow along a branch. A slot packs its n
-reach sets into one int of n * n bits, so a constraint and its transitive
-closure are added with a few big-int operations. Both solvers have hard
-size limits that fail loudly; there is no approximate fallback here.
+max(2, .). A poset whose comparability graph has several components is
+their disjoint sum, whose dimension is max(2, the components' dimensions)
+(Hiraguchi, 1955), so each component of at least 2 elements is solved on
+its own. A component is solved by a depth-first search for a realizer that
+starts at a clique lower bound on critical pairs no extension can reverse
+together. The search is incremental: each node passes its uncovered pairs
+and their feasible-slot masks down, and a child tests them against the one
+slot it changed, since reach sets only grow along a branch. A slot packs
+its n reach sets into one int of n * n bits, so a constraint and its
+transitive closure are added with a few big-int operations. Both solvers
+have hard size limits that fail loudly; there is no approximate fallback
+here.
 """
 
 from __future__ import annotations
@@ -189,20 +194,30 @@ def exact_boxicity(g: Graph) -> int:
     `_maximal_keepable` offers, with some smaller ones, without listing the
     orderings.
 
-    Two bounds settle most components before the ordering program and the
-    set cover run; the vertex limit is checked first all the same.
+    Two bounds settle small graphs, and most components of larger ones,
+    before the ordering program and the set cover run.
 
-    - Boxicity 1 exactly when the component is interval, that is when it
-      has an umbrella-free order (Olariu, IPL 1991, as above), which
+    - Boxicity 1 exactly when the graph is interval, that is when it has
+      an umbrella-free order (Olariu, IPL 1991, as above), which
       `interval_order` finds or rules out.
     - Boxicity at most n // 2 (Roberts, 1969). `roberts_rep` pairs each
       vertex with an unused non-neighbour until the unused vertices form a
       clique, so every non-edge has an endpoint in some pair, and gives
       each pair (a, b) one interval supergraph of G in which a and b miss
       all their non-neighbours. The pairs are disjoint, so there are at
-      most n // 2 of them. A component that is not interval has boxicity at
-      least 2, so for n <= 5 it has boxicity exactly 2.
+      most n // 2 of them.
+
+    Both hold for any graph, connected or not. So a graph on at most 5
+    vertices has boxicity 1 if it is interval and 2 otherwise, and is
+    answered whole, with no split into components; this agrees with the
+    maximum over its components, since a disjoint union is interval iff
+    every component is, and each component has at most 5 vertices. A graph
+    on 6 or more vertices is split into components, which checks the
+    vertex limit on each, and the two bounds settle each component of at
+    most 5 vertices in the same way.
     """
+    if g.n // 2 <= 2:  # 1 <= boxicity <= max(1, n // 2) <= 2
+        return 1 if interval_order(g) is not None else 2
     solved = {}  # (n, edges) of each distinct relabelled component -> its boxicity
     for comp, _ in components(g):
         key = (comp.n, comp.edges)
@@ -266,16 +281,10 @@ def _conflict_masks(crit: list[tuple[int, int]], above: list[int]) -> list[int]:
     return [ends_above[a] & starts_below[b] for a, b in crit]
 
 
-def _twin_free(below: list[int], above: list[int]) -> tuple[list[int], list[int]]:
-    """The order masks of the subposet that keeps the first element of each
-    twin class (same strict down-set and up-set), renumbered in order; the
-    input itself when no element has a twin."""
-    first = {}
-    for x, key in enumerate(zip(below, above)):
-        first.setdefault(key, x)
-    if len(first) == len(below):
-        return below, above
-    keep = list(first.values())
+def _restrict(below: list[int], above: list[int],
+              keep: list[int]) -> tuple[list[int], list[int]]:
+    """The order masks of the subposet on the ascending elements `keep`,
+    renumbered in order."""
     new_bit = {1 << x: 1 << i for i, x in enumerate(keep)}  # old bit -> new
 
     def gather(mask: int) -> int:
@@ -287,6 +296,36 @@ def _twin_free(below: list[int], above: list[int]) -> tuple[list[int], list[int]
         return out
 
     return [gather(below[x]) for x in keep], [gather(above[x]) for x in keep]
+
+
+def _twin_free(below: list[int], above: list[int]) -> tuple[list[int], list[int]]:
+    """The order masks of the subposet that keeps the first element of each
+    twin class (same strict down-set and up-set), renumbered in order; the
+    input itself when no element has a twin."""
+    first = {}
+    for x, key in enumerate(zip(below, above)):
+        first.setdefault(key, x)
+    if len(first) == len(below):
+        return below, above
+    return _restrict(below, above, list(first.values()))
+
+
+def _comparability_components(below: list[int], above: list[int]) -> list[list[int]]:
+    """The components of the comparability graph, each as its ascending
+    elements, in order of their smallest element."""
+    left = (1 << len(below)) - 1
+    parts = []
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            x = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = (below[x] | above[x]) & ~part
+            part |= new
+            frontier |= new
+        left &= ~part
+        parts.append([x for x in range(len(below)) if (part >> x) & 1])
+    return parts
 
 
 def _realizer_size(below: list[int], above: list[int]) -> int:
@@ -391,6 +430,23 @@ def exact_poset_dimension(p: FinitePoset) -> int:
       orders y against every z != x as P does, and leaves x, y
       incomparable. So dim P <= max(2, dim(P - y)); dropping twins one at a
       time gives the claim.
+    - Components. Two elements in different components of the
+      comparability graph are incomparable, so P is the disjoint sum of
+      those components, and when there are two or more of them,
+      dim P = max(2, dim C) over the components C (Hiraguchi, 1955). A
+      component is a subposet, and P is not a chain, so dim P is at least
+      that. Conversely, for a sum P + Q of two nonempty posets, take
+      realizers L1 .. Lt of P and M1 .. Mt of Q, with
+      t = max(2, dim P, dim Q), padding each by repeating an extension.
+      The concatenations L1 M1, ..., L(t-1) M(t-1), which put P first, and
+      Mt Lt, which puts Q first, are linear extensions of P + Q. Their
+      intersection orders P as the Li do and Q as the Mi do, and leaves
+      every element of P incomparable to every element of Q, since the
+      first extension puts it before and the last after. Induction on the
+      number of components gives the claim. A component of one element has
+      dimension 1, so only the components of at least 2 elements are
+      solved, each once and on its own elements; with one component the
+      search below runs on the whole poset.
     - Realizers. A family of linear extensions realizes the poset exactly
       when every critical pair (a, b) is reversed (b before a) in some
       extension, so the search covers critical pairs: each of d slots
@@ -428,5 +484,9 @@ def exact_poset_dimension(p: FinitePoset) -> int:
         raise SizeLimitExceeded(
             f"poset ground set {n} exceeds limit {POSET_GROUND_LIMIT}")
     below, above = _twin_free(*_order_masks(p))
+    parts = _comparability_components(below, above)
+    if len(parts) > 1:
+        return max([2, *(_realizer_size(*_restrict(below, above, part))
+                         for part in parts if len(part) > 1)])
     dim = _realizer_size(below, above)
     return dim if len(below) == n else max(2, dim)

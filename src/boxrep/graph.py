@@ -87,9 +87,6 @@ class Graph:
         """Bit v of entry u is set iff uv is an edge."""
         return [sum(1 << v for v in self.adj[u]) for u in range(self.n)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
-
     def neighbors(self, v: int) -> frozenset:
         return self.adj[v]
 

@@ -401,10 +401,6 @@ def interval_order(g: Graph) -> list[int] | None:
     return order if found else None
 
 
-def is_interval_graph(g: Graph) -> bool:
-    return interval_order(g) is not None
-
-
 # ---------------------------------------------------------------------------
 # combinators
 

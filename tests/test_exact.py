@@ -12,7 +12,7 @@ from boxrep.exact import (POSET_GROUND_LIMIT, _conflict_masks, _critical_pairs,
                           _maximal_keepable, _min_cover, _order_masks,
                           exact_boxicity, exact_poset_dimension)
 from boxrep.graph import Graph, _max_clique, components, degeneracy_order, generate
-from boxrep.intervals import RECOGNITION_LIMIT, interval_order, is_interval_graph
+from boxrep.intervals import RECOGNITION_LIMIT, interval_order
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
@@ -24,8 +24,8 @@ from test_graph_core import graphs_strategy
 def keepable(comp, nonedges, mask):
     """Whether the complete graph minus the non-edges in `mask` is interval."""
     dropped = {e for i, e in enumerate(nonedges) if (mask >> i) & 1}
-    return is_interval_graph(Graph(comp.n, frozenset(
-        e for e in combinations(range(comp.n), 2) if e not in dropped)))
+    return interval_order(Graph(comp.n, frozenset(
+        e for e in combinations(range(comp.n), 2) if e not in dropped))) is not None
 
 
 def maximal_masks(masks):
@@ -122,6 +122,22 @@ class TestBoundShortcuts:
     def test_matches_dp_on_sparse_graphs_past_twenty_nonedges(self, g):
         assert exact_boxicity(g) == dp_boxicity(g)
 
+    def test_no_components_split_up_to_five_vertices(self, monkeypatch):
+        # a graph on at most 5 vertices is settled whole; from 6 vertices on
+        # it is split into components
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return components(g)
+
+        monkeypatch.setattr(exact, "components", counted)
+        for g in all_graphs_upto(5):
+            exact_boxicity(g)
+        assert calls == []
+        assert exact_boxicity(path_graph(6)) == 1
+        assert calls == [6]
+
     def test_dp_runs_when_no_bound_settles(self, monkeypatch):
         calls = counting_maximal_keepable(monkeypatch)
         assert exact_boxicity(generate("copm", k=3)) == 3
@@ -143,7 +159,7 @@ class TestExactBoxicity:
         # confirmed against the interval recognizer: C5 is not interval, and
         # the solver finds a 2-cover of its non-edges
         c5 = cycle_graph(5)
-        assert not is_interval_graph(c5)
+        assert interval_order(c5) is None
         assert exact_boxicity(c5) == 2
 
     def test_graphs_with_more_than_twenty_nonedges(self):
@@ -179,7 +195,7 @@ class TestExactBoxicity:
     def test_interval_iff_one(self):
         for seed in range(20):
             g = random_graph(6, 50, seed)
-            assert (exact_boxicity(g) == 1) == is_interval_graph(g)
+            assert (exact_boxicity(g) == 1) == (interval_order(g) is not None)
 
     def test_takes_the_graph_alone(self):
         assert list(inspect.signature(exact_boxicity).parameters) == ["g"]
@@ -515,6 +531,25 @@ def posets_with_twins_strategy(draw):
                        frozenset((perm[a], perm[b]) for a, b in p.strict))
 
 
+@st.composite
+def disjoint_sums_strategy(draw):
+    """Two `posets_strategy` posets side by side, relabelled at random; at
+    most POSET_GROUND_LIMIT elements in all. Returns the sum and its parts."""
+    p = draw(posets_strategy())
+    q = draw(posets_strategy(max_n=POSET_GROUND_LIMIT - p.ground_size))
+    n = p.ground_size + q.ground_size
+    perm = draw(st.permutations(range(n)))
+    shift = p.ground_size
+    strict = {(perm[a], perm[b]) for a, b in p.strict}
+    strict |= {(perm[a + shift], perm[b + shift]) for a, b in q.strict}
+    return FinitePoset(n, frozenset(strict)), p, q
+
+
+def disjoint_union(g, h):
+    """g beside h, with h's vertices shifted past g's."""
+    return Graph.from_edges(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
+
+
 def with_twins(p, originals):
     """The poset with a new element n + i, a twin of originals[i], for each i."""
     twin_of = list(range(p.ground_size)) + list(originals)
@@ -625,6 +660,27 @@ class TestTwinReduction:
         monkeypatch.setattr(exact, "POSET_GROUND_LIMIT", p.ground_size)
         assert exact_poset_dimension(p) == n
 
+    @pytest.mark.parametrize("g, dim, sizes", [
+        # C4's adjacency poset is two copies of a 4-element poset, each of two
+        # twin pairs; after the twin reduction C4 + K1 leaves two 2-element
+        # chains and one element for K1
+        (disjoint_union(cycle_graph(4), path_graph(1)), 2, [2, 2]),
+        # K3 gives one 6-element component, K2 two 2-element chains
+        (disjoint_union(complete_graph(3), path_graph(2)), 3, [6, 2, 2]),
+    ], ids=["c4_k1", "k3_k2"])
+    def test_components_are_solved_once_each(self, g, dim, sizes, monkeypatch):
+        solve = exact._realizer_size
+        calls = []
+
+        def counted(below, above):
+            calls.append(len(below))
+            return solve(below, above)
+
+        monkeypatch.setattr(exact, "_realizer_size", counted)
+        p = adjacency_poset(g)
+        assert exact_poset_dimension(p) == dim == rescanning_poset_dimension(p)
+        assert calls == sizes
+
     def test_limit_reads_the_ground_set_before_reduction(self):
         # eleven twins reduce to one element, but the input is over the limit
         with pytest.raises(SizeLimitExceeded, match="ground set 11"):
@@ -645,6 +701,14 @@ class TestAgainstRescanningSearch:
     def test_random_posets_up_to_the_limit(self, p):
         assert exact_poset_dimension(p) == rescanning_poset_dimension(p)
 
+    @given(disjoint_sums_strategy())
+    @settings(max_examples=200)
+    def test_disjoint_sums(self, case):
+        s, p, q = case
+        dim = exact_poset_dimension(s)
+        assert dim == rescanning_poset_dimension(s)
+        assert dim == max(2, rescanning_poset_dimension(p), rescanning_poset_dimension(q))
+
     @given(posets_with_twins_strategy())
     def test_conflict_masks_match_pairwise(self, p):
         below, above = _order_masks(p)
@@ -659,6 +723,8 @@ def test_recursive_searches_leave_no_reference_cycles():
         interval_order(cycle_graph(5))
         exact_boxicity(generate("copm", k=3))
         exact_poset_dimension(adjacency_poset(complete_graph(3)))
+        exact_poset_dimension(adjacency_poset(disjoint_union(complete_graph(3),
+                                                             path_graph(2))))
         _max_clique(petersen_graph().neighbor_masks())
 
     searches()

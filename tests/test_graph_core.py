@@ -285,7 +285,7 @@ class TestComponents:
             seen.update(members)
             total_m += sub.m
             for u, v in sub.edges:
-                assert g.has_edge(members[u], members[v])
+                assert tuple(sorted((members[u], members[v]))) in g.edges
         assert seen == set(range(g.n))
         assert total_m == g.m
 

@@ -21,7 +21,7 @@ from boxrep.intervals import (
     BoxRepresentation,
     VerifyReport,
     extend_universal,
-    is_interval_graph,
+    interval_order,
     merge_components,
     parse_representation,
     prune_dims,
@@ -524,25 +524,25 @@ class TestPrune:
 
 class TestRecognition:
     def test_paths_are_interval(self):
-        assert is_interval_graph(path_graph(4))
+        assert interval_order(path_graph(4)) is not None
 
     def test_c4_is_not(self):
-        assert not is_interval_graph(cycle_graph(4))
+        assert interval_order(cycle_graph(4)) is None
 
     def test_3sun_is_not(self):
         sun = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 1),
                                    (4, 1), (4, 2), (5, 0), (5, 2)])
-        assert not is_interval_graph(sun)
+        assert interval_order(sun) is None
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):
-            is_interval_graph(Graph(13, frozenset()))
+            interval_order(Graph(13, frozenset()))
 
     @given(graphs_strategy(6))
     def test_interval_iff_one_dimension_exists(self, g):
         # recognition agrees with actually building a 1-dim representation
         rep = trivial_rep(g)
-        assert (rep is not None) == is_interval_graph(g)
+        assert (rep is not None) == (interval_order(g) is not None)
         if rep is not None:
             assert verify_representation(g, rep).valid
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from boxrep.graph import components, degeneracy_order
-from boxrep.intervals import is_interval_graph
+from boxrep.intervals import interval_order
 
 from conftest import all_graphs_upto
 from test_graph_core import graphs_strategy
@@ -39,9 +39,9 @@ def test_degeneracy_matches_max_core_number(g):
 
 @given(graphs_strategy(9))
 def test_is_interval_graph_matches_chordal_and_at_free(g):
-    assert is_interval_graph(g) == _nx_is_interval(g)
+    assert (interval_order(g) is not None) == _nx_is_interval(g)
 
 
 def test_is_interval_graph_matches_on_every_small_graph():
     for g in all_graphs_upto(5):
-        assert is_interval_graph(g) == _nx_is_interval(g), sorted(g.edges)
+        assert (interval_order(g) is not None) == _nx_is_interval(g), sorted(g.edges)
