@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .coloring import Coloring
-from .errors import InvalidColoring, InvalidOrder, NotAForest
+from .errors import InvalidColoring, InvalidOrder, NotAForest, as_vertices
 from .graph import Graph, forest_walk
 from .intervals import BoxRepresentation, interval_order
 from .rng import SplitMix64
@@ -107,15 +107,14 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     two rows, so it meets everything there. The rows are assembled once, as
     Python lists filled from the walk's dicts, and become the `lo` and `hi`
     arrays in one conversion each. A walk that finds a cycle raises
-    InvalidColoring, as does a coloring that misses a vertex, names one
-    outside the graph, gives two adjacent vertices one color, or uses color
+    InvalidColoring, as does a coloring whose keys fail `as_vertices`, that
+    misses a vertex, gives two adjacent vertices one color, or uses color
     names that do not compare with each other. A coloring using at most one
     color means the graph is edgeless and a single dimension of
     pairwise-disjoint points suffices.
     """
     color = coloring.color
-    if any(v not in range(g.n) for v in color):
-        raise InvalidColoring("coloring names a vertex outside the graph")
+    as_vertices(color, g.n, "coloring", InvalidColoring)
     if len(color) != g.n:
         raise InvalidColoring("coloring must assign every vertex")
     if any(color[u] == color[v] for u, v in g.edges):
@@ -176,8 +175,9 @@ def degenerate_rep(g: Graph, order, k: int,
                    strategy: DegenerateStrategy | None = None) -> BoxRepresentation:
     """Cover all non-edges of a graph with few forward neighbors per vertex.
 
-    `order` must witness that every vertex has at most k neighbors later in
-    the order; pos(v) is v's index in it. Rounds draw a uniform
+    `order` lists every vertex once (`as_vertices`, else InvalidOrder) and
+    must witness that every vertex has at most k neighbors later in the
+    order; pos(v) is v's index in it. Rounds draw a uniform
     (k+2)-coloring; within a round, a vertex is good when no later neighbor
     shares its color, so the good vertices B of one color form an
     independent set. The hub dimension of B gives each w in B the point
@@ -223,8 +223,8 @@ def degenerate_rep(g: Graph, order, k: int,
     A hub row thus costs the degrees of B plus one conversion of n values.
     """
     strategy = strategy or DegenerateStrategy()
-    order = list(order)
-    if len(order) != g.n or set(order) != set(range(g.n)):
+    order = as_vertices(order, g.n, "order", InvalidOrder)
+    if len(order) != g.n or len(set(order)) != g.n:
         raise InvalidOrder("order must list every vertex exactly once")
     try:
         k = operator.index(k)

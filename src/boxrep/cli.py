@@ -14,7 +14,7 @@ import sys
 from .coloring import Coloring
 from .errors import BoxrepError, FormatError, InvalidParams, SizeLimitExceeded
 from .exact import exact_boxicity, exact_poset_dimension
-from .graph import generate, parse_graph, write_graph
+from .graph import _integer_fields, generate, parse_graph, write_graph
 from .intervals import (RECOGNITION_LIMIT, parse_representation, verify_representation,
                         write_representation)
 from .pipelines import (
@@ -45,18 +45,12 @@ def _emit(text: str, out: str) -> None:
 
 
 def _rows(text: str, width: int, what: str):
-    """The rows of `width` integers of a line file, skipping blank and '#' lines."""
+    """The rows of `width` integers (`_integer_fields`) of a line file,
+    skipping blank and '#' lines."""
     for ln in text.splitlines():
         ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            row = [int(p) for p in ln.split()]
-        except ValueError:
-            row = []
-        if len(row) != width:
-            raise FormatError(f"bad {what} line {ln!r}")
-        yield row
+        if ln and not ln.startswith("#"):
+            yield _integer_fields(ln, width, f"{what} line")
 
 
 def _parse_vertex_set(text: str) -> frozenset:

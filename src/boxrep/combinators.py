@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputRep, PreconditionViolation
+from .errors import InvalidInputRep, PreconditionViolation, as_vertices
 from .graph import Graph, QuotientResult
 from .intervals import _INT64, BoxRepresentation, certify, extend_universal
 
@@ -45,8 +45,9 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
                   s: Iterable[int], g: Graph) -> BoxRepresentation:
     """Recombine a representation of g-without-S-internal-edges with one of g[S].
 
-    Preconditions: rep_h verifies for H = g minus all edges inside S, and
-    rep_s verifies for the induced subgraph on S (relabeled by ascending id).
+    Preconditions: S passes `as_vertices` (else PreconditionViolation), rep_h
+    verifies for H = g minus all edges inside S, and rep_s verifies for the
+    induced subgraph on S (relabeled by ascending id).
     rep_h is stretched over S: a non-edge with at most one endpoint in S is
     a non-edge of H and stays separated in one copy. Pairs inside S are
     settled by rep_s extended with universal vertices; an edge inside S
@@ -54,9 +55,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     uncertified.
     Output has exactly 2*d + d' dimensions. An empty S returns rep_h as-is.
     """
-    s_sorted = sorted(set(s))
-    if any(not (0 <= v < g.n) for v in s_sorted):
-        raise PreconditionViolation("S contains a vertex outside the graph")
+    s_sorted = sorted(set(as_vertices(s, g.n, "S", PreconditionViolation)))
     certify(g.remove_edges_inside(s_sorted), rep_h,
             "rep_h for g minus the edges inside S", PreconditionViolation)
     if not s_sorted:

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, InvalidParams, SizeLimitExceeded, as_index
+from .errors import (FormatError, InvalidParams, SizeLimitExceeded, as_count,
+                     as_index, as_vertices)
 from .rng import SplitMix64
 
 
@@ -103,13 +104,11 @@ class Graph:
         return sorted(self.edges)
 
     def induced(self, verts: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on `verts`, relabeled 0..len-1 by ascending id.
+        """Induced subgraph on `verts` (`as_vertices`), relabeled 0..len-1 by id.
 
         Returns the subgraph and the member tuple mapping new ids to old.
         """
-        members = tuple(sorted(set(verts)))
-        if members and not (0 <= members[0] and members[-1] < self.n):
-            raise InvalidParams("induced vertex outside graph")
+        members = tuple(sorted(set(as_vertices(verts, self.n, "the vertex set"))))
         local = {v: i for i, v in enumerate(members)}
         edges = {
             (local[u], local[v])
@@ -119,16 +118,9 @@ class Graph:
         return Graph._trusted(len(members), frozenset(edges)), members
 
     def remove_edges_inside(self, s: Iterable[int]) -> "Graph":
-        inside = set(s)
+        inside = set(as_vertices(s, self.n, "the vertex set"))
         kept = {e for e in self.edges if not (e[0] in inside and e[1] in inside)}
         return Graph._trusted(self.n, frozenset(kept))
-
-    def add_clique(self, s: Iterable[int]) -> "Graph":
-        verts = sorted(set(s))
-        if not all(type(v) is int and 0 <= v < self.n for v in verts):
-            raise InvalidParams("clique vertex outside graph")
-        extra = set(combinations(verts, 2))
-        return Graph._trusted(self.n, frozenset(set(self.edges) | extra))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +190,10 @@ def peel(g: Graph, theta) -> frozenset:
 
 
 def forward_degeneracy(g: Graph, order: Iterable[int]) -> int:
-    """Largest number of later-in-order neighbors over all vertices."""
-    order = list(order)
-    if len(order) != g.n or set(order) != set(range(g.n)):
+    """Largest number of later-in-order neighbors over all vertices; `order`
+    lists every vertex once (`as_vertices`)."""
+    order = as_vertices(order, g.n, "order")
+    if len(order) != g.n or len(set(order)) != g.n:
         raise InvalidParams("order must list every vertex exactly once")
     pos = {v: i for i, v in enumerate(order)}
     best = 0
@@ -319,10 +312,9 @@ def quotient_by_a_neighborhood(g: Graph, a: Iterable[int]) -> QuotientResult:
     vertices are numbered 0..q-1 in the order they are met, so ascending. The
     quotient graph is the induced graph on them with every edge between two
     vertices outside `a` deleted, so the representatives are independent.
+    The ids of `a` go through `as_vertices`.
     """
-    a_set = frozenset(a)
-    if any(not (0 <= v < g.n) for v in a_set):
-        raise InvalidParams("A contains a vertex outside the graph")
+    a_set = frozenset(as_vertices(a, g.n, "A"))
     ids = {}  # quotient id of each vertex of A and each representative
     head = {}  # quotient id of the class of each A-neighborhood
     reps, cols = [], []
@@ -355,13 +347,11 @@ def assert_k3k(g: Graph, a: Iterable[int], genus: int) -> K3kReport:
     A graph embeddable in a surface of Euler genus `genus` cannot contain
     K_{3,k} with k > 2*genus+2, so for every 3-subset of `a` the number of
     common neighbors outside `a` must stay within that bound. Failure is
-    reported (with the first witnessing triple), never raised; a `genus`
-    that is not an integer raises InvalidParams.
+    reported (with the first witnessing triple), never raised. `genus`
+    goes through `as_count` and the ids of `a` through `as_vertices`.
     """
-    genus = as_index(genus, "genus")
-    if genus < 0:
-        raise InvalidParams("genus must be nonnegative")
-    a_sorted = sorted(set(a))
+    genus = as_count(genus, "genus")
+    a_sorted = sorted(set(as_vertices(a, g.n, "A")))
     a_set = frozenset(a_sorted)
     bound = 2 * genus + 2
     max_count = 0
@@ -378,10 +368,9 @@ def assert_k3k(g: Graph, a: Iterable[int], genus: int) -> K3kReport:
 
 
 def euler_genus_upper(m: int) -> int:
-    """Upper bound on the Euler genus of any graph with m edges."""
-    if m < 0:
-        raise InvalidParams("edge count must be nonnegative")
-    return m + 2
+    """Upper bound on the Euler genus of any graph with m edges; `m` goes
+    through `as_count`."""
+    return as_count(m, "edge count") + 2
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +439,24 @@ def generate(model: str, seed: int = 0, n: int | None = None,
 # ---------------------------------------------------------------------------
 # text format
 
+def _integer_fields(line: str, width: int, what: str, skip: int = 0) -> list[int]:
+    """The `width` integers of `line`, split at whitespace, after its first
+    `skip` fields: the one reader of integers in every text format.
+
+    A field is ASCII `[+-]?[0-9]+`. `int` also reads `1_0` and non-ASCII
+    digits, so every field must be ASCII and free of `_`; there `int` reads
+    exactly that pattern. Any other line, or a field past Python's
+    int-to-str digit limit, raises FormatError naming the line as a bad
+    `what`.
+    """
+    fields = line.split()[skip:]
+    if len(fields) == width and "_" not in line and "".join(fields).isascii():
+        try:
+            return list(map(int, fields))
+        except ValueError:
+            pass
+    raise FormatError(f"bad {what} {line!r}")
+
 
 def write_graph(g: Graph, comments: Iterable[str] = ()) -> str:
     """Serialize to the text format: optional '#' comments, 'n m', then one
@@ -469,19 +476,13 @@ GRAPH_VERTEX_LIMIT = 10_000
 def parse_graph(text: str) -> Graph:
     """Read the text format written by `write_graph`: a header `n m`, then m
     lines `u v` with 0 <= u < v < n, no edge twice, skipping blank and '#'
-    lines. Every field is checked here, so the graph is built without the
-    constructor's second check."""
+    lines; fields are read by `_integer_fields`. Every field is checked here,
+    so the graph is built without the constructor's second check."""
     data = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in data if ln and not ln.startswith("#")]
     if not data:
         raise FormatError("empty graph file")
-    head = data[0].split()
-    if len(head) != 2:
-        raise FormatError(f"bad header {data[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad header {data[0]!r}") from exc
+    n, m = _integer_fields(data[0], 2, "header")
     if n < 0:
         raise FormatError(f"bad header {data[0]!r}: negative vertex count")
     if n > GRAPH_VERTEX_LIMIT:
@@ -491,13 +492,7 @@ def parse_graph(text: str) -> Graph:
         raise FormatError(f"expected {m} edge lines, found {len(data) - 1}")
     edges = set()
     for ln in data[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"bad edge line {ln!r}") from exc
+        u, v = _integer_fields(ln, 2, "edge line")
         if not (0 <= u < v < n):
             raise FormatError(f"edge {u} {v} out of range for n={n}")
         if (u, v) in edges:

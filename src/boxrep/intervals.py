@@ -40,8 +40,9 @@ from .errors import (
     FormatError,
     InvalidInputRep,
     SizeLimitExceeded,
+    as_vertices,
 )
-from .graph import Graph
+from .graph import Graph, _integer_fields
 
 RECOGNITION_LIMIT = 12
 
@@ -409,18 +410,18 @@ def extend_universal(rep: BoxRepresentation, members: Iterable[int],
                      n_total: int) -> BoxRepresentation:
     """Lift a representation on a vertex subset to the full set.
 
-    `members[i]` is the original id of the subset vertex i. Every vertex not
-    in `members` receives, per dimension, the interval spanning all existing
-    endpoints of that dimension, making it adjacent to everything.
+    `members[i]` is the original id of the subset vertex i: distinct ids
+    that pass `as_vertices` for n_total, else InvalidInputRep. Every vertex
+    not in `members` receives, per dimension, the interval spanning all
+    existing endpoints of that dimension, making it adjacent to everything.
     """
-    members = list(members)
+    members = as_vertices(members, n_total, "the member list", InvalidInputRep)
     if len(members) != rep.n:
         raise InvalidInputRep("members must enumerate the representation's vertices")
     if rep.n == 0:
         raise InvalidInputRep("cannot extend an empty representation")
-    if (len(set(members)) != len(members) or min(members) < 0
-            or max(members) >= n_total):
-        raise InvalidInputRep("members must be distinct ids below n_total")
+    if len(set(members)) != len(members):
+        raise InvalidInputRep("members must be distinct")
     lo = np.empty((rep.d, n_total), dtype=np.int64)
     hi = np.empty((rep.d, n_total), dtype=np.int64)
     lo[:] = rep.lo.min(axis=1, keepdims=True)
@@ -434,6 +435,8 @@ def merge_components(reps: list[BoxRepresentation],
                      maps: list[tuple]) -> BoxRepresentation:
     """Combine per-component representations into one for the disjoint union.
 
+    The maps must partition 0..n_total-1, n_total being their total length;
+    their ids go through `as_vertices`, and any fault raises InvalidInputRep.
     Output has max(d_i) dimensions. Dimension 1 shifts each component into
     its own coordinate range so cross-component pairs are separated there;
     in higher dimensions a component either keeps its own intervals or, past
@@ -447,10 +450,8 @@ def merge_components(reps: list[BoxRepresentation],
     if any(rep.n != len(mp) for rep, mp in zip(reps, maps)):
         raise InvalidInputRep("each vertex map must list its representation's vertices")
     n_total = sum(len(m) for m in maps)
-    seen = set()
-    for mp in maps:
-        seen.update(mp)
-    if seen != set(range(n_total)):
+    maps = [as_vertices(mp, n_total, "a component map", InvalidInputRep) for mp in maps]
+    if len(set().union(*maps)) != n_total:
         raise InvalidInputRep("component maps must partition the vertex set")
     depth = max(r.d for r in reps)
     span_lo = np.full(depth, _INT64.max)
@@ -462,8 +463,7 @@ def merge_components(reps: list[BoxRepresentation],
     lo = np.empty((depth, n_total), dtype=np.int64)
     hi = np.empty((depth, n_total), dtype=np.int64)
     cursor = None
-    for rep, mp in zip(reps, maps):
-        cols = list(mp)
+    for rep, cols in zip(reps, maps):
         lo[:rep.d, cols] = rep.lo
         hi[:rep.d, cols] = rep.hi
         lo[rep.d:, cols] = span_lo[rep.d:, None]
@@ -523,13 +523,7 @@ def parse_representation(text: str) -> BoxRepresentation:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("boxrep "):
         raise FormatError("missing 'boxrep n d' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise FormatError(f"bad header {lines[0]!r}")
-    try:
-        n, d = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
+    n, d = _integer_fields(lines[0], 2, "header", skip=1)
     if n < 0 or d < 1:
         raise FormatError(f"bad header {lines[0]!r}")
     # numpy's integer reader takes some non-ASCII characters for digits
@@ -580,13 +574,7 @@ def _parse_lines(lines: list[str], n: int, d: int) -> BoxRepresentation:
         for v in range(n):
             if pos >= len(lines):
                 raise FormatError("truncated representation file")
-            parts = lines[pos].split()
-            if len(parts) != 3:
-                raise FormatError(f"bad interval line {lines[pos]!r}")
-            try:
-                vid, a, b = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"bad interval line {lines[pos]!r}") from exc
+            vid, a, b = _integer_fields(lines[pos], 3, "interval line")
             if vid != v:
                 raise FormatError(f"expected vertex {v} at line {pos + 1}")
             if b < a:

@@ -22,7 +22,7 @@ from .builders import (
 from .coloring import Coloring, smallest_acyclic_coloring
 from .combinators import quotient_lift, split_compose
 from .errors import (InvalidColoring, InvalidParams, SizeLimitExceeded,
-                     StructuralCheckFailed, as_index)
+                     StructuralCheckFailed, as_count, as_index, as_vertices)
 from .exact import exact_boxicity
 from .graph import (
     Graph,
@@ -172,33 +172,31 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
 
     `a` is a vertex set whose removal leaves a graph acyclically colorable by
     `coloring` (keyed by original vertex ids; colors of vertices in `a` are
-    ignored, and an id outside the graph raises InvalidColoring). With
-    `coloring` None, G-A gets `smallest_acyclic_coloring`, exact and
-    size-limited. `genus` is the declared Euler genus, an integer (anything
-    else raises InvalidParams), used only for structural assertions. Two
-    supergraphs are represented and stacked. G1 completes everything
-    outside `a`: the degenerate cover represents the A-neighborhood
-    quotient, and `quotient_lift` stretches its rows over the class
-    representatives and copies them to each class. G2 makes every vertex of
-    `a` universal over the acyclic-coloring representation. Every non-edge
-    of the input lies in one of the two, so their stacked rows represent
-    the input. The stack, whose d the trace keeps as `dims_unpruned`, is
-    pruned by `prune_dims`, and the result is certified against the input;
-    a rejected result raises StructuralCheckFailed. The quotient's
-    representation and the result are the only two oracle calls, and
-    neither G1 nor the quotient plus a clique is built. Each input check is
-    made once, by the callee that needs it.
+    ignored). The ids of `a` go through `as_vertices` in the quotient, and
+    the keys of `coloring` here, raising InvalidColoring. With `coloring`
+    None, G-A gets `smallest_acyclic_coloring`, exact and size-limited.
+    `genus` is the declared Euler genus (`as_count`), used only for
+    structural assertions. Two supergraphs are represented and stacked. G1
+    completes everything outside `a`: the degenerate cover represents the
+    A-neighborhood quotient, and `quotient_lift` stretches its rows over the
+    class representatives and copies them to each class. G2 makes every
+    vertex of `a` universal over the acyclic-coloring representation. Every
+    non-edge of the input lies in one of the two, so their stacked rows
+    represent the input. The stack, whose d the trace keeps as
+    `dims_unpruned`, is pruned by `prune_dims`, and the result is certified
+    against the input; a rejected result raises StructuralCheckFailed. The
+    quotient's representation and the result are the only two oracle calls,
+    and neither G1 nor the quotient plus a clique is built.
     """
-    genus = as_index(genus, "genus")
-    if genus < 0:
-        raise InvalidParams("genus must be nonnegative")
+    genus = as_count(genus, "genus")
     trace = PipelineTrace(seed)
     started = time.perf_counter()
+    a = list(a)
+    q = quotient_by_a_neighborhood(g, a)  # checks the ids of A
     a_set = frozenset(a)
-    q = quotient_by_a_neighborhood(g, a_set)  # rejects an A outside the graph
     outside = [v for v in range(g.n) if v not in a_set]
-    if coloring is not None and any(v not in range(g.n) for v in coloring.color):
-        raise InvalidColoring("coloring names a vertex outside the graph")
+    if coloring is not None:
+        as_vertices(coloring.color, g.n, "coloring", InvalidColoring)
 
     # supergraph 2: the subgraph outside A plus |A| universal vertices
     if outside:
@@ -311,17 +309,16 @@ class ExperimentReport:
 def bipartite_experiment(n: int, trials: int, seed: int = 0) -> ExperimentReport:
     """Sample random bipartite graphs and check the edge-count cap 2n^2/ln n.
 
-    For n <= 4 the samples are small enough for the exact solver, so the
-    report additionally carries the exact boxicity distribution (samples
-    whose components exceed the solver's vertex limit are counted
-    separately). All trials * n^2 draws must fit in GENERATOR_DRAW_LIMIT,
-    checked up front. A non-integer n, trials or seed raises InvalidParams.
+    For n <= 4, that is n = 4, the report also carries the exact boxicity
+    distribution. Every such sample has 8 vertices, within the exact
+    solver's limit, so `over_limit`, the samples it refuses, is 0 on every
+    call; the field stays because the benchmark reads it. All trials * n^2
+    draws must fit in GENERATOR_DRAW_LIMIT, checked up front. n and seed go
+    through `as_index`, trials through `as_count`.
     """
-    n, trials = as_index(n, "n"), as_index(trials, "trials")
+    n, trials = as_index(n, "n"), as_count(trials, "trials")
     if n < 4:
         raise InvalidParams("bipartite_experiment needs n >= 4")
-    if trials < 0:
-        raise InvalidParams("trials must be nonnegative")
     _check_draws(trials * n * n)
     seeder = SplitMix64(seed)
     cap = 2.0 * n * n / math.log(n)
@@ -354,21 +351,16 @@ def bound_report(n: int, m: int, genus: int | None = None,
                  k: int | None = None) -> list[tuple[str, str, object]]:
     """Evaluate the closed-form size bounds for the given parameters.
 
-    Returns (name, formula, value) rows; all logarithms are natural. A
-    non-integer n, m, genus or k, a value too large for a float, or an
-    integer past Python's int-to-str digit limit raises InvalidParams.
+    Returns (name, formula, value) rows; all logarithms are natural. n (at
+    least 2) goes through `as_index`, and m, genus and k through `as_count`.
+    A value too large for a float, or an integer past Python's int-to-str
+    digit limit, raises InvalidParams.
     """
-    n, m = as_index(n, "n"), as_index(m, "m")
-    if n < 2 or m < 0:
-        raise InvalidParams("need n >= 2 and m >= 0")
-    if genus is not None:
-        genus = as_index(genus, "genus")
-        if genus < 0:
-            raise InvalidParams("genus must be nonnegative")
-    if k is not None:
-        k = as_index(k, "k")
-        if k < 0:
-            raise InvalidParams("k must be nonnegative")
+    n, m = as_index(n, "n"), as_count(m, "m")
+    if n < 2:
+        raise InvalidParams("need n >= 2")
+    genus = None if genus is None else as_count(genus, "genus")
+    k = None if k is None else as_count(k, "k")
     rows: list[tuple[str, str, object]] = []
     try:
         rows.append(("roberts_pairing", "n/2", n / 2))

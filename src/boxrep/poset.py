@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import InvalidParams
+from .errors import InvalidParams, as_index
 from .graph import Graph
 
 
@@ -77,8 +77,9 @@ def poset_dim_upper(box_dims: int, chi: int) -> int:
 
     Valid whenever `box_dims` is the size of a certified representation of
     the graph (any upper bound on the boxicity keeps the inequality true) and
-    `chi` is its chromatic number.
+    `chi` is its chromatic number. Both go through `as_index`.
     """
+    box_dims, chi = as_index(box_dims, "box_dims"), as_index(chi, "chi")
     if box_dims < 1 or chi < 1:
         raise InvalidParams("box_dims and chi must be at least 1")
     return 2 * box_dims + chi + 4

@@ -58,6 +58,11 @@ def petersen_graph():
     return Graph.from_edges(10, edges)
 
 
+def with_clique(g, s):
+    """`g` plus every edge between two vertices of `s`."""
+    return Graph.from_edges(g.n, g.edges | set(combinations(sorted(set(s)), 2)))
+
+
 def all_graphs(n):
     """Every labeled graph on exactly n vertices."""
     pairs = list(combinations(range(n), 2))

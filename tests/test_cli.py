@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import cli
-from boxrep.errors import BoxrepError
+from boxrep.errors import BoxrepError, FormatError
 from boxrep.graph import Graph, parse_graph, write_graph
 from boxrep.intervals import parse_representation, verify_representation
 
@@ -390,6 +390,52 @@ def test_parsers_raise_only_boxrep_errors(parse, text):
         parse(text)
     except BoxrepError:
         pass
+
+
+# `int` reads 1_0 as 10 and a fullwidth or Arabic-Indic digit as that digit
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_graph, "1_1 1\n0 1\n", "bad header '1_1 1'"),
+    (parse_graph, "\uff13 1\n0 1\n", "bad header '\uff13 1'"),
+    (parse_graph, "3 1\n0 \u0662\n", "bad edge line '0 \u0662'"),
+    (parse_representation, "boxrep 1_0 1\n", "bad header 'boxrep 1_0 1'"),
+    (parse_representation, "boxrep \uff13 1\n", "bad header 'boxrep \uff13 1'"),
+    (parse_representation, "boxrep 1 1\ndim 1\n0 0 1_0\n", "bad interval line '0 0 1_0'"),
+    (parse_representation, "boxrep 1 1\ndim 1\n0 0 \uff13\n",
+     "bad interval line '0 0 \uff13'"),
+    (cli._parse_vertex_set, "1_0\n", "bad vertex-set line '1_0'"),
+    (cli._parse_vertex_set, "\uff13\n", "bad vertex-set line '\uff13'"),
+    (cli._parse_coloring, "0 1_0\n", "bad coloring line '0 1_0'"),
+    (cli._parse_coloring, "\uff13 0\n", "bad coloring line '\uff13 0'"),
+], ids=["graph_header_underscore", "graph_header_fullwidth", "graph_edge_arabic",
+        "rep_header_underscore", "rep_header_fullwidth", "rep_body_underscore",
+        "rep_body_fullwidth", "vertex_set_underscore", "vertex_set_fullwidth",
+        "coloring_underscore", "coloring_fullwidth"])
+def test_integer_fields_are_ascii_digits(parse, text, line):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == line
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_graph, "+3 1\n-0 +2\n", Graph(3, frozenset({(0, 2)}))),
+    (cli._parse_vertex_set, "+1\n002\n", frozenset({1, 2})),
+], ids=["graph", "vertex_set"])
+def test_integer_fields_take_signs_and_leading_zeros(parse, text, expected):
+    assert parse(text) == expected
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--graph", "\uff14 0\n"), ("--A", "\uff11\n"), ("--coloring", "0 1_0\n"),
+], ids=["graph", "vertex_set", "coloring"])
+def test_non_ascii_and_underscored_fields_exit_2(tmp_path, flag, text):
+    (tmp_path / "g.g").write_text("4 0\n")
+    (tmp_path / "side.txt").write_text(text, encoding="utf-8")
+    files = {"--graph": tmp_path / "g.g", flag: tmp_path / "side.txt"}  # may replace --graph
+    res = run_cli("build", "--pipeline", "surface",
+                  *(x for f, path in files.items() for x in (f, str(path))))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: bad ")
 
 
 @settings(max_examples=300)

@@ -8,7 +8,8 @@ from boxrep.errors import InvalidInputRep, PreconditionViolation
 from boxrep.graph import Graph, degeneracy_order, quotient_by_a_neighborhood
 from boxrep.intervals import verify_representation
 
-from conftest import complete_bipartite, cycle_graph, random_graph, rep_from, star_graph
+from conftest import (complete_bipartite, cycle_graph, random_graph, rep_from,
+                      star_graph, with_clique)
 from test_graph_core import graphs_strategy
 
 
@@ -147,7 +148,7 @@ class TestQuotientLift:
         r_q = _rep_for(q.quotient_graph)
         out = quotient_lift(r_q, q)
         assert out.d == 2 * r_q.d
-        assert verify_representation(g.add_clique([1, 2, 3, 4]), out).valid
+        assert verify_representation(with_clique(g, [1, 2, 3, 4]), out).valid
         for j in range(out.d):
             boxes = {(out.lo[j, v], out.hi[j, v]) for v in (1, 2, 3, 4)}
             assert len(boxes) == 1
@@ -163,7 +164,7 @@ class TestQuotientLift:
         q = quotient_by_a_neighborhood(g, {0, 1})
         r_q = _rep_for(q.quotient_graph)
         out = quotient_lift(r_q, q)
-        assert verify_representation(g.add_clique([2, 3, 4]), out).valid
+        assert verify_representation(with_clique(g, [2, 3, 4]), out).valid
 
     def test_rejects_rep_failing_the_quotient(self):
         # two classes outside A: a representation of the quotient plus a
@@ -171,7 +172,7 @@ class TestQuotientLift:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (3, 2)])
         q = quotient_by_a_neighborhood(g, {0})
         assert len(q.reps) == 2
-        r_h1 = _rep_for(q.quotient_graph.add_clique(q.reps))
+        r_h1 = _rep_for(with_clique(q.quotient_graph, q.reps))
         with pytest.raises(InvalidInputRep, match="rep_q for the quotient graph"):
             quotient_lift(r_h1, q)
 
@@ -184,7 +185,7 @@ class TestQuotientLift:
         out = quotient_lift(r_q, q)
         assert out.d == (2 * r_q.d if outside else r_q.d)
         # the proof in quotient_lift's docstring: the lift represents G1
-        assert verify_representation(g.add_clique(outside), out).valid
+        assert verify_representation(with_clique(g, outside), out).valid
         # equal A-neighborhoods mean bit-identical boxes
         classes = {}
         for v in outside:

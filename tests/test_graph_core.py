@@ -97,14 +97,14 @@ class TestGraph:
     @given(graphs_strategy(7), st.integers(0, 127))
     def test_derived_graphs_pass_the_checks_they_skip(self, g, mask):
         part = [v for v in range(g.n) if (mask >> v) & 1]
-        for h in (g.induced(part)[0], g.remove_edges_inside(part),
-                  g.add_clique(part)):
+        for h in (g.induced(part)[0], g.remove_edges_inside(part)):
             assert Graph(h.n, h.edges) == h
 
+    # named for the deleted `Graph.add_clique`; its three inputs go through `induced`
     @pytest.mark.parametrize("verts", [[0, 1.5], [0, 3], [-1, 0]])
     def test_add_clique_rejects_bad_vertices(self, verts):
         with pytest.raises(InvalidParams):
-            path_graph(3).add_clique(verts)
+            path_graph(3).induced(verts)
 
     def test_numpy_ids_become_ints(self):
         g = Graph.from_edges(np.int64(3), [(np.int64(2), np.int32(0)), (1, np.uint8(2))])

@@ -723,13 +723,17 @@ class TestRepresentationIO:
         assert parse_outcome(parse_representation, text) == expected
         assert expected == ("ok", rep.lo.tolist(), rep.hi.tolist())
 
+    # a field is ASCII [+-]?[0-9]+: `int` would read 1_0 as 10 and U+0663 as 3
     @pytest.mark.parametrize("row, expected", [
-        ("0 +5 1_0", ([[5]], [[10]])),
-        ("0\xa0\u0663\t\u0663", ([[3]], [[3]])),
+        ("0 +5 1_0", ("FormatError", "bad interval line '0 +5 1_0'")),
+        ("0\xa0\u0663\t\u0663",
+         ("FormatError", "bad interval line '0\\xa0\u0663\\t\u0663'")),
+        ("0\xa0+5\t7", ([[5]], [[7]])),
         # numpy's loadtxt reads U+01FE as a digit and would return 4623
         ("0 0 \u01fe3", ("FormatError", "bad interval line '0 0 \u01fe3'")),
         (f"0 0 {2**63}", ("FormatError", "interval endpoint outside the int64 range")),
-    ], ids=["plus_underscore", "nbsp_arabic_digit", "non_ascii", "int64_overflow"])
+    ], ids=["plus_underscore", "nbsp_arabic_digit", "nbsp_plus", "non_ascii",
+            "int64_overflow"])
     def test_spellings_only_the_line_scan_reads(self, row, expected):
         text = f"boxrep 1 1\r\ndim 1\r\n{row}\r\n"
         got = parse_outcome(parse_representation, text)

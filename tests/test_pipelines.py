@@ -1,18 +1,24 @@
 import ast
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxrep import graph, intervals, pipelines
-from boxrep.builders import DegenerateStrategy, _universal, acyclic_rep, degenerate_rep
+from boxrep.builders import (DegenerateStrategy, _points, _universal, acyclic_rep,
+                             degenerate_rep, roberts_rep)
 from boxrep.coloring import Coloring, acyclic_coloring, smallest_acyclic_coloring
 from boxrep.combinators import quotient_lift, split_compose
 from boxrep.errors import (
+    BoxrepError,
     InvalidColoring,
+    InvalidInputRep,
+    InvalidOrder,
     InvalidParams,
+    PreconditionViolation,
     SizeLimitExceeded,
     StructuralCheckFailed,
 )
@@ -20,6 +26,7 @@ from boxrep.graph import Graph, generate
 from boxrep.intervals import (
     BoxRepresentation,
     extend_universal,
+    merge_components,
     prune_dims,
     verify_representation,
 )
@@ -30,6 +37,7 @@ from boxrep.pipelines import (
     format_bound_table,
     surface_pipeline,
 )
+from boxrep.poset import poset_dim_upper
 from boxrep.rng import SplitMix64
 
 from conftest import (
@@ -39,6 +47,7 @@ from conftest import (
     cycle_graph,
     path_graph,
     random_graph,
+    with_clique,
 )
 from test_graph_core import graphs_strategy
 
@@ -200,13 +209,20 @@ class TestSurfacePipeline:
         assert verify_representation(g, rep).valid
 
     def test_apex_style_graph_builds_no_h1(self, monkeypatch):
+        # every derived graph is built through `Graph._trusted`; none is the
+        # quotient plus a clique on its representatives, nor G1
         g, a, coloring = apex_style_graph()
+        q = graph.quotient_by_a_neighborhood(g, a)
         built = []
-        add_clique = Graph.add_clique
-        monkeypatch.setattr(Graph, "add_clique",
-                            lambda h, s: built.append(h) or add_clique(h, s))
+        trusted = Graph._trusted.__func__
+        monkeypatch.setattr(Graph, "_trusted", classmethod(
+            lambda cls, n, edges: built.append(edges) or trusted(cls, n, edges)))
         surface_pipeline(g, 3, a, coloring)
-        assert built == []
+        outside = [v for v in range(g.n) if v not in a]
+        assert built
+        for edges in built:
+            assert not set(combinations(q.reps, 2)) <= edges
+            assert not set(combinations(outside, 2)) <= edges
 
     def test_k7_hand_trace(self):
         k7 = complete_graph(7)
@@ -288,7 +304,7 @@ def _h1_construction(g, a, coloring, seed):
     r_h1 = r_q
     if q.reps:
         r_h1 = split_compose(r_q, _universal(len(q.reps)), q.reps,
-                             q.quotient_graph.add_clique(q.reps))
+                             with_clique(q.quotient_graph, q.reps))
     outside = [v for v in range(g.n) if v not in a]
     if outside:
         sub, members = g.induced(outside)
@@ -491,12 +507,15 @@ class TestBipartiteExperiment:
     lambda: bound_report(10.5, 5),
     lambda: bound_report(10, 5.5),
     lambda: bound_report(10, 5, k=2.5),
+    lambda: graph.euler_genus_upper(1.5),
+    lambda: poset_dim_upper(1.5, 2),
 ], ids=["float n", "str k", "float k", "float gen seed", "float experiment n",
         "float trials", "str experiment seed", "float edge seed",
         "float surface seed", "float k_max", "str k_max", "str surface genus",
         "float surface genus", "None k3k genus", "float k3k genus",
         "float report genus", "str report genus", "str report n",
-        "float report n", "float report m", "float report k"])
+        "float report n", "float report m", "float report k",
+        "float euler genus m", "float poset box_dims"])
 def test_non_integer_params_raise_invalid_params(call):
     with pytest.raises(InvalidParams, match="must be (an )?integers?, got"):
         call()
@@ -512,6 +531,69 @@ def test_integer_like_params_match_int():
     assert type(graph.assert_k3k(k33, {0}, np.int64(1)).bound) is int
     assert acyclic_coloring(cycle_graph(5), np.int64(3)) == acyclic_coloring(cycle_graph(5), 3)
     assert bound_report(10, 5, genus=np.int64(2)) == bound_report(10, 5, genus=2)
+
+
+_P4, _C4, _K33 = path_graph(4), cycle_graph(4), complete_bipartite(3, 3)
+
+
+# each of these once returned a result built on a non-vertex or raised a
+# bare TypeError or IndexError
+@pytest.mark.parametrize("call, error", [
+    (lambda: _P4.induced([0, 1.5, 3]), InvalidParams),
+    (lambda: graph.forward_degeneracy(_P4, [0.0, 1, 2, 3]), InvalidParams),
+    (lambda: graph.quotient_by_a_neighborhood(_P4, [2.5]), InvalidParams),
+    (lambda: graph.quotient_by_a_neighborhood(_P4, ["a"]), InvalidParams),
+    (lambda: graph.assert_k3k(_K33, [0, 1, 99], 0), InvalidParams),
+    (lambda: graph.assert_k3k(_K33, [0, 1, 2.5], 0), InvalidParams),
+    (lambda: acyclic_rep(_P4, Coloring({0: 0, 1.0: 1, 2: 0, 3: 1}, 2)),
+     InvalidColoring),
+    (lambda: degenerate_rep(_P4, [0.0, 1, 2, 3], 1), InvalidOrder),
+    (lambda: split_compose(roberts_rep(_C4), _universal(1), [1.5], _C4),
+     PreconditionViolation),
+    (lambda: split_compose(roberts_rep(_C4), _universal(1), ["a"], _C4),
+     PreconditionViolation),
+    (lambda: extend_universal(_points(2), [0, 0.5], 3), InvalidInputRep),
+    (lambda: merge_components([_points(1), _points(1)], [(0.0,), (1,)]),
+     InvalidInputRep),
+    (lambda: surface_pipeline(_P4, 0, (), Coloring({0: 0, 1.0: 1, 2: 0, 3: 1}, 2)),
+     InvalidColoring),
+    (lambda: surface_pipeline(_P4, 1, [1.5]), InvalidParams),
+    (lambda: surface_pipeline(_P4, 1, ["x"]), InvalidParams),
+], ids=["induced float", "forward_degeneracy float order", "quotient float A",
+        "quotient str A", "k3k A outside", "k3k float A", "acyclic_rep float key",
+        "degenerate_rep float order", "split_compose float S", "split_compose str S",
+        "extend_universal float member", "merge_components float map",
+        "surface float coloring key", "surface float A", "surface str A"])
+def test_non_integer_vertices_raise_boxrep_errors(call, error):
+    with pytest.raises(error, match="names a (non-integer )?vertex"):
+        call()
+
+
+def test_integer_like_vertices_match_int():
+    rep = roberts_rep(cycle_graph(8))
+    wide, ref = extend_universal(rep, np.arange(8), 9), extend_universal(rep, range(8), 9)
+    assert np.array_equal(wide.lo, ref.lo) and np.array_equal(wide.hi, ref.hi)
+    out = split_compose(roberts_rep(_C4), _universal(1), [np.int64(1)], _C4)
+    ref = split_compose(roberts_rep(_C4), _universal(1), [1], _C4)
+    assert np.array_equal(out.lo, ref.lo) and np.array_equal(out.hi, ref.hi)
+    assert _P4.induced([np.int64(3), True]) == _P4.induced([1, 3])
+    assert type(_P4.induced([np.int64(3)])[1][0]) is int
+
+
+_VALUES = st.lists(st.one_of(st.integers(-2, 7), st.floats(-2, 7), st.text(max_size=2),
+                             st.integers(-2, 7).map(np.int64)), max_size=6)
+
+
+@given(graphs_strategy(6), _VALUES)
+def test_vertex_ids_are_integers_in_range_or_refused(g, values):
+    valid = all(isinstance(v, (int, np.integer)) and 0 <= v < g.n for v in values)
+    for call in (g.induced, lambda a: graph.quotient_by_a_neighborhood(g, a)):
+        try:
+            call(values)
+        except BoxrepError:
+            assert not valid
+        else:
+            assert valid
 
 
 class TestBoundReport:
