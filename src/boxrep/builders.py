@@ -24,14 +24,16 @@ from .rng import SplitMix64
 
 def _universal(n: int, **metadata) -> BoxRepresentation:
     """One dimension giving every vertex [0, 1]: a representation of K_n."""
-    return BoxRepresentation._trusted(n, np.zeros((1, n), dtype=np.int64),
-                                      np.ones((1, n), dtype=np.int64), metadata)
+    ends = np.zeros((2, 1, n), dtype=np.int64)
+    ends[1] = 1
+    return BoxRepresentation._trusted(n, ends, metadata)
 
 
 def _points(n: int, **metadata) -> BoxRepresentation:
     """One dimension of n distinct points: a representation of the edgeless graph."""
-    points = np.arange(n, dtype=np.int64)[None, :]
-    return BoxRepresentation._trusted(n, points, points, metadata)
+    ends = np.empty((2, 1, n), dtype=np.int64)
+    ends[:] = np.arange(n)
+    return BoxRepresentation._trusted(n, ends, metadata)
 
 
 def roberts_rep(g: Graph) -> BoxRepresentation:
@@ -74,8 +76,8 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
         lo[a], hi[a], lo[b], hi[b] = 0, 2, 4, 6
         lo_rows.append(lo)
         hi_rows.append(hi)
-    return BoxRepresentation(g.n, np.array(lo_rows, dtype=np.int64),
-                             np.array(hi_rows, dtype=np.int64))
+    return BoxRepresentation._trusted(
+        g.n, np.array((lo_rows, hi_rows), dtype=np.int64))
 
 
 def forest_rep(forest: Graph) -> BoxRepresentation:
@@ -94,7 +96,7 @@ def forest_rep(forest: Graph) -> BoxRepresentation:
         raise NotAForest("input graph contains a cycle")
     depth, entry, leave = ([m[v] for v in range(forest.n)] for m in walk)
     ends = np.array([depth, entry, [d + 1 for d in depth], leave], dtype=np.int64)
-    return BoxRepresentation(forest.n, ends[:2], ends[2:])
+    return BoxRepresentation._trusted(forest.n, ends.reshape(2, 2, forest.n))
 
 
 def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
@@ -144,10 +146,9 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
             lo_nest[v], hi_nest[v] = entry[v], leave[v]
         lo_rows += (lo_depth, lo_nest)
         hi_rows += (hi_depth, hi_nest)
-    lo = np.array(lo_rows, dtype=np.int64)
-    hi = np.array(hi_rows, dtype=np.int64)
-    assert len(lo) == k * (k - 1)
-    return BoxRepresentation(g.n, lo, hi, {"colors": k})
+    assert len(lo_rows) == k * (k - 1)
+    return BoxRepresentation._trusted(
+        g.n, np.array((lo_rows, hi_rows), dtype=np.int64), {"colors": k})
 
 
 @dataclass(kw_only=True)
@@ -245,8 +246,9 @@ def degenerate_rep(g: Graph, order, k: int,
         return _universal(g.n, rounds_used=0, round_dims=0, fallback_dims=0,
                           size_bound=1)
     if g.m == 0:
-        place = np.array(pos, dtype=np.int64)[None, :] + 1
-        return BoxRepresentation._trusted(g.n, place, place,
+        ends = np.empty((2, 1, g.n), dtype=np.int64)
+        ends[:] = np.array(pos) + 1
+        return BoxRepresentation._trusted(g.n, ends,
                                           {"rounds_used": 0, "round_dims": 1,
                                            "fallback_dims": 0, "size_bound": 1})
     nbrs = [0] * g.n
@@ -319,8 +321,8 @@ def degenerate_rep(g: Graph, order, k: int,
     assert len(hubs) + len(pairs) <= size_bound
 
     d = len(hubs) + len(pairs)
-    lo = np.zeros((d, g.n), dtype=np.int64)
-    hi = np.zeros((d, g.n), dtype=np.int64)
+    ends = np.zeros((2, d, g.n), dtype=np.int64)
+    lo, hi = ends
     for j, members in enumerate(hubs):
         # B is independent, so no walk overwrites a member's own point
         low, t = [0] * g.n, [0] * g.n
@@ -334,13 +336,13 @@ def degenerate_rep(g: Graph, order, k: int,
     if pairs:
         # u's interval [0, 1] and v's [2, 3] part; everyone else spans [0, 3]
         rows = np.arange(len(hubs), d)
-        ends = np.array(pairs, dtype=np.intp)
+        uv = np.array(pairs, dtype=np.intp)
         hi[len(hubs):] = 3
-        hi[rows, ends[:, 0]] = 1
-        lo[rows, ends[:, 1]] = 2
+        hi[rows, uv[:, 0]] = 1
+        lo[rows, uv[:, 1]] = 2
     stats = {"rounds_used": rounds_used, "round_dims": len(hubs),
              "fallback_dims": len(pairs), "size_bound": size_bound}
-    return BoxRepresentation._trusted(g.n, lo, hi, stats)
+    return BoxRepresentation._trusted(g.n, ends, stats)
 
 
 def trivial_rep(g: Graph) -> BoxRepresentation | None:
@@ -358,5 +360,4 @@ def trivial_rep(g: Graph) -> BoxRepresentation | None:
     for i, v in enumerate(order):
         pos[v] = i
     hi = [max([pos[v], *(pos[w] for w in g.neighbors(v))]) for v in range(g.n)]
-    ends = np.array([pos, hi], dtype=np.int64)
-    return BoxRepresentation(g.n, ends[:1], ends[1:])
+    return BoxRepresentation._trusted(g.n, np.array([[pos], [hi]], dtype=np.int64))

@@ -24,9 +24,9 @@ from .graph import Graph, QuotientResult
 from .intervals import _INT64, BoxRepresentation, certify, extend_universal
 
 
-def _stretch(rep: BoxRepresentation, s: Sequence[int]):
-    """The (lo, hi) rows of `rep` stretched over `s`: rows 2j and 2j+1 copy
-    row j, with `s` reaching past its top, then its bottom. A row that
+def _stretch(rep: BoxRepresentation, s: Sequence[int]) -> np.ndarray:
+    """The (2, 2d, n) ends of `rep` stretched over `s`: rows 2j and 2j+1
+    copy row j, with `s` reaching past its top, then its bottom. A row that
     already reaches an int64 limit has no room past it: InvalidInputRep."""
     top = rep.hi.max(axis=1, keepdims=True)
     bottom = rep.lo.min(axis=1, keepdims=True)
@@ -34,11 +34,11 @@ def _stretch(rep: BoxRepresentation, s: Sequence[int]):
         raise InvalidInputRep(
             f"cannot stretch a row that reaches an int64 limit "
             f"({_INT64.min} or {_INT64.max})")
-    lo = np.repeat(rep.lo, 2, axis=0)
-    hi = np.repeat(rep.hi, 2, axis=0)
+    ends = np.repeat(rep.ends, 2, axis=1)
+    lo, hi = ends
     hi[0::2, s] = top + 1
     lo[1::2, s] = bottom - 1
-    return lo, hi
+    return ends
 
 
 def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
@@ -65,13 +65,10 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
         raise InvalidInputRep("rep_s must be over the induced subgraph on S")
     certify(gs, rep_s, "rep_s for g[S]", InvalidInputRep)
 
-    lo, hi = _stretch(rep_h, s_sorted)
-    lifted = extend_universal(rep_s, members, g.n)
-    lo = np.concatenate((lo, lifted.lo))
-    hi = np.concatenate((hi, lifted.hi))
-    assert len(lo) == 2 * rep_h.d + rep_s.d
-
-    return BoxRepresentation._trusted(g.n, lo, hi)
+    ends = np.concatenate((_stretch(rep_h, s_sorted),
+                           extend_universal(rep_s, members, g.n).ends), axis=1)
+    assert ends.shape[1] == 2 * rep_h.d + rep_s.d
+    return BoxRepresentation._trusted(g.n, ends)
 
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentation:
@@ -95,5 +92,5 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentat
     """
     certify(q.quotient_graph, rep_q, "rep_q for the quotient graph",
             InvalidInputRep)
-    lo, hi = _stretch(rep_q, q.reps) if q.reps else (rep_q.lo, rep_q.hi)
-    return BoxRepresentation._trusted(len(q.cols), lo[:, q.cols], hi[:, q.cols])
+    ends = _stretch(rep_q, q.reps) if q.reps else rep_q.ends
+    return BoxRepresentation._trusted(len(q.cols), ends[:, :, q.cols])

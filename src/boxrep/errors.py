@@ -2,7 +2,8 @@
 `as_index` for a parameter, `as_count` for one that must be nonnegative and
 `as_vertices` for the vertex ids of a set, an order or a map. Each converts
 with `operator.index`, so ints, bools and numpy integers pass, floats and
-strings do not."""
+strings do not, and raises InvalidParams or the error class its caller
+names."""
 
 import operator
 
@@ -15,19 +16,19 @@ class InvalidParams(BoxrepError):
     """Arguments outside the documented domain of an operation."""
 
 
-def as_index(value, name: str) -> int:
-    """`operator.index(value)`; a value that is not an integer raises InvalidParams."""
+def as_index(value, name: str, error=InvalidParams) -> int:
+    """`operator.index(value)`; a value that is not an integer raises `error`."""
     try:
         return operator.index(value)
     except TypeError as exc:
-        raise InvalidParams(f"{name} must be an integer, got {value!r}") from exc
+        raise error(f"{name} must be an integer, got {value!r}") from exc
 
 
-def as_count(value, name: str) -> int:
-    """`as_index(value, name)`, which must be nonnegative (InvalidParams)."""
-    value = as_index(value, name)
+def as_count(value, name: str, error=InvalidParams) -> int:
+    """`as_index(value, name, error)`, which must be nonnegative (`error`)."""
+    value = as_index(value, name, error)
     if value < 0:
-        raise InvalidParams(f"{name} must be nonnegative")
+        raise error(f"{name} must be nonnegative")
     return value
 
 

@@ -3,11 +3,16 @@
 A box representation is an ordered list of interval assignments over the same
 vertex set; its meaning is the intersection of the corresponding interval
 graphs. Intervals are closed with integer endpoints, so touching intervals
-intersect. A representation stores its endpoints as two int64 arrays `lo`
-and `hi` of shape (d, n): row j is dimension j+1 and column v is vertex v.
-The arrays are read-only, so representations and the combinators below share
-rows without copying them. Endpoints must lie in the int64 range, and every
-combinator below keeps them integral.
+intersect. A representation stores its endpoints as one read-only int64
+array `ends` of shape (2, d, n): `ends[0]` holds the lower and `ends[1]` the
+upper endpoints, row j is dimension j+1 and column v is vertex v. `lo` and
+`hi` are its two row views. On a certificate of a few vertices a numpy
+call's fixed cost outweighs its work, so each step of a producer (a repeat,
+a gather, a scatter or a concatenate) is one call for both ends. Endpoints
+must lie in the int64 range, and every combinator below keeps them
+integral. Arrays that are valid by construction, such as rows of a valid
+representation, are wrapped by `BoxRepresentation._trusted` unchecked; the
+public constructor checks its arguments and copies them into one array.
 
 The oracle and `prune_dims` only compare endpoints of one row with each
 other, so both read them narrowed by `_narrowed`: each row shifted to start
@@ -29,6 +34,7 @@ every text the table refuses and names its first bad line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +46,7 @@ from .errors import (
     FormatError,
     InvalidInputRep,
     SizeLimitExceeded,
+    as_count,
     as_vertices,
 )
 from .graph import Graph, _integer_fields
@@ -63,11 +70,8 @@ _INT64 = np.iinfo(np.int64)
 
 def _endpoints(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.dtype != np.int64:
-        if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
-            raise InvalidInputRep(f"{what} endpoints must be integers within int64")
-        arr = arr.astype(np.int64)
-    arr.setflags(write=False)
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise InvalidInputRep(f"{what} endpoints must be integers within int64")
     return arr
 
 
@@ -98,46 +102,54 @@ class BoxRepresentation:
     """`d` interval assignments over the vertices 0..n-1.
 
     `lo[j, v]` and `hi[j, v]` are the endpoints of vertex v's interval in
-    dimension j+1; both arrays have shape (d, n) with d >= 1 and hold int64
-    values with lo <= hi. Integer arrays of another dtype are converted when
-    every value fits in int64; anything else raises InvalidInputRep. The
-    constructor takes int64 arrays over without copying and marks them
-    read-only, so a representation may share its arrays with the one it was
-    derived from. `_trusted` builds one from arrays that are valid by
-    construction without these checks. `metadata` is free-form, not written
-    to the text format, and set only by degenerate_rep (cover statistics)
-    and acyclic_rep (colors).
+    dimension j+1, with d >= 1 and lo <= hi. Both are row views of `ends`,
+    one read-only int64 array of shape (2, d, n), and are set once: they are
+    plain attributes, not properties. The constructor reads `n` through
+    `as_count` and copies `lo` and `hi`, integer arrays of one shape (d, n)
+    whose values fit in int64, into a new `ends`; anything else raises
+    InvalidInputRep. `_trusted` wraps an `ends` that is valid by
+    construction without these checks or the copy, so a derived
+    representation may share rows with the one it came from. `metadata` is
+    free-form, not written to the text format, and set only by
+    degenerate_rep (cover statistics) and acyclic_rep (colors).
     """
 
     n: int
     lo: np.ndarray
     hi: np.ndarray
     metadata: dict = field(default_factory=dict)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.lo = _endpoints(self.lo, "lower")
-        self.hi = _endpoints(self.hi, "upper")
-        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
+        self.n = as_count(self.n, "n", InvalidInputRep)
+        lo = _endpoints(self.lo, "lower")
+        hi = _endpoints(self.hi, "upper")
+        if lo.ndim != 2 or lo.shape != hi.shape:
             raise InvalidInputRep("lo and hi must be arrays of one shape (d, n)")
-        if self.lo.shape[1] != self.n:
+        if lo.shape[1] != self.n:
             raise InvalidInputRep("assignment must cover vertices 0..n-1")
-        if self.lo.shape[0] == 0:
+        if lo.shape[0] == 0:
             raise InvalidInputRep("a representation needs at least one dimension")
-        if np.count_nonzero(self.lo > self.hi):
-            j, v = np.argwhere(self.lo > self.hi)[0]
+        if np.count_nonzero(lo > hi):
+            j, v = np.argwhere(lo > hi)[0]
             raise InvalidInputRep(f"empty interval at vertex {v} in dimension {j + 1}")
+        self._set_ends(np.array((lo, hi), dtype=np.int64))
+
+    def _set_ends(self, ends: np.ndarray) -> None:
+        ends.setflags(write=False)  # before the views, which inherit it
+        self.ends, self.lo, self.hi = ends, ends[0], ends[1]
 
     @classmethod
-    def _trusted(cls, n: int, lo: np.ndarray, hi: np.ndarray,
+    def _trusted(cls, n: int, ends: np.ndarray,
                  metadata: dict | None = None) -> "BoxRepresentation":
-        """A representation from int64 (d, n) arrays that are valid by
-        construction, such as rows of a valid one, built without re-checking
-        them; the arrays are marked read-only like the constructor's."""
-        lo.setflags(write=False)
-        hi.setflags(write=False)
+        """A representation over n vertices from an int64 (2, d, n) array
+        that is valid by construction, such as rows of a valid one, built
+        without re-checking or copying it; `ends` is marked read-only like
+        the constructor's."""
         rep = object.__new__(cls)
-        rep.n, rep.lo, rep.hi = n, lo, hi
+        rep.n = n
         rep.metadata = {} if metadata is None else metadata
+        rep._set_ends(ends)
         return rep
 
     @property
@@ -316,7 +328,7 @@ def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
     if d == 1:
         return rep
     if n < 2:  # no pair to separate
-        return BoxRepresentation._trusted(n, rep.lo[:1], rep.hi[:1])
+        return BoxRepresentation._trusted(n, rep.ends[:, :1])
     need = _prune_bytes(d, n)
     if need > PRUNE_MEMORY_LIMIT:
         raise SizeLimitExceeded(
@@ -351,7 +363,7 @@ def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
     if len(keep) == d:
         return rep
     keep.reverse()
-    return BoxRepresentation._trusted(n, rep.lo[keep], rep.hi[keep])
+    return BoxRepresentation._trusted(n, rep.ends[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +422,13 @@ def extend_universal(rep: BoxRepresentation, members: Iterable[int],
                      n_total: int) -> BoxRepresentation:
     """Lift a representation on a vertex subset to the full set.
 
-    `members[i]` is the original id of the subset vertex i: distinct ids
-    that pass `as_vertices` for n_total, else InvalidInputRep. Every vertex
-    not in `members` receives, per dimension, the interval spanning all
-    existing endpoints of that dimension, making it adjacent to everything.
+    `n_total` passes `as_count` and `members[i]` is the original id of the
+    subset vertex i: distinct ids that pass `as_vertices` for n_total; any
+    fault raises InvalidInputRep. Every vertex not in `members` receives,
+    per dimension, the interval spanning all existing endpoints of that
+    dimension, making it adjacent to everything.
     """
+    n_total = as_count(n_total, "n_total", InvalidInputRep)
     members = as_vertices(members, n_total, "the member list", InvalidInputRep)
     if len(members) != rep.n:
         raise InvalidInputRep("members must enumerate the representation's vertices")
@@ -422,13 +436,11 @@ def extend_universal(rep: BoxRepresentation, members: Iterable[int],
         raise InvalidInputRep("cannot extend an empty representation")
     if len(set(members)) != len(members):
         raise InvalidInputRep("members must be distinct")
-    lo = np.empty((rep.d, n_total), dtype=np.int64)
-    hi = np.empty((rep.d, n_total), dtype=np.int64)
-    lo[:] = rep.lo.min(axis=1, keepdims=True)
-    hi[:] = rep.hi.max(axis=1, keepdims=True)
-    lo[:, members] = rep.lo
-    hi[:, members] = rep.hi
-    return BoxRepresentation(n_total, lo, hi)
+    ends = np.empty((2, rep.d, n_total), dtype=np.int64)
+    ends[0] = rep.lo.min(axis=1, keepdims=True)
+    ends[1] = rep.hi.max(axis=1, keepdims=True)
+    ends[:, :, members] = rep.ends
+    return BoxRepresentation._trusted(n_total, ends)
 
 
 def merge_components(reps: list[BoxRepresentation],
@@ -442,6 +454,10 @@ def merge_components(reps: list[BoxRepresentation],
     in higher dimensions a component either keeps its own intervals or, past
     its dimension count, pads with the global span of that dimension. When
     those ranges would pass the int64 limit, it raises InvalidInputRep.
+
+    The spans and shifts are Python ints, two row reductions per component.
+    The components are stacked side by side in map order, padded and
+    shifted there, and reach their vertices in one column scatter.
     """
     if not reps:
         raise EmptyInput("no component representations")
@@ -453,56 +469,65 @@ def merge_components(reps: list[BoxRepresentation],
     maps = [as_vertices(mp, n_total, "a component map", InvalidInputRep) for mp in maps]
     if len(set().union(*maps)) != n_total:
         raise InvalidInputRep("component maps must partition the vertex set")
-    depth = max(r.d for r in reps)
-    span_lo = np.full(depth, _INT64.max)
-    span_hi = np.full(depth, _INT64.min)
-    for rep in reps:
-        span_lo[:rep.d] = np.minimum(span_lo[:rep.d], rep.lo.min(axis=1))
-        span_hi[:rep.d] = np.maximum(span_hi[:rep.d], rep.hi.max(axis=1))
+    if any(rep.n == 0 for rep in reps):
+        raise InvalidInputRep("a component representation needs a vertex")
+    lows = [rep.lo.min(axis=1).tolist() for rep in reps]
+    highs = [rep.hi.max(axis=1).tolist() for rep in reps]
+    depth = max(rep.d for rep in reps)
+    spans = [[min(low[j] for low in lows if j < len(low)) for j in range(depth)],
+             [max(high[j] for high in highs if j < len(high)) for j in range(depth)]]
 
-    lo = np.empty((depth, n_total), dtype=np.int64)
-    hi = np.empty((depth, n_total), dtype=np.int64)
-    cursor = None
-    for rep, cols in zip(reps, maps):
-        lo[:rep.d, cols] = rep.lo
-        hi[:rep.d, cols] = rep.hi
-        lo[rep.d:, cols] = span_lo[rep.d:, None]
-        hi[rep.d:, cols] = span_hi[rep.d:, None]
-        # dimension 1: disjoint ranges, first component kept in place
-        first, last = int(rep.lo[0].min()), int(rep.hi[0].max())
-        shift = 0 if cursor is None else cursor - first
-        if last + shift > _INT64.max:
+    # dimension 1: disjoint ranges, first component kept in place
+    shifts, cursor = [], None
+    for low, high in zip(lows, highs):
+        shift = 0 if cursor is None else cursor - low[0]
+        if high[0] + shift > _INT64.max:
             raise InvalidInputRep(
                 "merged dimension 1 would pass the int64 limit "
                 f"{_INT64.max}; the components span too wide a range")
         # the shifted ends fit in int64, so adding the shift modulo 2**64,
-        # as int64 arithmetic does, gives them exactly
-        wrapped = np.int64((shift - _INT64.min) % 2**64 + _INT64.min)
-        lo[0, cols] += wrapped
-        hi[0, cols] += wrapped
-        cursor = last + shift + 1
+        # as int64 arithmetic on arrays does, gives them exactly
+        shifts.append((shift - _INT64.min) % 2**64 + _INT64.min)
+        cursor = high[0] + shift + 1
 
-    return BoxRepresentation(n_total, lo, hi)
+    pad = np.array(spans, dtype=np.int64)[:, :, None]
+    stacked = np.empty((2, depth, n_total), dtype=np.int64)
+    start = 0
+    for rep in reps:
+        stop = start + rep.n
+        stacked[:, :rep.d, start:stop] = rep.ends
+        if rep.d < depth:
+            stacked[:, rep.d:, start:stop] = pad[:, rep.d:]
+        start = stop
+    stacked[:, 0] += np.repeat(np.array(shifts, dtype=np.int64),
+                               [rep.n for rep in reps])
+    ends = np.empty_like(stacked)
+    ends[:, :, [v for mp in maps for v in mp]] = stacked
+    return BoxRepresentation._trusted(n_total, ends)
 
 
 # ---------------------------------------------------------------------------
 # text format
 
 
+@lru_cache(maxsize=8)
+def _vertex_template(n: int) -> str:
+    """The `%` template of one dimension's n interval lines."""
+    return "".join([f"{v} %d %d\n" for v in range(n)])
+
+
 def write_representation(rep: BoxRepresentation) -> str:
     """The text format read by `parse_representation`.
 
-    One `%` template holds a whole dimension, so each dimension is a single
-    format of one row of Python ints: its number, then the endpoints of
-    every vertex interleaved.
+    One interleave turns `ends` into one row of Python ints per dimension,
+    the endpoints of every vertex in turn, and one `%` template, cached per
+    n, formats that row whole.
     """
     d, n = rep.lo.shape
-    template = "dim %d\n" + "".join([f"{v} %d %d\n" for v in range(n)])
-    rows = np.empty((d, 2 * n + 1), dtype=np.int64)
-    rows[:, 0] = np.arange(1, d + 1)
-    rows[:, 1::2] = rep.lo
-    rows[:, 2::2] = rep.hi
-    body = "".join([template % tuple(row) for row in rows.tolist()])
+    template = _vertex_template(n)
+    rows = rep.ends.transpose(1, 2, 0).reshape(d, 2 * n).tolist()
+    body = "".join([f"dim {j}\n" + template % tuple(row)
+                    for j, row in enumerate(rows, 1)])
     return f"boxrep {n} {d}\n{body}"
 
 
@@ -530,7 +555,7 @@ def parse_representation(text: str) -> BoxRepresentation:
     ends = _interval_table(lines, n, d) if text.isascii() else None
     if ends is None:
         return _parse_lines(lines, n, d)
-    return BoxRepresentation._trusted(n, ends[0], ends[1])
+    return BoxRepresentation._trusted(n, ends)
 
 
 def _interval_table(lines: list[str], n: int, d: int) -> np.ndarray | None:
@@ -584,6 +609,5 @@ def _parse_lines(lines: list[str], n: int, d: int) -> BoxRepresentation:
             pos += 1
     if lo and (min(lo) < _INT64.min or max(hi) > _INT64.max):
         raise FormatError("interval endpoint outside the int64 range")
-    shape = (d, n)
-    return BoxRepresentation._trusted(n, np.array(lo, dtype=np.int64).reshape(shape),
-                                      np.array(hi, dtype=np.int64).reshape(shape))
+    return BoxRepresentation._trusted(
+        n, np.array((lo, hi), dtype=np.int64).reshape(2, d, n))

@@ -252,8 +252,8 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     r_g1 = quotient_lift(r_q, q)  # represents G1, g plus a clique outside A
     trace.record("g1_dims", r_g1.d)
 
-    stacked = BoxRepresentation(g.n, np.concatenate((r_g1.lo, r_g2.lo)),
-                                np.concatenate((r_g1.hi, r_g2.hi)))
+    stacked = BoxRepresentation._trusted(
+        g.n, np.concatenate((r_g1.ends, r_g2.ends), axis=1))
     result = certify(g, prune_dims(stacked),
                      "the pruned stack of the G1 and G2 representations",
                      StructuralCheckFailed)

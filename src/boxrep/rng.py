@@ -10,12 +10,17 @@ with the same values and the same final state, so a caller may batch its
 draws without changing the stream.
 """
 
+import numpy as np
+
 from .errors import as_index
 
 ALGORITHM = "splitmix64"
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# draws from which one below_many run costs less as arrays than as a loop
+_BATCH_FROM = 24
 
 
 class SplitMix64:
@@ -40,11 +45,21 @@ class SplitMix64:
     def below_many(self, n: int, count: int) -> list[int]:
         """`count` uniform integers in [0, n), by rejection (no modulo bias):
         a raw draw at or above the largest multiple of n <= 2^64 is drawn
-        again. `next_u64` is inlined, and the generator ends in the state
-        that `count` calls of `below(n)` leave."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        again, so n may be at most 2^64. `next_u64` is inlined, and the
+        generator ends in the state that `count` calls of `below(n)` leave.
+
+        A run of at least _BATCH_FROM draws is first made as one uint64
+        array, whose arithmetic wraps modulo 2^64 as the scalar code masks.
+        When no raw draw of it is rejected, its values are the run and its
+        last state the final state; otherwise the scalar loop draws the run
+        from the same starting state."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("n must be positive and at most 2**64")
         limit = _MASK64 + 1 - (_MASK64 + 1) % n
+        if count >= _BATCH_FROM and n <= _MASK64:
+            drawn = self._batch(n, count, limit)
+            if drawn is not None:
+                return drawn
         state, gamma, mask = self._state, _GAMMA, _MASK64
         out = []
         for _ in range(count):
@@ -58,6 +73,22 @@ class SplitMix64:
             out.append(z % n)
         self._state = state
         return out
+
+    def _batch(self, n: int, count: int, limit: int) -> list[int] | None:
+        """The next `count` draws below n made as arrays, or None, with the
+        state untouched, when one of them would be rejected."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self._state
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        if limit <= _MASK64 and np.count_nonzero(z >= limit):
+            return None
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return (z % n).tolist()
 
     def sample(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), via partial Fisher-Yates.

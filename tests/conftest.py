@@ -99,6 +99,16 @@ def rep_from(*dims):
     return BoxRepresentation(ends.shape[1], ends[:, :, 0], ends[:, :, 1])
 
 
+def assert_one_array(rep):
+    """`rep` keeps its endpoints in one read-only int64 array `ends` of
+    shape (2, d, n), with `lo` and `hi` as its two row views."""
+    ends = rep.ends
+    assert ends.dtype == np.int64 and ends.shape == (2, rep.d, rep.n)
+    assert not ends.flags.writeable
+    assert rep.lo.__array_interface__ == ends[0].__array_interface__
+    assert rep.hi.__array_interface__ == ends[1].__array_interface__
+
+
 @pytest.fixture
 def c4():
     return cycle_graph(4)

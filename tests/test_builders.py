@@ -25,7 +25,8 @@ from boxrep.graph import Graph, degeneracy_order, forward_degeneracy, generate
 from boxrep.intervals import verify_representation
 from boxrep.rng import SplitMix64
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import (assert_one_array, complete_graph, cycle_graph, path_graph,
+                      random_graph, star_graph)
 from test_forest_walk import is_forest
 from test_graph_core import graphs_strategy
 
@@ -415,11 +416,13 @@ class TestDegenerate:
         if budget is not None:
             monkeypatch.setattr(builders, "_default_budget", lambda n: budget)
         order, k = degeneracy_order(g)
-        rep = degenerate_rep(g, order, k)
-        assert not rep.lo.flags.writeable and not rep.hi.flags.writeable
-        assert rep.lo.dtype == rep.hi.dtype == np.int64
-        assert rep.lo.shape == rep.hi.shape == (rep.d, g.n)
-        assert verify_representation(g, rep).valid
+        reps = [degenerate_rep(g, order, k), roberts_rep(g), trivial_rep(g),
+                acyclic_rep(g, smallest_acyclic_coloring(g))]
+        if is_forest(g):
+            reps.append(forest_rep(g))
+        for rep in filter(None, reps):
+            assert_one_array(rep)
+            assert verify_representation(g, rep).valid
 
     @given(graphs_strategy(8), st.integers(0, 1000))
     def test_always_terminates_and_verifies(self, g, seed):

@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from boxrep import intervals
 from boxrep.builders import degenerate_rep, roberts_rep, trivial_rep
 from boxrep.combinators import quotient_lift, split_compose
 from boxrep.errors import InvalidInputRep, PreconditionViolation
-from boxrep.graph import Graph, degeneracy_order, quotient_by_a_neighborhood
-from boxrep.intervals import verify_representation
+from boxrep.graph import Graph, components, degeneracy_order, quotient_by_a_neighborhood
+from boxrep.intervals import (
+    extend_universal,
+    merge_components,
+    parse_representation,
+    prune_dims,
+    verify_representation,
+    write_representation,
+)
+from boxrep.pipelines import edge_pipeline, surface_pipeline
 
-from conftest import (complete_bipartite, cycle_graph, random_graph, rep_from,
-                      star_graph, with_clique)
+from conftest import (assert_one_array, complete_bipartite, cycle_graph, random_graph,
+                      rep_from, star_graph, with_clique)
 from test_graph_core import graphs_strategy
 
 
@@ -131,14 +140,30 @@ class TestSplitCompose:
 
 def test_outputs_are_read_only(c4):
     s = [0, 2]
-    gs, _ = c4.induced(s)
-    outputs = [split_compose(roberts_rep(c4), _rep_for(gs), s, c4)]
+    gs, members = c4.induced(s)
+    outputs = [split_compose(roberts_rep(c4), _rep_for(gs), s, c4),
+               extend_universal(_rep_for(gs), members, c4.n)]
     for a in ({0}, range(4)):
         q = quotient_by_a_neighborhood(c4, a)
         outputs.append(quotient_lift(_rep_for(q.quotient_graph), q))
+    two_c4 = Graph.from_edges(8, c4.edges | {(u + 4, v + 4) for u, v in c4.edges})
+    comps = components(two_c4)
+    outputs.append(merge_components([_rep_for(c) for c, _ in comps],
+                                    [m for _, m in comps]))
     for out in outputs:
-        assert not out.lo.flags.writeable and not out.hi.flags.writeable
-        assert out.lo.dtype == out.hi.dtype == np.int64 and out.metadata == {}
+        assert_one_array(out)
+        assert out.metadata == {}
+    # every other producer: the pipelines, the prune and both readers
+    rep, _ = edge_pipeline(two_c4, seed=1)
+    outputs = [rep, surface_pipeline(c4, 0, [0])[0],
+               prune_dims(rep_from([(0, 1)] * 3, [(0, 1)] * 3)),
+               prune_dims(rep_from([(0, 1)], [(2, 3)])),
+               prune_dims(roberts_rep(Graph(6, frozenset())))]
+    text = write_representation(rep)
+    outputs += [parse_representation(text),
+                intervals._parse_lines(text.splitlines(), rep.n, rep.d)]
+    for out in outputs:
+        assert_one_array(out)
 
 
 class TestQuotientLift:

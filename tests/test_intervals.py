@@ -33,6 +33,7 @@ from boxrep.builders import roberts_rep, trivial_rep
 
 from conftest import (
     all_graphs,
+    assert_one_array,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -126,11 +127,31 @@ class TestRepresentationModel:
             BoxRepresentation(1, [[0]], [[10**23]])
 
     def test_arrays_are_read_only_and_shared(self, c4):
+        # lo and hi share one array; the constructor copies them into a new
+        # one and leaves the caller's arrays as they were
         rep = roberts_rep(c4)
-        assert rep.lo.dtype == rep.hi.dtype == np.int64
-        assert not rep.lo.flags.writeable and not rep.hi.flags.writeable
+        assert_one_array(rep)
         again = BoxRepresentation(rep.n, rep.lo, rep.hi)
-        assert again.lo is rep.lo and again.hi is rep.hi
+        assert_one_array(again)
+        assert not np.shares_memory(again.ends, rep.ends)
+        assert np.array_equal(again.ends, rep.ends)
+        lo, hi = rep.lo.astype(np.int32), rep.hi.copy()
+        mine = BoxRepresentation(rep.n, lo, hi)
+        assert_one_array(mine)
+        assert lo.flags.writeable and hi.flags.writeable
+        hi[0] += 1
+        assert np.array_equal(mine.ends, rep.ends)
+
+    @pytest.mark.parametrize("n", [2.0, "2", -1, None])
+    def test_n_is_a_count(self, n):
+        ends = np.zeros((1, 2), np.int64)
+        with pytest.raises(InvalidInputRep, match="n must be"):
+            BoxRepresentation(n, ends, ends)
+
+    def test_n_may_be_integer_like(self):
+        ends = np.zeros((1, 2), np.int64)
+        rep = BoxRepresentation(np.int64(2), ends, ends)
+        assert type(rep.n) is int and rep.n == 2
 
 
 class TestVerify:
@@ -573,6 +594,11 @@ class TestExtendUniversal:
         assert verify_representation(k3_minus, out).valid
         del k2
 
+    @pytest.mark.parametrize("n_total", [2.5, "3", -1])
+    def test_n_total_is_a_count(self, n_total):
+        with pytest.raises(InvalidInputRep, match="n_total must be"):
+            extend_universal(rep_from([(0, 0), (1, 1)]), [0, 1], n_total)
+
     def test_identity_when_members_cover(self):
         rep = rep_from([(0, 1), (3, 4)])
         out = extend_universal(rep, (0, 1), 2)
@@ -630,6 +656,11 @@ class TestMergeComponents:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             merge_components([], [])
+
+    def test_component_without_vertices_raises(self):
+        empty = BoxRepresentation(0, np.zeros((1, 0), np.int64), np.zeros((1, 0), np.int64))
+        with pytest.raises(InvalidInputRep, match="needs a vertex"):
+            merge_components([rep_from([(0, 0)]), empty], [(0,), ()])
 
     @given(st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1, max_size=4),
            st.integers(0, 1000))
@@ -871,6 +902,5 @@ def test_parsed_representations_pass_the_constructor(cert, data):
         except BoxrepError:
             continue
         checked = BoxRepresentation(rep.n, rep.lo, rep.hi)
-        assert checked.lo is rep.lo and checked.hi is rep.hi
-        assert rep.lo.dtype == rep.hi.dtype == np.int64
-        assert not rep.lo.flags.writeable and not rep.hi.flags.writeable
+        assert np.array_equal(checked.ends, rep.ends)
+        assert_one_array(rep)

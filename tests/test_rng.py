@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxrep.rng import SplitMix64
+from boxrep.rng import _BATCH_FROM, SplitMix64
 
 
 def list_sample(rng, population, k):
@@ -57,11 +57,16 @@ def test_below_rejects_nonpositive_n_after_a_cached_one():
             rng.below(n)
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 50),
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300),
        st.one_of(st.integers(1, 2**64 - 1), st.integers(2**63 + 1, 2**63 + 2**62)))
 @example(seed=0, count=50, n=2**63 + 1)
+@example(seed=0, count=300, n=2**63 + 1)
+@example(seed=3, count=300, n=2**64 - 1)
+@example(seed=1, count=_BATCH_FROM, n=5)
+@example(seed=1, count=_BATCH_FROM - 1, n=5)
 def test_below_many_is_successive_below_calls(seed, count, n):
-    # an n just above 2**63 rejects nearly half the raw draws
+    # an n just above 2**63 rejects nearly half the raw draws, so a long
+    # run of them leaves the arrays for the scalar loop
     batched, scalar = SplitMix64(seed), SplitMix64(seed)
     assert batched.below_many(n, count) == [scalar.below(n) for _ in range(count)]
     assert batched.next_u64() == scalar.next_u64()
@@ -71,3 +76,11 @@ def test_below_many_rejects_nonpositive_n():
     for n in (0, -3):
         with pytest.raises(ValueError):
             SplitMix64(0).below_many(n, 4)
+
+
+def test_below_rejects_n_past_two_to_the_64():
+    # one 64-bit draw has no multiple of such an n to accept below it
+    for n in (2**64 + 1, 2**65):
+        with pytest.raises(ValueError, match="at most"):
+            SplitMix64(0).below(n)
+    assert 0 <= SplitMix64(0).below(2**64) < 2**64
