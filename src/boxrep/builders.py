@@ -8,7 +8,6 @@ degenerate_rep records statistics of its cover in the metadata.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -16,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .coloring import Coloring
-from .errors import InvalidColoring, InvalidOrder, NotAForest, as_vertices
+from .errors import InvalidColoring, InvalidOrder, NotAForest, as_count, as_vertices
 from .graph import Graph, forest_walk
 from .intervals import BoxRepresentation, interval_order
 from .rng import SplitMix64
@@ -26,14 +25,14 @@ def _universal(n: int, **metadata) -> BoxRepresentation:
     """One dimension giving every vertex [0, 1]: a representation of K_n."""
     ends = np.zeros((2, 1, n), dtype=np.int64)
     ends[1] = 1
-    return BoxRepresentation._trusted(n, ends, metadata)
+    return BoxRepresentation._trusted(ends, metadata)
 
 
 def _points(n: int, **metadata) -> BoxRepresentation:
     """One dimension of n distinct points: a representation of the edgeless graph."""
     ends = np.empty((2, 1, n), dtype=np.int64)
     ends[:] = np.arange(n)
-    return BoxRepresentation._trusted(n, ends, metadata)
+    return BoxRepresentation._trusted(ends, metadata)
 
 
 def roberts_rep(g: Graph) -> BoxRepresentation:
@@ -76,8 +75,7 @@ def roberts_rep(g: Graph) -> BoxRepresentation:
         lo[a], hi[a], lo[b], hi[b] = 0, 2, 4, 6
         lo_rows.append(lo)
         hi_rows.append(hi)
-    return BoxRepresentation._trusted(
-        g.n, np.array((lo_rows, hi_rows), dtype=np.int64))
+    return BoxRepresentation._trusted(np.array((lo_rows, hi_rows), dtype=np.int64))
 
 
 def forest_rep(forest: Graph) -> BoxRepresentation:
@@ -96,7 +94,7 @@ def forest_rep(forest: Graph) -> BoxRepresentation:
         raise NotAForest("input graph contains a cycle")
     depth, entry, leave = ([m[v] for v in range(forest.n)] for m in walk)
     ends = np.array([depth, entry, [d + 1 for d in depth], leave], dtype=np.int64)
-    return BoxRepresentation._trusted(forest.n, ends.reshape(2, 2, forest.n))
+    return BoxRepresentation._trusted(ends.reshape(2, 2, forest.n))
 
 
 def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
@@ -122,15 +120,16 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
     if any(color[u] == color[v] for u, v in g.edges):
         raise InvalidColoring("coloring is not proper")
     classes = {}
-    for v, c in color.items():
-        classes.setdefault(c, []).append(v)
+    try:
+        for v, c in color.items():
+            classes.setdefault(c, []).append(v)
+        names = sorted(classes)
+    except TypeError as exc:
+        raise InvalidColoring(
+            "color names must be hashable and mutually comparable") from exc
     k = len(classes)
     if k <= 1:
         return _points(g.n, colors=k)
-    try:
-        names = sorted(classes)
-    except TypeError as exc:
-        raise InvalidColoring("color names must be mutually comparable") from exc
     label = [color[v] for v in range(g.n)]
     lo_rows, hi_rows = [], []
     for pair in combinations(names, 2):
@@ -148,7 +147,7 @@ def acyclic_rep(g: Graph, coloring: Coloring) -> BoxRepresentation:
         hi_rows += (hi_depth, hi_nest)
     assert len(lo_rows) == k * (k - 1)
     return BoxRepresentation._trusted(
-        g.n, np.array((lo_rows, hi_rows), dtype=np.int64), {"colors": k})
+        np.array((lo_rows, hi_rows), dtype=np.int64), {"colors": k})
 
 
 @dataclass(kw_only=True)
@@ -227,12 +226,7 @@ def degenerate_rep(g: Graph, order, k: int,
     order = as_vertices(order, g.n, "order", InvalidOrder)
     if len(order) != g.n or len(set(order)) != g.n:
         raise InvalidOrder("order must list every vertex exactly once")
-    try:
-        k = operator.index(k)
-    except TypeError as exc:
-        raise InvalidOrder(f"k must be an integer, got {k!r}") from exc
-    if k < 0:
-        raise InvalidOrder("k must be nonnegative")
+    k = as_count(k, "k", InvalidOrder)
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -248,9 +242,8 @@ def degenerate_rep(g: Graph, order, k: int,
     if g.m == 0:
         ends = np.empty((2, 1, g.n), dtype=np.int64)
         ends[:] = np.array(pos) + 1
-        return BoxRepresentation._trusted(g.n, ends,
-                                          {"rounds_used": 0, "round_dims": 1,
-                                           "fallback_dims": 0, "size_bound": 1})
+        return BoxRepresentation._trusted(ends, {"rounds_used": 0, "round_dims": 1,
+                                                 "fallback_dims": 0, "size_bound": 1})
     nbrs = [0] * g.n
     for i, later in enumerate(forward):  # each edge once
         for j in later:
@@ -342,7 +335,7 @@ def degenerate_rep(g: Graph, order, k: int,
         lo[rows, uv[:, 1]] = 2
     stats = {"rounds_used": rounds_used, "round_dims": len(hubs),
              "fallback_dims": len(pairs), "size_bound": size_bound}
-    return BoxRepresentation._trusted(g.n, ends, stats)
+    return BoxRepresentation._trusted(ends, stats)
 
 
 def trivial_rep(g: Graph) -> BoxRepresentation | None:
@@ -360,4 +353,4 @@ def trivial_rep(g: Graph) -> BoxRepresentation | None:
     for i, v in enumerate(order):
         pos[v] = i
     hi = [max([pos[v], *(pos[w] for w in g.neighbors(v))]) for v in range(g.n)]
-    return BoxRepresentation._trusted(g.n, np.array([[pos], [hi]], dtype=np.int64))
+    return BoxRepresentation._trusted(np.array([[pos], [hi]], dtype=np.int64))

@@ -68,7 +68,7 @@ def split_compose(rep_h: BoxRepresentation, rep_s: BoxRepresentation,
     ends = np.concatenate((_stretch(rep_h, s_sorted),
                            extend_universal(rep_s, members, g.n).ends), axis=1)
     assert ends.shape[1] == 2 * rep_h.d + rep_s.d
-    return BoxRepresentation._trusted(g.n, ends)
+    return BoxRepresentation._trusted(ends)
 
 
 def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentation:
@@ -93,4 +93,4 @@ def quotient_lift(rep_q: BoxRepresentation, q: QuotientResult) -> BoxRepresentat
     certify(q.quotient_graph, rep_q, "rep_q for the quotient graph",
             InvalidInputRep)
     ends = _stretch(rep_q, q.reps) if q.reps else rep_q.ends
-    return BoxRepresentation._trusted(len(q.cols), ends[:, :, q.cols])
+    return BoxRepresentation._trusted(ends[:, :, q.cols])

@@ -1,9 +1,9 @@
 """Undirected simple graphs and the structural operations behind the builders.
 
 Vertices are the integers 0..n-1 and edges are unordered pairs stored as
-sorted tuples. Everything here is pure: operations return new graphs or
-result records and never mutate their inputs, so all of it is safe to call
-concurrently.
+sorted tuples, in the frozenset `Graph` makes of any iterable of them.
+Everything here is pure: operations return new graphs or result records and
+never mutate their inputs, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ class Graph:
     def __post_init__(self):
         try:
             object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "edges", frozenset(self.edges))
             if self.n < 0:
                 raise InvalidParams("vertex count must be nonnegative")
             for u, v in self.edges:

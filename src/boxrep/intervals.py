@@ -3,16 +3,17 @@
 A box representation is an ordered list of interval assignments over the same
 vertex set; its meaning is the intersection of the corresponding interval
 graphs. Intervals are closed with integer endpoints, so touching intervals
-intersect. A representation stores its endpoints as one read-only int64
-array `ends` of shape (2, d, n): `ends[0]` holds the lower and `ends[1]` the
-upper endpoints, row j is dimension j+1 and column v is vertex v. `lo` and
-`hi` are its two row views. On a certificate of a few vertices a numpy
-call's fixed cost outweighs its work, so each step of a producer (a repeat,
-a gather, a scatter or a concatenate) is one call for both ends. Endpoints
-must lie in the int64 range, and every combinator below keeps them
-integral. Arrays that are valid by construction, such as rows of a valid
-representation, are wrapped by `BoxRepresentation._trusted` unchecked; the
-public constructor checks its arguments and copies them into one array.
+intersect. A representation is one read-only int64 array `ends` of shape
+(2, d, n) plus free-form metadata: `ends[0]` holds the lower and `ends[1]`
+the upper endpoints, row j is dimension j+1 and column v is vertex v, `lo`
+and `hi` are its two row views, and n and d are read from its shape. Two
+representations are equal only when they are one object. On a certificate
+of a few vertices a numpy call's fixed cost outweighs its work, so each step
+of a producer (a repeat, a gather, a scatter or a concatenate) is one call
+for both ends. Endpoints must lie in the int64 range, and every combinator
+below keeps them integral. Arrays valid by construction, such as rows of a
+valid representation, are wrapped by `BoxRepresentation._trusted`
+unchecked; the public constructor checks its arguments and copies them.
 
 The oracle and `prune_dims` only compare endpoints of one row with each
 other, so both read them narrowed by `_narrowed`: each row shifted to start
@@ -33,7 +34,7 @@ every text the table refuses and names its first bad line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -97,64 +98,64 @@ def _narrowed(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo.astype(dtype, copy=False), hi.astype(dtype, copy=False)
 
 
-@dataclass
 class BoxRepresentation:
     """`d` interval assignments over the vertices 0..n-1.
 
     `lo[j, v]` and `hi[j, v]` are the endpoints of vertex v's interval in
-    dimension j+1, with d >= 1 and lo <= hi. Both are row views of `ends`,
-    one read-only int64 array of shape (2, d, n), and are set once: they are
-    plain attributes, not properties. The constructor reads `n` through
-    `as_count` and copies `lo` and `hi`, integer arrays of one shape (d, n)
-    whose values fit in int64, into a new `ends`; anything else raises
-    InvalidInputRep. `_trusted` wraps an `ends` that is valid by
-    construction without these checks or the copy, so a derived
-    representation may share rows with the one it came from. `metadata` is
-    free-form, not written to the text format, and set only by
-    degenerate_rep (cover statistics) and acyclic_rep (colors).
+    dimension j+1, with d >= 1 and lo <= hi. The state is `ends`, one
+    read-only int64 array of shape (2, d, n), and `metadata`: `n` and `d`
+    are read from its shape, and `lo` and `hi` are its row views, plain
+    attributes set once. The constructor reads `n` through `as_count` and
+    copies `lo` and `hi`, integer arrays of one shape (d, n) within int64,
+    into a new `ends`; anything else raises InvalidInputRep. `_trusted`
+    wraps an `ends` valid by construction without the checks or the copy,
+    so a derived representation may share rows with its source. Equality
+    and hashing are by identity. `metadata` is not written to the text
+    format; only degenerate_rep (cover statistics) and acyclic_rep (colors)
+    set it.
     """
 
-    n: int
-    lo: np.ndarray
-    hi: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("ends", "lo", "hi", "metadata")
 
-    def __post_init__(self):
-        self.n = as_count(self.n, "n", InvalidInputRep)
-        lo = _endpoints(self.lo, "lower")
-        hi = _endpoints(self.hi, "upper")
+    def __init__(self, n: int, lo, hi, metadata: dict | None = None):
+        n = as_count(n, "n", InvalidInputRep)
+        lo, hi = _endpoints(lo, "lower"), _endpoints(hi, "upper")
         if lo.ndim != 2 or lo.shape != hi.shape:
             raise InvalidInputRep("lo and hi must be arrays of one shape (d, n)")
-        if lo.shape[1] != self.n:
+        if lo.shape[1] != n:
             raise InvalidInputRep("assignment must cover vertices 0..n-1")
         if lo.shape[0] == 0:
             raise InvalidInputRep("a representation needs at least one dimension")
         if np.count_nonzero(lo > hi):
             j, v = np.argwhere(lo > hi)[0]
             raise InvalidInputRep(f"empty interval at vertex {v} in dimension {j + 1}")
-        self._set_ends(np.array((lo, hi), dtype=np.int64))
+        self._set(np.array((lo, hi), dtype=np.int64), metadata)
 
-    def _set_ends(self, ends: np.ndarray) -> None:
+    def _set(self, ends: np.ndarray, metadata: dict | None) -> None:
         ends.setflags(write=False)  # before the views, which inherit it
         self.ends, self.lo, self.hi = ends, ends[0], ends[1]
+        self.metadata = {} if metadata is None else metadata
 
     @classmethod
-    def _trusted(cls, n: int, ends: np.ndarray,
+    def _trusted(cls, ends: np.ndarray,
                  metadata: dict | None = None) -> "BoxRepresentation":
-        """A representation over n vertices from an int64 (2, d, n) array
-        that is valid by construction, such as rows of a valid one, built
-        without re-checking or copying it; `ends` is marked read-only like
-        the constructor's."""
+        """A representation of an int64 (2, d, n) array valid by construction,
+        such as rows of a valid one, neither checked nor copied but frozen."""
         rep = object.__new__(cls)
-        rep.n = n
-        rep.metadata = {} if metadata is None else metadata
-        rep._set_ends(ends)
+        rep._set(ends, metadata)
         return rep
 
     @property
+    def n(self) -> int:
+        return self.ends.shape[2]
+
+    @property
     def d(self) -> int:
-        return self.lo.shape[0]
+        return self.ends.shape[1]
+
+    def __repr__(self) -> str:
+        return (f"BoxRepresentation(n={self.n}, lo={self.lo.tolist()}, "
+                f"hi={self.hi.tolist()}, metadata={self.metadata!r})")
 
 
 @dataclass
@@ -328,7 +329,7 @@ def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
     if d == 1:
         return rep
     if n < 2:  # no pair to separate
-        return BoxRepresentation._trusted(n, rep.ends[:, :1])
+        return BoxRepresentation._trusted(rep.ends[:, :1])
     need = _prune_bytes(d, n)
     if need > PRUNE_MEMORY_LIMIT:
         raise SizeLimitExceeded(
@@ -363,7 +364,7 @@ def prune_dims(rep: BoxRepresentation) -> BoxRepresentation:
     if len(keep) == d:
         return rep
     keep.reverse()
-    return BoxRepresentation._trusted(n, rep.ends[:, keep])
+    return BoxRepresentation._trusted(rep.ends[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ def extend_universal(rep: BoxRepresentation, members: Iterable[int],
     ends[0] = rep.lo.min(axis=1, keepdims=True)
     ends[1] = rep.hi.max(axis=1, keepdims=True)
     ends[:, :, members] = rep.ends
-    return BoxRepresentation._trusted(n_total, ends)
+    return BoxRepresentation._trusted(ends)
 
 
 def merge_components(reps: list[BoxRepresentation],
@@ -503,7 +504,7 @@ def merge_components(reps: list[BoxRepresentation],
                                [rep.n for rep in reps])
     ends = np.empty_like(stacked)
     ends[:, :, [v for mp in maps for v in mp]] = stacked
-    return BoxRepresentation._trusted(n_total, ends)
+    return BoxRepresentation._trusted(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +556,7 @@ def parse_representation(text: str) -> BoxRepresentation:
     ends = _interval_table(lines, n, d) if text.isascii() else None
     if ends is None:
         return _parse_lines(lines, n, d)
-    return BoxRepresentation._trusted(n, ends)
+    return BoxRepresentation._trusted(ends)
 
 
 def _interval_table(lines: list[str], n: int, d: int) -> np.ndarray | None:
@@ -610,4 +611,4 @@ def _parse_lines(lines: list[str], n: int, d: int) -> BoxRepresentation:
     if lo and (min(lo) < _INT64.min or max(hi) > _INT64.max):
         raise FormatError("interval endpoint outside the int64 range")
     return BoxRepresentation._trusted(
-        n, np.array((lo, hi), dtype=np.int64).reshape(2, d, n))
+        np.array((lo, hi), dtype=np.int64).reshape(2, d, n))

@@ -253,7 +253,7 @@ def surface_pipeline(g: Graph, genus: int, a: Iterable[int],
     trace.record("g1_dims", r_g1.d)
 
     stacked = BoxRepresentation._trusted(
-        g.n, np.concatenate((r_g1.ends, r_g2.ends), axis=1))
+        np.concatenate((r_g1.ends, r_g2.ends), axis=1))
     result = certify(g, prune_dims(stacked),
                      "the pruned stack of the G1 and G2 representations",
                      StructuralCheckFailed)
@@ -398,8 +398,8 @@ def format_bound_table(rows: list[tuple[str, str, object]],
         for name, formula, value in rows:
             out.append(f"{name},\"{formula}\",{render(value)}")
         return "\n".join(out) + "\n"
-    name_w = max(len(r[0]) for r in rows)
-    formula_w = max(len(r[1]) for r in rows)
+    name_w = max((len(r[0]) for r in rows), default=0)
+    formula_w = max((len(r[1]) for r in rows), default=0)
     out = []
     for name, formula, value in rows:
         out.append(f"{name:<{name_w}}  {formula:<{formula_w}}  {render(value)}")

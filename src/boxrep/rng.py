@@ -18,6 +18,9 @@ ALGORITHM = "splitmix64"
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# the two multipliers of the splitmix64 finalizer
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # draws from which one below_many run costs less as arrays than as a loop
 _BATCH_FROM = 24
@@ -30,8 +33,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
@@ -60,13 +63,13 @@ class SplitMix64:
             drawn = self._batch(n, count, limit)
             if drawn is not None:
                 return drawn
-        state, gamma, mask = self._state, _GAMMA, _MASK64
+        state, gamma, mask, mix1, mix2 = self._state, _GAMMA, _MASK64, _MIX1, _MIX2
         out = []
         for _ in range(count):
             while True:
                 state = (state + gamma) & mask
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z = ((state ^ (state >> 30)) * mix1) & mask
+                z = ((z ^ (z >> 27)) * mix2) & mask
                 z ^= z >> 31
                 if z < limit:
                     break
@@ -81,9 +84,9 @@ class SplitMix64:
         z *= _GAMMA
         z += self._state
         z ^= z >> 30
-        z *= 0xBF58476D1CE4E5B9
+        z *= _MIX1
         z ^= z >> 27
-        z *= 0x94D049BB133111EB
+        z *= _MIX2
         z ^= z >> 31
         if limit <= _MASK64 and np.count_nonzero(z >= limit):
             return None

@@ -101,8 +101,10 @@ def rep_from(*dims):
 
 def assert_one_array(rep):
     """`rep` keeps its endpoints in one read-only int64 array `ends` of
-    shape (2, d, n), with `lo` and `hi` as its two row views."""
+    shape (2, d, n), with `lo` and `hi` as its two row views, and reads
+    `n` and `d` from its shape."""
     ends = rep.ends
+    assert rep.n == ends.shape[2] and rep.d == ends.shape[1]
     assert ends.dtype == np.int64 and ends.shape == (2, rep.d, rep.n)
     assert not ends.flags.writeable
     assert rep.lo.__array_interface__ == ends[0].__array_interface__

@@ -264,7 +264,8 @@ class TestAcyclicRep:
         ({0: 0, 1: 1, 2: 0, 5: 1}, "names a vertex outside the graph"),
         ({0: 0, 1: 1}, "must assign every vertex"),
         ({0: 0, 1: "a", 2: 0}, "mutually comparable"),
-    ], ids=["outside", "missing", "incomparable"])
+        ({0: [0], 1: [1], 2: [0]}, "hashable and mutually comparable"),
+    ], ids=["outside", "missing", "incomparable", "unhashable"])
     def test_names_each_coloring_fault(self, color, message):
         with pytest.raises(InvalidColoring, match=message):
             acyclic_rep(path_graph(3), Coloring(color, 2))
@@ -358,8 +359,12 @@ class TestDegenerate:
 
     @pytest.mark.parametrize("k", [2.5, "3", None, 3.0])
     def test_rejects_non_integer_k(self, c4, k):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidOrder, match=f"^k must be an integer, got {k!r}$"):
             degenerate_rep(c4, [0, 1, 2, 3], k)
+
+    def test_rejects_negative_k(self, c4):
+        with pytest.raises(InvalidOrder, match="^k must be nonnegative$"):
+            degenerate_rep(c4, [0, 1, 2, 3], -1)
 
     @given(st.integers(1, 10), st.integers(0, 20))
     def test_kill_probability_meets_reference_rate(self, k, extra):

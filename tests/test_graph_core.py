@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boxrep import graph
+from boxrep.builders import trivial_rep
 from boxrep.errors import FormatError, InvalidParams, SizeLimitExceeded
 from boxrep.graph import (
     Graph,
@@ -21,6 +22,7 @@ from boxrep.graph import (
     write_graph,
 )
 from boxrep.intervals import BoxRepresentation, verify_representation
+from boxrep.pipelines import edge_pipeline
 
 from conftest import (
     all_graphs,
@@ -82,6 +84,28 @@ class TestGraph:
     def test_constructor_rejects_malformed_input(self, n, edges):
         with pytest.raises(InvalidParams):
             Graph(n, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (0, 1)],
+        {(0, 1), (1, 2)},
+        ((u, u + 1) for u in range(2)),
+    ], ids=["list with a duplicate", "set", "generator"])
+    def test_constructor_stores_a_frozenset(self, edges):
+        g = Graph(3, edges)
+        assert type(g.edges) is frozenset and g.edges == {(0, 1), (1, 2)}
+        assert g.m == 2 and hash(g) == hash(path_graph(3))
+        assert g == path_graph(3)
+
+    def test_a_repeated_edge_is_one_edge_downstream(self):
+        g = Graph(2, [(0, 1), (0, 1)])
+        assert g.m == 1
+        assert verify_representation(g, trivial_rep(g)).valid
+        assert verify_representation(g, edge_pipeline(g)[0]).valid
+        assert parse_graph(write_graph(g)) == g
+
+    def test_constructor_keeps_a_frozenset(self):
+        edges = frozenset({(0, 1)})
+        assert Graph(2, edges).edges is edges
 
     # a float id once got past the constructor: components then raised a
     # bare TypeError and the oracle truncated 1.5 to 1, reporting edge (0, 1)

@@ -153,6 +153,25 @@ class TestRepresentationModel:
         rep = BoxRepresentation(np.int64(2), ends, ends)
         assert type(rep.n) is int and rep.n == 2
 
+    def test_n_and_d_come_from_the_array(self):
+        rep = parse_representation("boxrep 0 2\ndim 1\ndim 2\n")
+        assert (rep.n, rep.d) == (0, 2)
+        assert_one_array(rep)
+        with pytest.raises(AttributeError):
+            rep.n = 3
+
+    def test_equality_and_hash_are_identity(self, c4):
+        rep, other = roberts_rep(c4), roberts_rep(c4)
+        assert np.array_equal(rep.ends, other.ends)
+        assert rep == rep and rep != other and not rep == other
+        assert hash(rep) == hash(rep) and len({rep, other}) == 2
+        assert rep in [rep] and rep not in [other]
+
+    def test_repr_lists_the_endpoints(self):
+        rep = rep_from([(0, 1), (2, 3)])
+        assert repr(rep) == ("BoxRepresentation(n=2, lo=[[0, 2]], hi=[[1, 3]], "
+                             "metadata={})")
+
 
 class TestVerify:
     def test_k2_shared_interval_valid(self):
@@ -498,7 +517,7 @@ class TestPrune:
         # checks are skipped, but the arrays are still frozen
         rows = [[(v, v) for v in range(n)], [(0, 9)] * n, [(v, v + 1) for v in range(n)]]
         rep = rep_from(*rows)
-        monkeypatch.setattr(BoxRepresentation, "__post_init__",
+        monkeypatch.setattr(BoxRepresentation, "__init__",
                             mock.Mock(side_effect=AssertionError("re-checked")))
         out = prune_dims(rep)
         assert out.d == 1 and out.lo.tolist() == rep.lo[:1].tolist()

@@ -355,8 +355,9 @@ class TestSurfaceInputChecks:
         (set(), {0: 0, 1: 1, 2: 0, 3: 1}, InvalidColoring, "induce a cycle"),
         ({0}, {1: 0, 2: 1, 3: 0, 9: 0}, InvalidColoring, "outside the graph"),
         ({0}, {1: 0, 2: "a", 3: 0}, InvalidColoring, "mutually comparable"),
+        ({0}, {1: [0], 2: [1], 3: [0]}, InvalidColoring, "mutually comparable"),
     ], ids=["a_outside", "missing_color", "cyclic", "coloring_outside",
-            "incomparable_names"])
+            "incomparable_names", "unhashable_names"])
     def test_single_fault(self, c4, a, coloring, error, message):
         with pytest.raises(error, match=message):
             surface_pipeline(c4, 0, a, Coloring(coloring, 2))
@@ -640,3 +641,8 @@ class TestBoundReport:
         assert len(text.splitlines()) == len(rows)
         csv = format_bound_table(rows, csv=True)
         assert csv.splitlines()[0] == "name,formula,value"
+
+    def test_render_an_empty_table(self):
+        # no row to size the columns from
+        assert format_bound_table([]) == "\n"
+        assert format_bound_table([], csv=True) == "name,formula,value\n"
