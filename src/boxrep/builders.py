@@ -17,7 +17,7 @@ import numpy as np
 from .coloring import Coloring
 from .errors import InvalidColoring, InvalidOrder, NotAForest, as_count, as_vertices
 from .graph import Graph, forest_walk
-from .intervals import BoxRepresentation, interval_order
+from .intervals import BoxRepresentation, _order_rows, interval_order
 from .rng import SplitMix64
 
 
@@ -341,16 +341,14 @@ def degenerate_rep(g: Graph, order, k: int,
 def trivial_rep(g: Graph) -> BoxRepresentation | None:
     """One-dimensional representation when the graph is already interval.
 
-    Along an umbrella-free order v0 ... v(n-1) from `interval_order`, vi gets
-    [i, max(i, position of its last neighbour)]; returns None for
-    non-interval inputs. For i < j, vi and vj meet iff vi has a neighbour at
-    a position >= j, and umbrella-freeness makes that vi vj itself.
+    The order row (`_order_rows`) of an umbrella-free order v0 ... v(n-1)
+    from `interval_order`, or None for non-interval inputs. For i < j, vi
+    and vj meet iff vi has a neighbour at a position >= j, and
+    umbrella-freeness makes that vi vj itself.
     """
     order = interval_order(g)
     if order is None:
         return None
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    hi = [max([pos[v], *(pos[w] for w in g.neighbors(v))]) for v in range(g.n)]
-    return BoxRepresentation._trusted(np.array([[pos], [hi]], dtype=np.int64))
+    rank = np.empty((1, g.n), dtype=np.int64)
+    rank[0, order] = np.arange(g.n)
+    return BoxRepresentation._trusted(_order_rows(g, rank))

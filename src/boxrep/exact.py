@@ -107,7 +107,8 @@ def _maximal(masks) -> list[int]:
 def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
     """Sets F of non-edges, as bitmasks over `nonedges`, such that the
     complete graph minus F is interval; see `exact_boxicity`. Each is the
-    non-edge set of some H(G, v), and every maximal such F is among them.
+    non-edge set of some order row H(G, v) (`intervals._order_rows`), and
+    every maximal such F is among them.
     The last state is not filtered down to the maximal sets: a cover can
     swap a set for an offered superset, so the minimum is unchanged. They
     come largest first, then ascending, the order in which `_min_cover`
@@ -177,16 +178,10 @@ def exact_boxicity(g: Graph) -> int:
 
     Those maximal sets come from vertex orderings. For an ordering
     v1 ... vn, let H(G, v) be G plus every pair vi vj (i < j) such that vi
-    has a G-neighbour at a position >= j.
-
-    - H is interval: if i < j < k and vi vk is in H, then vi has a
-      G-neighbour at a position >= k >= j (vk itself when vi vk is in G),
-      so vi vj is in H too. The ordering is umbrella-free for H, and a
-      graph with an umbrella-free ordering is interval (Olariu, IPL 1991).
-    - Every interval supergraph I of G contains H(G, v), where v orders the
-      vertices by the left ends of I's intervals: if i < j and vi has a
-      G-neighbour vk with k >= j, then l(vi) <= l(vj) <= l(vk) <= r(vi),
-      since vi vk is an edge of I, so vi and vj meet in I.
+    has a G-neighbour at a position >= j: the graph of the order row that
+    `intervals._order_rows` builds. Its docstring proves that H(G, v) is
+    interval and that every interval supergraph I of G contains H(G, v),
+    where v orders the vertices by the left ends of I's intervals.
 
     So every set F with K - F interval lies inside the non-edge set of some
     H(G, v), and each of those non-edge sets is such an F: the maximal sets
@@ -198,7 +193,7 @@ def exact_boxicity(g: Graph) -> int:
     before the ordering program and the set cover run.
 
     - Boxicity 1 exactly when the graph is interval, that is when it has
-      an umbrella-free order (Olariu, IPL 1991, as above), which
+      an umbrella-free order (Olariu, IPL 1991), which
       `interval_order` finds or rules out.
     - Boxicity at most n // 2 (Roberts, 1969). `roberts_rep` pairs each
       vertex with an unused non-neighbour until the unused vertices form a

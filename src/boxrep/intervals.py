@@ -23,9 +23,15 @@ every row, a chunk of rows at a time, and reads every edge from it with one
 gather through `Graph.edge_index`; the witnesses cost extra work only when
 the representation fails. `prune_dims` drops, last row first, every row
 whose separated pairs other rows separate; its docstring proves that the
-oracle's report does not change. Interval graphs on at most
-RECOGNITION_LIMIT vertices are recognised by a search for an umbrella-free
-vertex order.
+oracle's report does not change. `_order_rows` builds the order row
+H(G, σ) of a vertex order σ, and `saturate` replaces each row of a
+representation valid for G by the order row of its own left-end order,
+which separates every pair the row separated. The edge pipeline ends with
+saturate, prune and `certify`: its rows are valid by construction, as
+saturation needs and cannot check, the prune then finds more rows whose
+pairs others separate, and the oracle gates the result. Interval graphs on
+at most RECOGNITION_LIMIT vertices are recognised by a search for an
+umbrella-free vertex order.
 
 The text format is written with one `%` template per dimension. It is read
 back as one integer table, with a line scan as the fallback that decides
@@ -232,6 +238,61 @@ def certify(g: Graph, rep: BoxRepresentation, what: str,
     raise error(
         f"{what} fails the oracle (missing_edge={report.missing_edge}, "
         f"uncovered_nonedge={report.uncovered_nonedge})")
+
+
+# ---------------------------------------------------------------------------
+# order rows
+
+
+def _order_rows(g: Graph, rank: np.ndarray) -> np.ndarray:
+    """The (2, d, n) ends of the order rows H(G, σ), one for each row σ of
+    the (d, n) array `rank`, a vertex order given as each vertex's position.
+
+    Row σ gives vertex v the interval [σ(v), max σ over N[v]], N[v] being v
+    and its neighbours: each edge uv raises u's right end to σ(v) and v's to
+    σ(u), two `maximum.at` calls over `g.edge_index` a row, so the
+    temporaries hold one row's m gathered ends. Write v1 ... vn for the
+    vertices in σ's order and H(G, σ) for the graph the row represents.
+
+    - H(G, σ) is interval, being a row's graph, and contains G: for i < j,
+      vi and vj meet iff vi has a G-neighbour at a position >= j, which for
+      an edge vi vj is vj itself.
+    - Every interval supergraph I of G contains H(G, σ) when σ orders the
+      vertices by the left ends of I's intervals, ties broken in any way:
+      if i < j and vi has a G-neighbour vk with k >= j, then
+      l(vi) <= l(vj) <= l(vk) <= r(vi), since vi vk is an edge of I, so vi
+      and vj meet in I.
+
+    So for a row in which every edge of G meets, the order row of its
+    left-end order separates every pair the row separates, which `saturate`
+    uses, and every set F of non-edges with K - F interval lies inside the
+    non-edge set of some H(G, σ), which `exact.exact_boxicity` uses.
+    """
+    u, v = np.divmod(g.edge_index, max(rank.shape[1], 1))
+    ends = np.empty((2, *rank.shape), dtype=np.int64)
+    ends[0] = ends[1] = rank
+    for row, hi in zip(rank, ends[1]):
+        np.maximum.at(hi, u, row[v])
+        np.maximum.at(hi, v, row[u])
+    return ends
+
+
+def saturate(g: Graph, rep: BoxRepresentation) -> BoxRepresentation:
+    """`rep` with each row replaced by the order row H(G, σ) of its left-end
+    order σ (`_order_rows`), or `rep` itself when it has one row; the
+    metadata is kept.
+
+    σ sorts the vertices by left end, ties by right end and then by vertex
+    id, as the stable `lexsort` leaves them. The result is sound only for a
+    `rep` valid for `g`: that each new row separates a superset of its
+    source row's pairs needs every edge to meet in the source row. Every
+    order row holds every edge, so this step would hide a lost edge;
+    callers pass representations valid by construction.
+    """
+    if rep.d == 1:
+        return rep
+    rank = np.lexsort((rep.hi, rep.lo)).argsort(axis=1)
+    return BoxRepresentation._trusted(_order_rows(g, rank), rep.metadata)
 
 
 # ---------------------------------------------------------------------------

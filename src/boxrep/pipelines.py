@@ -41,6 +41,7 @@ from .intervals import (
     extend_universal,
     merge_components,
     prune_dims,
+    saturate,
 )
 from .rng import SplitMix64
 
@@ -102,9 +103,12 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
     `k_bound` of the trace. h gets the degenerate cover along its own
     degeneracy order, whose k (at most k_bound) is the trace's `k`; the
     survivors get the pairing construction, and split_compose recombines.
-    Components merge at the end; the merged representation, whose d the
-    trace keeps as `dims_unpruned`, is pruned by `prune_dims`, and the
-    result is certified once; a rejected result raises StructuralCheckFailed.
+    Components merge at the end. The merged representation, whose d the
+    trace keeps as `dims_unpruned`, is valid by construction, which
+    `saturate` needs: it replaces each row by the order row of its left-end
+    order, which separates a superset of the row's pairs, so `prune_dims`
+    then drops more rows. The result, whose d is `final_dims`, is certified
+    once; a rejected result raises StructuralCheckFailed.
     """
     if g.n < 2:
         raise InvalidParams("edge_pipeline needs n >= 2")
@@ -154,8 +158,8 @@ def edge_pipeline(g: Graph, mode: str = "paper", seed: int = 0):
         reps.append(rep)
         maps.append(mapping)
     merged = merge_components(reps, maps) if len(reps) > 1 else reps[0]
-    result = certify(g, prune_dims(merged), "the pruned edge-pipeline output",
-                     StructuralCheckFailed)
+    result = certify(g, prune_dims(saturate(g, merged)),
+                     "the pruned edge-pipeline output", StructuralCheckFailed)
     trace.record("mode", mode)
     trace.record("dims_unpruned", merged.d)
     trace.record("final_dims", result.d)

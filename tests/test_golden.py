@@ -18,9 +18,9 @@ GOLDEN = {
     "gen_kdegen60":
         "a5f28d952aed85467c7ce72e8714f7293a8b0b7ab68862f021865cd34f04284a",
     "build_edge_paper":
-        "fc7367d62b470e4e44608213d367c016550b76f595e6dcffc575208113468a03",
+        "1bf7e974ae28735d1b8c5e8da796345d92d6b1d45b2c30ed5f14d85835e4b7e1",
     "build_edge_reference":
-        "fc7367d62b470e4e44608213d367c016550b76f595e6dcffc575208113468a03",
+        "1bf7e974ae28735d1b8c5e8da796345d92d6b1d45b2c30ed5f14d85835e4b7e1",
     "gen_kdegen14":
         "41bcdaa7dce179cd2af3c845f88b884c0d50cb38c52980d95b307b1af985a28a",
     "build_surface":

@@ -132,6 +132,22 @@ class TestEdgePipeline:
         with pytest.raises(InvalidParams):
             edge_pipeline(c4, mode="fast")
 
+    @given(graphs_strategy(8), st.integers(0, 50))
+    @settings(max_examples=40)
+    def test_rows_handed_to_saturate_pass_the_oracle(self, g, seed):
+        # every order row holds every edge, so a construction that lost one
+        # would be repaired by saturate and still pass the final gate
+        if g.n < 2:
+            return
+        handed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipelines, "saturate",
+                       lambda g, rep: handed.append(rep) or intervals.saturate(g, rep))
+            rep, trace = edge_pipeline(g, seed=seed)
+        assert len(handed) == 1 and handed[0].d == trace.get("dims_unpruned")
+        assert verify_representation(g, handed[0]).valid
+        assert verify_representation(g, rep).valid
+
     def test_rejected_output_raises_structural_check_failed(self, c4, monkeypatch):
         # a pruned result that represents K4 leaves C4's non-edges uncovered
         monkeypatch.setattr(pipelines, "prune_dims", lambda rep: _universal(rep.n))
