@@ -1,21 +1,24 @@
 """Ground truth: exact boxicity and exact poset dimension.
 
-Boxicity is settled by two proven bounds where they meet, and otherwise by
-a dynamic program over vertex orderings followed by an exact set cover,
-which tries cover sizes 1, 2, ... in turn. A graph has boxicity 1 exactly
-when it has an umbrella-free vertex order (Olariu, IPL 1991), which
-`interval_order` searches for; any graph on n vertices has boxicity at most
-n // 2 (Roberts, 1969), by the pairing `roberts_rep` builds. So a graph on
-at most 5 vertices is settled whole: boxicity 1 if it is interval, and 2
-otherwise. A larger graph is solved per component, where the same two
-bounds settle each component of at most 5 vertices. Its one size limit,
-RECOGNITION_LIMIT vertices per component, applies before either bound
-there; every component within it answers. At each set of placed vertices
-the program keeps only the non-edge masks inside no other. `_maximal` takes
-the masks largest first and tests each against the kept ones alone, which
-is exact since a mask inside a dropped one is inside the kept one that
-dropped it; a mask lies inside a kept one iff the kept masks holding each
-of its bits, one index entry per bit, have a member in common.
+Boxicity is settled by three proven bounds where they meet, and otherwise
+by a dynamic program over vertex orderings followed by an exact set cover,
+which tries cover sizes upwards from the lower bound. A graph has boxicity
+1 exactly when it has an umbrella-free vertex order (Olariu, IPL 1991),
+which `interval_order` searches for. Any graph on n vertices has boxicity
+at most n // 2, by the pairing `roberts_rep` builds, and one with an
+induced co-matching copm(k), which `_comatching` finds, has boxicity at
+least k (both Roberts, 1969). So a graph on at most 5 vertices is settled
+whole: boxicity 1 if it is interval, and 2 otherwise. A larger graph is
+solved per component. The first two bounds settle each component of at
+most 5 vertices, and a larger one with a co-matching of n // 2 pairs
+answers n // 2 with no program. The one size limit, RECOGNITION_LIMIT
+vertices per component, applies before any bound there; every component
+within it answers. At each set of placed vertices the program keeps only
+the non-edge masks inside no other. `_maximal` takes the masks largest
+first and tests each against the kept ones alone, which is exact since a
+mask inside a dropped one is inside the kept one that dropped it; a mask
+lies inside a kept one iff the kept masks holding each of its bits, one
+index entry per bit, have a member in common.
 
 Poset dimension first keeps one element of each twin class (elements with
 the same strict down-set and up-set), which changes the answer only by
@@ -45,9 +48,11 @@ from .poset import FinitePoset
 POSET_GROUND_LIMIT = 10
 
 
-def _min_cover(universe: int, sets: list[int]) -> int:
-    """Exact minimum set cover over bitmask sets, by iterative deepening: the
-    smallest k such that k of `sets` cover `universe`."""
+def _min_cover(universe: int, sets: list[int], least: int) -> int:
+    """Exact minimum set cover over bitmask sets, by iterative deepening from
+    `least`: the smallest k >= least such that k of `sets` cover `universe`.
+    The caller passes a proven lower bound on the cover size, so that is the
+    smallest k of all."""
     union = 0
     for s in sets:
         union |= s
@@ -65,7 +70,7 @@ def _min_cover(universe: int, sets: list[int]) -> int:
         return any(covers(rest, k - 1) for s in sets
                    if s & low and (rest := left & ~s).bit_count() <= room)
 
-    k = 1
+    k = least
     while not covers(universe, k):
         k += 1
     del covers  # break the closure's reference cycle
@@ -146,17 +151,54 @@ def _maximal_keepable(comp: Graph, nonedges: list) -> list[int]:
     return sorted(states[full], key=lambda m: (-m.bit_count(), m))
 
 
+def _comatching(comp: Graph, nonedges: list) -> list[tuple[int, int]]:
+    """The pairs of a largest induced co-matching in `comp`: non-edges
+    a1b1 ... akbk whose 2k endpoints induce copm(k), K_2k minus a perfect
+    matching. They prove boxicity >= k.
+
+    Two non-edges ab and cd are compatible when ac, ad, bc and bd are all
+    edges, that is when c and d are both common neighbours of a and b; such
+    non-edges are disjoint, since no vertex is its own neighbour. Pairwise
+    compatible non-edges are exactly the pairs of an induced co-matching,
+    so the answer is a maximum clique of the compatibility graph on
+    `nonedges`, which `_max_clique` finds; it has at most C(12, 2) = 66
+    nodes within RECOGNITION_LIMIT.
+
+    One interval row separates at most one of the pairs. Say an interval
+    supergraph I of `comp` separated a1b1 and a2b2, named so that each a's
+    interval lies left of its b's: r(a1) < l(b1) and r(a2) < l(b2). The
+    edges a1b2 and a2b1 are in I, so those intervals meet: l(b2) <= r(a1)
+    and l(b1) <= r(a2). Then l(b2) <= r(a1) < l(b1) <= r(a2) < l(b2), which
+    is impossible. Every pair is separated by some row of a box
+    representation, so it has at least k rows (Roberts, 1969, shows
+    box(copm(k)) = k).
+    """
+    nbrs = comp.neighbor_masks()
+    ends = [(1 << u) | (1 << v) for u, v in nonedges]
+    compatible = []
+    for a, b in nonedges:
+        common = nbrs[a] & nbrs[b]
+        compatible.append(sum(1 << j for j, e in enumerate(ends) if e & common == e))
+    return [nonedges[i] for i in _max_clique(compatible)]
+
+
 def _component_boxicity(comp: Graph) -> int:
     # the ordering program has 2^n states, and the vertex limit bounds them
     if comp.n > RECOGNITION_LIMIT:
         raise SizeLimitExceeded(
             f"component has {comp.n} vertices, limit {RECOGNITION_LIMIT}")
-    if interval_order(comp) is not None:
-        return 1
-    if comp.n // 2 <= 2:  # not interval, so 2 <= boxicity <= n // 2
-        return 2
+    if comp.n // 2 <= 2:  # 1 <= boxicity <= n // 2 <= 2
+        return 1 if interval_order(comp) is not None else 2
     nonedges = list(comp.nonedges())
-    return _min_cover((1 << len(nonedges)) - 1, _maximal_keepable(comp, nonedges))
+    least = len(_comatching(comp, nonedges))
+    if least < 2:  # with 2 pairs comp has an induced C4, so is not interval
+        if interval_order(comp) is not None:
+            return 1
+        least = 2
+    if comp.n // 2 <= least:  # least <= boxicity <= n // 2
+        return least
+    return _min_cover((1 << len(nonedges)) - 1, _maximal_keepable(comp, nonedges),
+                      least)
 
 
 def exact_boxicity(g: Graph) -> int:
@@ -189,7 +231,7 @@ def exact_boxicity(g: Graph) -> int:
     `_maximal_keepable` offers, with some smaller ones, without listing the
     orderings.
 
-    Two bounds settle small graphs, and most components of larger ones,
+    Three bounds settle small graphs, and many components of larger ones,
     before the ordering program and the set cover run.
 
     - Boxicity 1 exactly when the graph is interval, that is when it has
@@ -201,15 +243,21 @@ def exact_boxicity(g: Graph) -> int:
       each pair (a, b) one interval supergraph of G in which a and b miss
       all their non-neighbours. The pairs are disjoint, so there are at
       most n // 2 of them.
+    - Boxicity at least k when the graph has an induced co-matching of k
+      pairs, which `_comatching` finds; its docstring proves the bound.
 
-    Both hold for any graph, connected or not. So a graph on at most 5
+    All three hold for any graph, connected or not. So a graph on at most 5
     vertices has boxicity 1 if it is interval and 2 otherwise, and is
     answered whole, with no split into components; this agrees with the
     maximum over its components, since a disjoint union is interval iff
     every component is, and each component has at most 5 vertices. A graph
     on 6 or more vertices is split into components, which checks the
-    vertex limit on each, and the two bounds settle each component of at
-    most 5 vertices in the same way.
+    vertex limit on each, and the first two bounds settle each component of
+    at most 5 vertices in the same way. A larger component takes the
+    co-matching bound L first. With L >= 2 it has an induced C4 = copm(2),
+    so it is not interval; with L < 2 the interval test runs, and a
+    non-interval component takes L = 2. When L reaches n // 2 it is the
+    answer; otherwise the set cover tries sizes from L upwards.
     """
     if g.n // 2 <= 2:  # 1 <= boxicity <= max(1, n // 2) <= 2
         return 1 if interval_order(g) is not None else 2

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from boxrep import exact
 from boxrep.builders import degenerate_rep, roberts_rep
 from boxrep.errors import SizeLimitExceeded
-from boxrep.exact import (POSET_GROUND_LIMIT, _conflict_masks, _critical_pairs,
-                          _maximal_keepable, _min_cover, _order_masks,
-                          exact_boxicity, exact_poset_dimension)
+from boxrep.exact import (POSET_GROUND_LIMIT, _comatching, _conflict_masks,
+                          _critical_pairs, _maximal_keepable, _min_cover,
+                          _order_masks, exact_boxicity, exact_poset_dimension)
 from boxrep.graph import Graph, _max_clique, components, degeneracy_order, generate
 from boxrep.intervals import RECOGNITION_LIMIT, interval_order
+from boxrep.pipelines import edge_pipeline
 from boxrep.poset import FinitePoset, adjacency_poset
 from boxrep.rng import SplitMix64
 
@@ -53,7 +54,7 @@ def dp_boxicity(g):
         nonedges = list(comp.nonedges())
         if nonedges:
             best = max(best, _min_cover((1 << len(nonedges)) - 1,
-                                        _maximal_keepable(comp, nonedges)))
+                                        _maximal_keepable(comp, nonedges), 1))
     return best
 
 
@@ -74,8 +75,9 @@ def counting_maximal_keepable(monkeypatch):
 @st.composite
 def near_complete_graphs(draw, max_n=7):
     """K_n for 6 <= n <= max_n minus a random matching and up to two more
-    pairs. K6 minus a perfect matching is copm(3), of boxicity 3, so about
-    one draw in seven has boxicity 3, where the bounds settle nothing."""
+    pairs. K6 minus a perfect matching is copm(3), of boxicity 3, which the
+    co-matching bound settles; a smaller matching leaves the program a
+    lower bound of 2 to start from."""
     n = draw(st.integers(6, max_n))
     pairs = list(combinations(range(n), 2))
     perm = draw(st.permutations(range(n)))
@@ -139,9 +141,17 @@ class TestBoundShortcuts:
         assert calls == [6]
 
     def test_dp_runs_when_no_bound_settles(self, monkeypatch):
+        # C6 has no induced C4, so no co-matching of 2 pairs; it is not
+        # interval, and 2 < 6 // 2, so only the program can answer
         calls = counting_maximal_keepable(monkeypatch)
-        assert exact_boxicity(generate("copm", k=3)) == 3
+        assert exact_boxicity(cycle_graph(6)) == 2
         assert calls == [6]
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_comatching_settles_copm_without_dp(self, k, monkeypatch):
+        calls = counting_maximal_keepable(monkeypatch)
+        assert exact_boxicity(generate("copm", k=k)) == k
+        assert calls == []
 
 
 class TestExactBoxicity:
@@ -257,6 +267,68 @@ class TestExactBoxicity:
         assert exact_boxicity(g) == exact_boxicity(h)
 
 
+def induces_comatching(g, pairs):
+    """Whether the endpoints of `pairs` are 2k distinct vertices, any two of
+    them adjacent in `g` exactly when they are not one of the pairs, so that
+    they induce copm(k); read from `g.edges` alone."""
+    ends = [v for pair in pairs for v in pair]
+    matched = {tuple(sorted(pair)) for pair in pairs}
+    return len(set(ends)) == len(ends) and all(
+        ((u, v) in g.edges) != ((u, v) in matched)
+        for u, v in combinations(sorted(ends), 2))
+
+
+def largest_comatching(g):
+    """The most pairs of an induced co-matching in `g`, by brute force over
+    vertex sets, largest first: a set of 2k vertices induces copm(k) iff
+    each of them has exactly one non-neighbour in it."""
+    others = [((1 << g.n) - 1) ^ (1 << v) for v in range(g.n)]
+    for u, v in g.edges:  # others[v]: v's non-neighbours, from g.edges
+        others[u] ^= 1 << v
+        others[v] ^= 1 << u
+    for size in range(g.n - g.n % 2, 0, -2):
+        for verts in combinations(range(g.n), size):
+            inside = sum(1 << v for v in verts)
+            if all((others[v] & inside).bit_count() == 1 for v in verts):
+                return size // 2
+    return 0
+
+
+class TestComatching:
+    """`_comatching`'s pairs are a largest induced co-matching, and their
+    number k bounds boxicity from below. Every graph on at most 6 vertices
+    checks the witness and Roberts' d; exact boxicity, the degenerate cover
+    and the edge pipeline, which take far longer per graph, are compared on
+    random graphs of at most 9 vertices."""
+
+    def witness_size(self, g):
+        pairs = _comatching(g, list(g.nonedges()))
+        assert all(u < v and (u, v) not in g.edges for u, v in pairs)
+        assert induces_comatching(g, pairs)
+        assert len(pairs) == largest_comatching(g)
+        return len(pairs)
+
+    def test_every_graph_up_to_six_vertices(self):
+        for g in all_graphs_upto(6):
+            assert self.witness_size(g) <= roberts_rep(g).d, sorted(g.edges)
+
+    @given(st.one_of(graphs_strategy(9), near_complete_graphs(max_n=9)))
+    @settings(deadline=None)
+    def test_random_graphs_up_to_nine_vertices(self, g):
+        k = self.witness_size(g)
+        assert k <= exact_boxicity(g)
+        assert k <= roberts_rep(g).d
+        assert k <= degenerate_rep(g, *degeneracy_order(g)).d
+        if g.n >= 2:
+            assert k <= edge_pipeline(g)[0].d
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_copm_gives_its_own_matching(self, k):
+        g = generate("copm", k=k)
+        assert sorted(_comatching(g, list(g.nonedges()))) == [
+            (2 * i, 2 * i + 1) for i in range(k)]
+
+
 @st.composite
 def covering_set_systems(draw):
     """Up to 10 nonempty sets over up to 12 bits, and a nonempty universe
@@ -306,11 +378,14 @@ class TestMinCover:
     @given(covering_set_systems())
     @settings(max_examples=200)
     def test_matches_brute_force(self, system):
-        assert _min_cover(*system) == brute_force_cover(*system)
+        best = brute_force_cover(*system)
+        # any start at or below the minimum finds the minimum
+        for least in range(1, best + 1):
+            assert _min_cover(*system, least) == best
 
     def test_sets_that_miss_an_element_fail_loudly(self):
         with pytest.raises(AssertionError, match="do not cover"):
-            _min_cover(0b111, [0b011, 0b001])
+            _min_cover(0b111, [0b011, 0b001], 1)
 
     @pytest.mark.parametrize("g, box", [
         (with_chords(cycle_graph(10), (0, 5), (2, 7)), 2),
@@ -722,6 +797,7 @@ def test_recursive_searches_leave_no_reference_cycles():
     def searches():
         interval_order(cycle_graph(5))
         exact_boxicity(generate("copm", k=3))
+        exact_boxicity(cycle_graph(6))
         exact_poset_dimension(adjacency_poset(complete_graph(3)))
         exact_poset_dimension(adjacency_poset(disjoint_union(complete_graph(3),
                                                              path_graph(2))))
